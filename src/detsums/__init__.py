@@ -26,6 +26,7 @@ from .errors import (
     NotPrime,
     Overflow,
     TooLarge,
+    ValidationError,
     WeightOutOfRange,
     ZeroInverse,
 )

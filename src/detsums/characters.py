@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadOrder, WeightOutOfRange
+from .errors import BadOrder, ValidationError, WeightOutOfRange
 
 
 class CharValue(NamedTuple):
@@ -30,15 +30,22 @@ def roots_of_unity(d):
     return np.exp(2j * np.pi * np.arange(d) / d)
 
 
+def contract(per_index, d):
+    """sum_k per_index[k] * e(k/d) along axis 0, the one readout of per-index totals.
+
+    For d = 2 this is the real difference per_index[0] - per_index[1],
+    exact for integer totals; for d > 2 it is complex.
+    """
+    if d == 2:
+        return per_index[0] - per_index[1]
+    return roots_of_unity(d) @ per_index
+
+
 class WeightSeq:
     """Real weights indexed by integers, with sup norm at most 1.
 
     Stored as a mapping index -> float; lookups are strict (an index the
     sequence does not cover raises KeyError).
-
-    Only the sup-norm regime is enforced; weight families controlled in
-    L1 or L2 norm instead would slot in by replacing this bound check,
-    but nothing downstream needs them yet, so only the check below exists.
     """
 
     def __init__(self, mapping):
@@ -110,9 +117,7 @@ class CharSumAccumulator:
 
     def value(self):
         """Complex value sum_k counts[k] * e(k/d); exact integer real part for d=2."""
-        if self.d == 2:
-            return complex(int(self.counts[0]) - int(self.counts[1]), 0)
-        return complex(np.sum(self.counts * roots_of_unity(self.d)))
+        return complex(contract(self.counts, self.d))
 
     def int_value(self):
         """Integer value, defined for order 2 only."""
@@ -193,9 +198,6 @@ class Character:
     def conjugate(self):
         return Character(self.field, self.d, (-self.power) % self.d)
 
-    def roots(self):
-        return roots_of_unity(self.d)
-
 
 def make_character(F, d, power=1):
     """Character of exact order d mod F.p; BadOrder unless d | p-1, d >= 2.
@@ -218,7 +220,7 @@ def interval_sum(chi, M, N):
     N = 0 is allowed and gives the single term chi(M mod p).
     """
     if N < 0:
-        raise ValueError("interval length N must be >= 0")
+        raise ValidationError("interval length N must be >= 0, got %d" % N)
     p = chi.field.p
     ktab = chi.index_table()
     xs = np.arange(M, M + N + 1, dtype=np.int64) % p
@@ -228,36 +230,43 @@ def interval_sum(chi, M, N):
     return CharSumAccumulator(chi.d, counts, int(np.count_nonzero(~nz)))
 
 
-def de_moment(chi, D_set, alpha, nu):
-    """Shifted-product moment sum_{lam=1}^{p-1} |sum_{d in D} alpha_d chi(lam+d)|^(2 nu).
-
-    Inner sums are grouped per character index before the single complex
-    conversion, so +-1 weights with order 2 stay in exact arithmetic.
-    """
-    alpha = as_weights(alpha)
+def check_shifts(D_set, p):
+    """The shift set as a sorted list of distinct residues in [1, p-1]; nonempty."""
     ds = sorted(set(int(x) for x in D_set))
-    p = chi.field.p
     if not ds:
-        raise ValueError("shift set D must be nonempty")
-    if ds[0] < 1 or ds[-1] > p - 1:
-        raise ValueError("shifts must be residues in [1, p-1]")
-    nu = int(nu)
-    if not 1 <= nu <= 6:
-        raise ValueError("moment index nu must be in [1, 6]")
+        raise ValidationError("shift set D must be nonempty")
+    for s in (ds[0], ds[-1]):
+        if not 1 <= s <= p - 1:
+            raise ValidationError("shifts must be residues in [1, p-1], got %d with p=%d" % (s, p))
+    return ds
 
+
+def shifted_sums(chi, lams, terms):
+    """Contracted inner sums sum_{(s, w) in terms} w * chi(lam + s), one per lam in lams.
+
+    Weights are tallied per character index before the single contraction,
+    so +-1 weights with order 2 stay in exact arithmetic.
+    """
+    p = chi.field.p
     ktab = chi.index_table()
-    lam = np.arange(1, p, dtype=np.int64)
-    per_index = np.zeros((chi.d, p - 1))
-    for d0 in ds:
-        w = alpha[d0]
+    per_index = np.zeros((chi.d, len(lams)))
+    for s, w in terms:
         if w == 0.0:
             continue
-        idx = ktab[(lam + d0) % p]
+        idx = ktab[(lams + s) % p]
         nz = idx >= 0
         np.add.at(per_index, (idx[nz], np.flatnonzero(nz)), w)
-    if chi.d == 2:
-        mag2 = (per_index[0] - per_index[1]) ** 2
-    else:
-        inner = roots_of_unity(chi.d) @ per_index
-        mag2 = inner.real**2 + inner.imag**2
+    return contract(per_index, chi.d)
+
+
+def de_moment(chi, D_set, alpha, nu):
+    """Shifted-product moment sum_{lam=1}^{p-1} |sum_{d in D} alpha_d chi(lam+d)|^(2 nu)."""
+    alpha = as_weights(alpha)
+    p = chi.field.p
+    ds = check_shifts(D_set, p)
+    nu = int(nu)
+    if not 1 <= nu <= 6:
+        raise ValidationError("moment index nu must be in [1, 6], got %d" % nu)
+    inner = shifted_sums(chi, np.arange(1, p, dtype=np.int64), [(s, alpha[s]) for s in ds])
+    mag2 = inner.real**2 + inner.imag**2
     return float(np.sum(mag2**nu))

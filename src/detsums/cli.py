@@ -21,8 +21,8 @@ from importlib import resources
 
 from . import __version__, mat2, residues, sifter, sums
 from .characters import WeightSeq, de_moment, make_character
-from .errors import DetsumsError, InternalInvariantViolation
-from .fp_arith import is_prime, make_field
+from .errors import DetsumsError, InternalInvariantViolation, ValidationError
+from .fp_arith import check_odd_prime, make_field
 
 SUM_KINDS = ("s", "u", "t_abs", "t_n", "de_moment")
 ALL_KINDS = SUM_KINDS + ("delta_profile", "census", "nonresidue", "sift")
@@ -36,29 +36,24 @@ HEADERS = {
 }
 
 
-class ValidationError(DetsumsError):
-    """Bad flag combination; maps to exit code 2."""
-
-
-def _parse_int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_int_list(flag, text):
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValidationError("%s wants comma-separated integers, got %r" % (flag, text)) from None
 
 
 def _collect_primes(args):
     ps = []
     if args.p:
-        ps.extend(_parse_int_list(args.p))
+        ps.extend(_parse_int_list("--p", args.p))
     if args.p_range:
         try:
             lo, hi = (int(tok) for tok in args.p_range.split(":"))
         except ValueError:
             raise ValidationError("--p-range wants LO:HI, got %r" % args.p_range)
         ps.extend(int(q) for q in sifter.primes_upto(hi) if q >= lo)
-    ps = sorted(set(ps))
-    for p in ps:
-        if p < 3 or not is_prime(p):
-            raise ValidationError("p=%d is not an odd prime" % p)
-    return ps
+    return [check_odd_prime(p) for p in sorted(set(ps))]
 
 
 @functools.lru_cache(maxsize=8)
@@ -66,9 +61,35 @@ def _field(p):
     return make_field(p)
 
 
-def _signs(indices, seed_parts):
-    rng = random.Random("|".join(str(s) for s in seed_parts))
-    return WeightSeq({i: float(rng.choice((-1, 1))) for i in indices})
+def _rng(*seed_parts):
+    return random.Random("|".join(str(s) for s in seed_parts))
+
+
+def _signed_shifts(p, n_shifts, seed, tag, key):
+    """Seeded random shift set of size n_shifts in [1, p-1] and +-1 weights on it."""
+    shifts = sorted(_rng(seed, tag + "-shifts", *key).sample(range(1, p), min(n_shifts, p - 1)))
+    return shifts, WeightSeq.signs(shifts, _rng(seed, tag + "-alpha", *key))
+
+
+def _sum_call(kind, chi, params, seed):
+    """(zero-argument call returning the sum, value of the N column) for one sums task."""
+    p, d = chi.field.p, chi.d
+    if kind == "s":
+        return (lambda: sums.s_sum_binned(chi, params).value()), params
+    if kind == "u":
+        N = params
+        alpha = WeightSeq.signs(range(1, N + 1), _rng(seed, "u-alpha", p, d, N))
+        beta = WeightSeq.signs(range(1, N + 1), _rng(seed, "u-beta", p, d, N))
+        return (lambda: sums.u_sum(chi, alpha, beta, N)), N
+    if kind == "t_n":
+        return (lambda: sums.t_n_sum(chi, params)), params
+    if kind == "t_abs":
+        (A, B, C), n_shifts = params
+        shifts, alpha = _signed_shifts(p, n_shifts, seed, "t", (p, d, A, B, C))
+        return (lambda: sums.t_abs_sum(chi, A, B, C, shifts, alpha)), A * B * C
+    n_shifts, nu = params
+    shifts, alpha = _signed_shifts(p, n_shifts, seed, "dm", (p, d, n_shifts, nu))
+    return (lambda: de_moment(chi, shifts, alpha, nu)), len(shifts)
 
 
 def _fmt(x):
@@ -80,45 +101,14 @@ def _fmt(x):
 def _run_task(task):
     """Compute one task tuple into CSV rows; must stay picklable for workers."""
     kind = task[0]
-    if kind in ("s", "u", "t_n"):
-        _, p, d, N, seed = task
-        F = _field(p)
-        chi = make_character(F, d)
+    if kind in SUM_KINDS:
+        _, p, d, params, seed = task
+        call, n_col = _sum_call(kind, make_character(_field(p), d), params, seed)
         t0 = time.perf_counter()
-        if kind == "s":
-            val = sums.s_sum_binned(chi, N).value()
-        elif kind == "u":
-            alpha = _signs(range(1, N + 1), (seed, "u-alpha", p, d, N))
-            beta = _signs(range(1, N + 1), (seed, "u-beta", p, d, N))
-            val = sums.u_sum(chi, alpha, beta, N)
-        else:
-            val = complex(sums.t_n_sum(chi, N), 0.0)
+        val = complex(call())
         ms = (time.perf_counter() - t0) * 1000.0
-        return [[p, d, N, kind, _fmt(val.real), _fmt(val.imag), _fmt(abs(val)), _fmt(abs(val) / N**4), "%.3f" % ms]]
-    if kind == "t_abs":
-        _, p, d, (A, B, C), n_shifts, seed = task
-        F = _field(p)
-        chi = make_character(F, d)
-        rng = random.Random("|".join(str(s) for s in (seed, "t-shifts", p, d, A, B, C)))
-        shifts = sorted(rng.sample(range(1, p), min(n_shifts, p - 1)))
-        alpha = _signs(shifts, (seed, "t-alpha", p, d, A, B, C))
-        t0 = time.perf_counter()
-        val = sums.t_abs_sum(chi, A, B, C, shifts, alpha)
-        ms = (time.perf_counter() - t0) * 1000.0
-        n_col = A * B * C
-        return [[p, d, n_col, kind, _fmt(val), _fmt(0.0), _fmt(abs(val)), _fmt(abs(val) / n_col**4), "%.3f" % ms]]
-    if kind == "de_moment":
-        _, p, d, n_shifts, nu, seed = task
-        F = _field(p)
-        chi = make_character(F, d)
-        rng = random.Random("|".join(str(s) for s in (seed, "dm-shifts", p, d, n_shifts, nu)))
-        shifts = sorted(rng.sample(range(1, p), min(n_shifts, p - 1)))
-        alpha = _signs(shifts, (seed, "dm-alpha", p, d, n_shifts, nu))
-        t0 = time.perf_counter()
-        val = de_moment(chi, shifts, alpha, nu)
-        ms = (time.perf_counter() - t0) * 1000.0
-        n_col = len(shifts)
-        return [[p, d, n_col, kind, _fmt(val), _fmt(0.0), _fmt(abs(val)), _fmt(abs(val) / n_col**4), "%.3f" % ms]]
+        mag = abs(val)
+        return [[p, d, n_col, kind, _fmt(val.real), _fmt(val.imag), _fmt(mag), _fmt(mag / n_col**4), "%.3f" % ms]]
     if kind == "delta_profile":
         _, N = task
         prof = sums.delta_profile(N)
@@ -142,7 +132,13 @@ def _run_task(task):
 
 def _build_tasks(args):
     kind = args.kind
-    n_grid = _parse_int_list(args.n_grid) if args.n_grid else []
+    if args.workers < 1:
+        raise ValidationError("--workers must be >= 1, got %d" % args.workers)
+    if args.x_limit < 0:
+        raise ValidationError("--x-limit must be >= 0, got %d" % args.x_limit)
+    if args.shift_count < 1:
+        raise ValidationError("--shift-count must be >= 1, got %d" % args.shift_count)
+    n_grid = _parse_int_list("--n-grid", args.n_grid)
     if kind == "sift":
         if not n_grid:
             raise ValidationError("sift needs --n-grid")
@@ -170,16 +166,16 @@ def _build_tasks(args):
         if d < 2 or (p - 1) % d != 0:
             raise ValidationError("order d=%d does not divide p-1 for p=%d" % (d, p))
     if kind == "de_moment":
-        return [("de_moment", p, d, args.shift_count, args.nu, args.seed) for p in ps], "sums"
+        return [("de_moment", p, d, (args.shift_count, args.nu), args.seed) for p in ps], "sums"
     if kind == "t_abs":
-        abc = tuple(_parse_int_list(args.abc))
+        abc = tuple(_parse_int_list("--abc", args.abc))
         if len(abc) != 3:
             raise ValidationError("--abc wants three comma-separated values")
         tasks = []
         for p in ps:
             if abc[0] * abc[1] * abc[2] >= p:
                 raise ValidationError("t_abs needs A*B*C < p, got %s with p=%d" % (list(abc), p))
-            tasks.append(("t_abs", p, d, abc, args.shift_count, args.seed))
+            tasks.append(("t_abs", p, d, (abc, args.shift_count), args.seed))
         return tasks, "sums"
     if not n_grid:
         raise ValidationError("kind %s needs --n-grid" % kind)

@@ -5,6 +5,10 @@ class DetsumsError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ValidationError(DetsumsError, ValueError):
+    """Bad input from a caller or the command line; the CLI exits 2."""
+
+
 class NotPrime(DetsumsError):
     """The modulus failed the primality test (or is not an odd prime)."""
 

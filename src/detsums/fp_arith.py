@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, NotPrime, TooLarge, ZeroInverse
+from .errors import InternalInvariantViolation, NotPrime, TooLarge, ValidationError, ZeroInverse
 
 DEFAULT_MAX_TABLE = 2_000_000
 HARD_CAP = 2**31
@@ -23,7 +23,7 @@ def is_prime(n):
     """Deterministic Miller-Rabin primality test for n < 3.3 * 10^24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -42,6 +42,14 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def check_odd_prime(p):
+    """p as an int; NotPrime unless it is an odd prime."""
+    p = int(p)
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise NotPrime("p must be an odd prime, got %d" % p)
+    return p
 
 
 def prime_factors(n):
@@ -135,7 +143,10 @@ def max_table_bound():
     raw = os.environ.get("DETSUM_MAX_TABLE")
     if raw is None:
         return DEFAULT_MAX_TABLE
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError("DETSUM_MAX_TABLE must be an integer, got %r" % raw) from None
 
 
 def make_field(p, max_table=None):
@@ -145,9 +156,7 @@ def make_field(p, max_table=None):
     table cap.  Construction is O(p); the result is immutable and safe
     to share across workers.
     """
-    p = int(p)
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise NotPrime("p must be an odd prime, got %d" % p)
+    p = check_odd_prime(p)
     cap = max_table if max_table is not None else max_table_bound()
     if p > HARD_CAP:
         raise TooLarge("p=%d exceeds the hard cap 2^31" % p)

@@ -12,17 +12,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mat2
-from .errors import InternalInvariantViolation, NotPrime
-from .fp_arith import PrimeField, is_prime
+from .errors import InternalInvariantViolation, ValidationError
+from .fp_arith import PrimeField, check_odd_prime
 
 
 def _as_modulus(F):
     """(p, legendre_callable) from a PrimeField or a validated int prime."""
     if isinstance(F, PrimeField):
         return F.p, F.legendre
-    p = int(F)
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise NotPrime("p must be an odd prime, got %d" % p)
+    p = check_odd_prime(F)
     e = (p - 1) // 2
 
     def leg(n):
@@ -44,15 +42,12 @@ def least_nonresidue(F):
 
 def count_nonresidues(F, X):
     """Exact #{1 <= n <= X : (n/p) = -1}; X must stay below p."""
-    if isinstance(F, PrimeField):
-        p = F.p
-        if not 1 <= X < p:
-            raise ValueError("need 1 <= X < p")
-        # dlog parity: odd exponent of the primitive root marks a non-residue
-        return int(np.count_nonzero(F.dlog[1 : X + 1] & 1))
     p, leg = _as_modulus(F)
     if not 1 <= X < p:
-        raise ValueError("need 1 <= X < p")
+        raise ValidationError("need 1 <= X < p, got X=%d with p=%d" % (X, p))
+    if isinstance(F, PrimeField):
+        # dlog parity: odd exponent of the primitive root marks a non-residue
+        return int(np.count_nonzero(F.dlog[1 : X + 1] & 1))
     return sum(1 for n in range(1, X + 1) if leg(n) == -1)
 
 

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import CharSumAccumulator, as_weights, de_moment, roots_of_unity
-from .errors import DomainTooLarge, InternalInvariantViolation, Overflow
+from .characters import CharSumAccumulator, as_weights, check_shifts, contract, de_moment, shifted_sums
+from .errors import DomainTooLarge, InternalInvariantViolation, Overflow, ValidationError
 
 _DIRECT_CHUNK = 4_000_000  # cap on scratch entries per block in direct sums
 
@@ -41,19 +41,32 @@ class DeltaProfile:
         return int(self.counts.sum())
 
 
+def _products(A, B):
+    """Flat int64 array of a*b over (a, b) in [1,A]x[1,B], entry (a-1)*B + (b-1)."""
+    return np.outer(np.arange(1, A + 1, dtype=np.int64), np.arange(1, B + 1, dtype=np.int64)).ravel()
+
+
+def _check_length(N, p):
+    """N as an int; ValidationError unless 1 <= N < p."""
+    N = int(N)
+    if not 1 <= N < p:
+        raise ValidationError("need 1 <= N < p, got N=%d with p=%d" % (N, p))
+    return N
+
+
 def delta_profile(N):
     """Exact DeltaProfile via the product-count autocorrelation.
 
     r(v) = #{(x,y) in [1,N]^2 : xy = v}; then T_Delta = sum_v r(v) r(v - Delta),
-    computed as one integer convolution.  O(N^2 log N) products, exact in int64.
+    computed as one direct integer convolution of two length N^2 + 1 arrays:
+    O(N^4) operations, exact in int64.
     """
     N = int(N)
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ValidationError("N must be >= 1, got %d" % N)
     if N**4 >= 2**63:
         raise Overflow("N^4 exceeds int64 tally capacity at N=%d" % N)
-    vals = np.arange(1, N + 1, dtype=np.int64)
-    r = np.bincount(np.outer(vals, vals).ravel(), minlength=N * N + 1)
+    r = np.bincount(_products(N, N), minlength=N * N + 1)
     full = np.convolve(r, r[::-1])  # lag N^2 - k at position k, ends are empty lags
     counts = full[1:-1][::-1].copy()
     prof = DeltaProfile(N, counts.astype(np.int64))
@@ -62,26 +75,41 @@ def delta_profile(N):
     return prof
 
 
+def _direct_blocks(chi, N):
+    """Index-table values of chi(ad - bc) over [1,N]^4, in blocks of (a,d) rows.
+
+    Yields (rows, ks): ks[i, j] is the index of chi(ad - bc), -1 for
+    chi(0), where (a,d) is the product pair of row rows.start + i and (b,c)
+    that of column j, both numbered as in _products(N, N).  Blocks keep
+    scratch memory under _DIRECT_CHUNK entries.
+    """
+    p = chi.field.p
+    ktab = chi.index_table()
+    prods = _products(N, N)
+    step = max(1, _DIRECT_CHUNK // len(prods))
+    for lo in range(0, len(prods), step):
+        diff = (prods[lo : lo + step, None] - prods[None, :]) % p
+        yield slice(lo, lo + step), ktab[diff]
+
+
+def _delta_index(chi, N):
+    """Index of chi(Delta mod p) for Delta = -(N^2-1) .. N^2-1, -1 for chi(0)."""
+    top = N * N - 1
+    return chi.index_table()[np.arange(-top, top + 1, dtype=np.int64) % chi.field.p]
+
+
 def s_sum_direct(chi, N):
     """S(N, chi) = sum over all (a,b,c,d) in [1,N]^4 of chi(ad - bc), term by term.
 
     The O(N^4) reference route: every quadruple contributes one table
     lookup (blocked to keep scratch memory flat).
     """
-    p = chi.field.p
-    N = int(N)
-    if not 1 <= N < p:
-        raise ValueError("need 1 <= N < p")
-    ktab = chi.index_table()
-    prods = np.outer(np.arange(1, N + 1, dtype=np.int64), np.arange(1, N + 1, dtype=np.int64)).ravel()
+    N = _check_length(N, chi.field.p)
     counts = np.zeros(chi.d, dtype=np.int64)
     zero_terms = 0
-    rows = max(1, _DIRECT_CHUNK // len(prods))
-    for lo in range(0, len(prods), rows):
-        diff = (prods[lo : lo + rows, None] - prods[None, :]) % p
-        ks = ktab[diff].ravel()
+    for _, ks in _direct_blocks(chi, N):
         nz = ks >= 0
-        counts += np.bincount(ks[nz], minlength=chi.d).astype(np.int64)
+        counts += np.bincount(ks[nz], minlength=chi.d)
         zero_terms += int(np.count_nonzero(~nz))
     return CharSumAccumulator(chi.d, counts, zero_terms)
 
@@ -92,16 +120,11 @@ def s_sum_binned(chi, N):
     chi is evaluated at Delta mod p, and Delta values that are nonzero
     multiples of p land in the zero tally like any other chi(0) term.
     """
-    p = chi.field.p
-    N = int(N)
-    if not 1 <= N < p:
-        raise ValueError("need 1 <= N < p")
+    N = _check_length(N, chi.field.p)
     if N * N >= 2**31:
         raise Overflow("N^2 must stay below 2^31")
     prof = delta_profile(N)
-    top = N * N - 1
-    deltas = np.arange(-top, top + 1, dtype=np.int64)
-    ks = chi.index_table()[deltas % p]
+    ks = _delta_index(chi, N)
     nz = ks >= 0
     counts = np.zeros(chi.d, dtype=np.int64)
     np.add.at(counts, ks[nz], prof.counts[nz])
@@ -114,13 +137,6 @@ def _weight_array(w, N):
     return np.array([w[i] for i in range(1, N + 1)], dtype=np.float64)
 
 
-def _contract(per_index, d):
-    """Complex value of per-index weight totals; real difference for d = 2."""
-    if d == 2:
-        return complex(per_index[0] - per_index[1], 0.0)
-    return complex(np.sum(per_index * roots_of_unity(d)))
-
-
 def u_sum(chi, alpha, beta, N):
     """U(alpha, beta, N) = sum alpha_a beta_b chi(ad - bc) over [1,N]^4, binned.
 
@@ -128,52 +144,36 @@ def u_sum(chi, alpha, beta, N):
     Weighted product counts on each side are cross-correlated, then
     contracted against chi per character index.
     """
-    p = chi.field.p
-    N = int(N)
-    if not 1 <= N < p:
-        raise ValueError("need 1 <= N < p")
+    N = _check_length(N, chi.field.p)
     wa = _weight_array(alpha, N)
     wb = _weight_array(beta, N)
-    vals = np.arange(1, N + 1, dtype=np.int64)
-    prods = np.outer(vals, vals)
+    prods = _products(N, N)
 
     ra = np.zeros(N * N + 1)
-    np.add.at(ra, prods.ravel(), np.repeat(wa, N))  # row index a carries alpha_a
+    np.add.at(ra, prods, np.repeat(wa, N))  # row index a carries alpha_a
     rb = np.zeros(N * N + 1)
-    np.add.at(rb, prods.ravel(), np.repeat(wb, N))
+    np.add.at(rb, prods, np.repeat(wb, N))
 
-    cross = np.convolve(ra, rb[::-1])  # cross[N^2 + Delta] = sum_v ra(v + Delta) rb(v)
-    top = N * N - 1
-    deltas = np.arange(-top, top + 1, dtype=np.int64)
-    ks = chi.index_table()[deltas % p]
+    # cross[N^2 + Delta] = sum_v ra(v + Delta) rb(v); cross[1:-1] spans |Delta| < N^2
+    cross = np.convolve(ra, rb[::-1])
+    ks = _delta_index(chi, N)
     nz = ks >= 0
     per_index = np.zeros(chi.d)
-    np.add.at(per_index, ks[nz], cross[N * N + deltas[nz]])
-    return _contract(per_index, chi.d)
+    np.add.at(per_index, ks[nz], cross[1:-1][nz])
+    return complex(contract(per_index, chi.d))
 
 
 def u_sum_direct(chi, alpha, beta, N):
     """O(N^4) reference route for u_sum: one weighted term per quadruple."""
-    p = chi.field.p
-    N = int(N)
-    if not 1 <= N < p:
-        raise ValueError("need 1 <= N < p")
-    wa = _weight_array(alpha, N)
-    wb = _weight_array(beta, N)
-    vals = np.arange(1, N + 1, dtype=np.int64)
-    prods = np.outer(vals, vals).ravel()  # (a,d) and (b,c) products alike
-    w_ad = np.repeat(wa, N)  # weight of the (a,d) slot is alpha_a
-    w_bc = np.repeat(wb, N)
+    N = _check_length(N, chi.field.p)
+    w_ad = np.repeat(_weight_array(alpha, N), N)  # weight of the (a,d) slot is alpha_a
+    w_bc = np.repeat(_weight_array(beta, N), N)
     per_index = np.zeros(chi.d)
-    ktab = chi.index_table()
-    rows = max(1, _DIRECT_CHUNK // len(prods))
-    for lo in range(0, len(prods), rows):
-        diff = (prods[lo : lo + rows, None] - prods[None, :]) % p
-        ks = ktab[diff]
-        w2 = np.outer(w_ad[lo : lo + rows], w_bc)
+    for rows, ks in _direct_blocks(chi, N):
+        w2 = np.outer(w_ad[rows], w_bc)
         nz = ks >= 0  # chi(0) terms drop out of the weighted sum
         np.add.at(per_index, ks[nz], w2[nz])
-    return _contract(per_index, chi.d)
+    return complex(contract(per_index, chi.d))
 
 
 class BinTable:
@@ -203,10 +203,10 @@ def ratio_bins(F, A, B, C, strategy="auto"):
     p = F.p
     A, B, C = int(A), int(B), int(C)
     if not (1 <= A < p and 1 <= B < p and 1 <= C < p):
-        raise ValueError("need 1 <= A, B, C < p")
+        raise ValidationError("need 1 <= A, B, C < p, got %d, %d, %d with p=%d" % (A, B, C, p))
     if strategy == "auto":
         strategy = "table" if A * B > p else "direct"
-    ab = np.outer(np.arange(1, A + 1, dtype=np.int64), np.arange(1, B + 1, dtype=np.int64)).ravel() % p
+    ab = _products(A, B) % p
     bins = np.zeros(p, dtype=np.int64)
     if strategy == "direct":
         for c in range(1, C + 1):
@@ -226,33 +226,6 @@ def ratio_bins(F, A, B, C, strategy="auto"):
     return BinTable(p, bins)
 
 
-def _inner_magnitudes(chi, lams, D_set, alpha):
-    """|sum_d alpha_d chi(lam - d)| for each lam in lams, grouped per index."""
-    p = chi.field.p
-    ktab = chi.index_table()
-    per_index = np.zeros((chi.d, len(lams)))
-    for d0 in sorted(D_set):
-        w = alpha[d0]
-        if w == 0.0:
-            continue
-        idx = ktab[(lams - d0) % p]
-        nz = idx >= 0
-        np.add.at(per_index, (idx[nz], np.flatnonzero(nz)), w)
-    if chi.d == 2:
-        return np.abs(per_index[0] - per_index[1])
-    inner = roots_of_unity(chi.d) @ per_index
-    return np.abs(inner)
-
-
-def _check_shifts(D_set, p):
-    ds = sorted(set(int(x) for x in D_set))
-    if not ds:
-        raise ValueError("shift set D must be nonempty")
-    if ds[0] < 1 or ds[-1] > p - 1:
-        raise ValueError("shifts must be residues in [1, p-1]")
-    return ds
-
-
 def t_abs_sum(chi, A, B, C, D_set, alpha):
     """T(A,B,C,D;alpha) = sum over triples of |sum_d alpha_d chi(ab - cd)|.
 
@@ -263,10 +236,10 @@ def t_abs_sum(chi, A, B, C, D_set, alpha):
     if int(A) * int(B) * int(C) >= p:
         raise DomainTooLarge("t_abs_sum needs A*B*C < p")
     alpha = as_weights(alpha)
-    ds = _check_shifts(D_set, p)
+    ds = check_shifts(D_set, p)
     table = ratio_bins(chi.field, A, B, C)
     lams = np.flatnonzero(table.counts)
-    mags = _inner_magnitudes(chi, lams, ds, alpha)
+    mags = np.abs(shifted_sums(chi, lams, [(-s, alpha[s]) for s in ds]))
     return float(np.sum(table.counts[lams] * mags))
 
 
@@ -274,9 +247,8 @@ def t_abs_sum_direct(chi, A, B, C, D_set, alpha):
     """O(ABC*D) reference route for t_abs_sum, one term per triple."""
     p = chi.field.p
     alpha = as_weights(alpha)
-    ds = _check_shifts(D_set, p)
+    ds = check_shifts(D_set, p)
     ktab = chi.index_table()
-    roots = chi.roots()
     total = 0.0
     for a in range(1, int(A) + 1):
         for b in range(1, int(B) + 1):
@@ -287,10 +259,7 @@ def t_abs_sum_direct(chi, A, B, C, D_set, alpha):
                     k = ktab[(ab - c * d0) % p]
                     if k >= 0:
                         per[k] += alpha[d0]
-                if chi.d == 2:
-                    total += abs(per[0] - per[1])
-                else:
-                    total += abs(complex(np.sum(per * roots)))
+                total += abs(contract(per, chi.d))
     return total
 
 
@@ -298,7 +267,7 @@ def t_n_sum(chi, N):
     """T(N) = t_abs_sum with A = B = C = N, D = [1,N], unit weights."""
     N = int(N)
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise ValidationError("N must be >= 1, got %d" % N)
     ones = {i: 1.0 for i in range(1, N + 1)}
     return t_abs_sum(chi, N, N, N, range(1, N + 1), ones)
 

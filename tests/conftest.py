@@ -13,6 +13,10 @@ def field(p):
     return make_field(p)
 
 
+# Orders whose roots of unity are not all real, for the route-equivalence tests.
+HIGH_ORDER_PAIRS = ((13, 4), (13, 6), (37, 4), (37, 6), (61, 4), (61, 6))
+
+
 @pytest.fixture
 def rng():
     return random.Random("detsums-test-suite")

@@ -284,3 +284,15 @@ def test_criterion_11_scan_trend(tmp_path):
                 % (normalized[100], normalized[10])
             )
         print("  trend values:", {N: normalized[N] for N in sorted(normalized)})
+
+
+def test_scan_trend_p10009(tmp_path):
+    # The non-vacuous companion of criterion 11: 10009 = 1 (mod 4), so the
+    # quadratic character is even and S(N) is not forced to vanish.
+    out = tmp_path / "trend.csv"
+    code = cli.main(["scan", "--kind", "s", "--p", "10009", "--n-grid", "10,18,32,56,100", "--out", str(out)])
+    assert code == 0
+    with open(out) as fh:
+        values = [float(r["normalized"]) for r in csv.DictReader(fh)]
+    assert len(values) == 5
+    assert all(a > b for a, b in zip(values, values[1:])), values

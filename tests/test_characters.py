@@ -1,6 +1,7 @@
 """Character evaluation, interval sums, accumulators, moment sums."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -17,7 +18,7 @@ from detsums import (
 )
 from detsums.characters import CHAR_ZERO, CharSumAccumulator, roots_of_unity
 
-from conftest import field
+from conftest import HIGH_ORDER_PAIRS, field
 
 
 def test_make_character_order_three():
@@ -165,8 +166,8 @@ def test_de_moment_bound_example():
 
 
 def test_de_moment_matches_naive(rng):
-    for _ in range(15):
-        p, d = rng.choice(((11, 2), (13, 2), (13, 3), (31, 3)))
+    draws = (rng.choice(((11, 2), (13, 2), (13, 3), (31, 3))) for _ in range(15))
+    for p, d in itertools.chain(draws, HIGH_ORDER_PAIRS):
         chi = make_character(field(p), d)
         shifts = sorted(rng.sample(range(1, p), rng.randrange(1, 6)))
         alpha = {s: rng.choice((-1.0, 1.0, 0.5)) for s in shifts}

@@ -61,6 +61,29 @@ def test_validation_errors():
     assert run_cli(["scan", "--kind", "sift", "--n-grid", ""]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--kind", "s", "--p", "101", "--n-grid", "x"], {}),
+        (["--kind", "delta_profile", "--n-grid", "0"], {}),
+        (["--kind", "de_moment", "--p", "101", "--nu", "9"], {}),
+        (["--kind", "de_moment", "--p", "101", "--shift-count", "0"], {}),
+        (["--kind", "t_abs", "--p", "101", "--abc", "2,2,2", "--shift-count", "-3"], {}),
+        (["--kind", "t_abs", "--p", "101", "--abc", "0,3,3"], {}),
+        (["--kind", "s", "--p", "101", "--n-grid", "5"], {"DETSUM_MAX_TABLE": "abc"}),
+        (["--kind", "s", "--p", "101", "--n-grid", "5", "--workers", "0"], {}),
+        (["--kind", "nonresidue", "--p", "101", "--x-limit", "-5"], {}),
+    ],
+)
+def test_bad_input_exit_2_without_traceback(argv, env, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cli._field.cache_clear()  # a cached field would skip the DETSUM_MAX_TABLE lookup
+    assert run_cli(["scan", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_table_cap_env_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("DETSUM_MAX_TABLE", "50")
     cli._field.cache_clear()

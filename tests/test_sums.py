@@ -1,5 +1,6 @@
 """Determinant sums: profiles, direct/binned equality, ratio bins, t-sums."""
 
+import itertools
 import math
 import random
 
@@ -24,7 +25,7 @@ from detsums import (
     u_sum_direct,
 )
 
-from conftest import field
+from conftest import HIGH_ORDER_PAIRS, field
 
 
 def quadruple_profile_oracle(N):
@@ -100,11 +101,14 @@ def test_s_sum_odd_character_vanishes():
 
 
 def test_s_sum_binned_equals_direct(rng):
-    for _ in range(20):
+    def draw():
         p = rng.choice((5, 7, 13, 31, 61, 97))
         d = rng.choice((2, 3))
         if (p - 1) % d:
             d = 2
+        return p, d
+
+    for p, d in itertools.chain((draw() for _ in range(20)), HIGH_ORDER_PAIRS):
         chi = make_character(field(p), d)
         N = rng.randrange(1, min(13, p))
         assert s_sum_binned(chi, N) == s_sum_direct(chi, N)
@@ -144,9 +148,11 @@ def test_u_sum_fixture_mod5():
 
 
 def test_u_sum_binned_equals_direct_signs(rng):
-    for _ in range(15):
+    def draw():
         p = rng.choice((11, 13, 31))
-        d = 3 if p % 3 == 1 and rng.random() < 0.5 else 2
+        return p, 3 if p % 3 == 1 and rng.random() < 0.5 else 2
+
+    for p, d in itertools.chain((draw() for _ in range(15)), HIGH_ORDER_PAIRS):
         chi = make_character(field(p), d)
         N = rng.randrange(1, 9)
         alpha = WeightSeq.signs(range(1, N + 1), rng)
@@ -222,9 +228,11 @@ def test_t_abs_single_shift_identity():
 
 
 def test_t_abs_binned_equals_direct(rng):
-    for _ in range(15):
+    def draw():
         p = rng.choice((11, 31, 61, 97))
-        d = 3 if (p - 1) % 3 == 0 and rng.random() < 0.5 else 2
+        return p, 3 if (p - 1) % 3 == 0 and rng.random() < 0.5 else 2
+
+    for p, d in itertools.chain((draw() for _ in range(15)), HIGH_ORDER_PAIRS):
         chi = make_character(field(p), d)
         while True:
             A, B, C = (rng.randrange(1, 8) for _ in range(3))
