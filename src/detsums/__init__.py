@@ -2,8 +2,9 @@
 
 Everything is computed in exact integer arithmetic wherever the object
 permits it: character values are root-of-unity indices, sums are tallies
-per index, censuses are full enumerations.  Floating point enters only
-at magnitude/readout time, under a documented 1e-9 relative tolerance.
+per index, the matrix census is exact class-size counting over conjugacy
+classes.  Floating point enters only at magnitude/readout time, under a
+documented 1e-9 relative tolerance.
 """
 
 __version__ = "0.1.0"

@@ -24,9 +24,11 @@ CHAR_ZERO = CharValue(True, 0)
 
 
 def roots_of_unity(d):
-    """Complex array [e(0/d), e(1/d), ..., e((d-1)/d)]; exact for d = 2."""
+    """Complex array [e(0/d), e(1/d), ..., e((d-1)/d)]; exact for d = 2 and d = 4."""
     if d == 2:
         return np.array([1.0 + 0.0j, -1.0 + 0.0j])
+    if d == 4:
+        return np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
     return np.exp(2j * np.pi * np.arange(d) / d)
 
 

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -194,8 +195,26 @@ def default_calibration_path():
     return str(resources.files("detsums") / "data" / "calibration.txt")
 
 
+def _check_out(path):
+    """ValidationError unless the CSV and its manifest can be written at `path`."""
+    if path == "-":
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise ValidationError("--out %r is not a writable file path" % path)
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError("cannot write %r: %s" % (path, exc.strerror)) from None
+
+
 def _cmd_scan(args):
     tasks, schema = _build_tasks(args)
+    _check_out(args.out)  # before any task runs, so a long scan cannot fail at the end
     t0 = time.perf_counter()
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as ex:
@@ -211,8 +230,7 @@ def _cmd_scan(args):
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
 
     manifest = {
         "kind": args.kind,
@@ -226,9 +244,7 @@ def _cmd_scan(args):
     if args.out == "-":
         sys.stderr.write(json.dumps(manifest) + "\n")
     else:
-        with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        _write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
     return 0
 
 

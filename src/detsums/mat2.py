@@ -6,8 +6,9 @@ so all candidate roots come from the square roots of det A.  Scalar
 matrices u*I fall outside that derivation (t can be 0) and get their own
 fallback; every witness the procedure returns is re-verified by an
 actual matrix product, so an incomplete candidate list can only produce
-a wrong "not found", and that is exactly what the census cross-check
-(every matrix, small p) pins down.
+a wrong "not found", and the tests pin that down on every matrix for
+small p.  The census decides one matrix per conjugacy class; the tests
+check it against squaring all p^4 matrices.
 """
 
 from typing import NamedTuple, Optional
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import InternalInvariantViolation, TooLarge
 
-DEFAULT_CENSUS_BOUND = 127
+DEFAULT_CENSUS_BOUND = 1009
 PAIR_CENSUS_BOUND = 10_000
 
 
@@ -110,44 +111,67 @@ class Census(NamedTuple):
     ratio: float
 
 
-def census(F, bound=DEFAULT_CENSUS_BOUND):
-    """Exact census of squares in M_2(F_p) by enumerating every B.
+def _class_size(p, disc_symbol):
+    """Size |GL_2| / |centralizer| of a non-scalar conjugacy class, by the
+    Legendre symbol of its discriminant: 1 split, -1 non-split, 0 repeated."""
+    if disc_symbol == 1:
+        return p * (p + 1)
+    if disc_symbol == -1:
+        return p * (p - 1)
+    return p * p - 1
 
-    Marks B*B for all p^4 matrices B in a flat table indexed by
-    ((m11*p + m12)*p + m21)*p + m22, then tallies squares and the
-    invertible non-squares.  O(p^4) time and p^4 table entries; capped
-    by `bound` (default 127).
+
+def _conjugacy_classes(F):
+    """Yield (representative, det, class size) for every class of M_2(F_p).
+
+    The p scalar classes u*I have size 1; the p^2 non-scalar classes are
+    one per characteristic polynomial x^2 - t*x + n, represented by the
+    companion matrix [[0, -n], [1, t]].
+    """
+    p = F.p
+    leg = F.legendre_table().tolist()
+    for u in range(p):
+        yield Mat2(u, 0, 0, u), u * u % p, 1
+    for t in range(p):
+        for n in range(p):
+            yield Mat2(0, -n % p, 1, t), n, _class_size(p, leg[(t * t - 4 * n) % p])
+
+
+def census(F, bound=DEFAULT_CENSUS_BOUND):
+    """Exact census of squares in M_2(F_p), counted by conjugacy classes.
+
+    Squaring commutes with conjugation, so being a square is a property
+    of the class: one `has_square_root` decision per class (p + p^2 of
+    them) weighted by the class size gives the counts over all p^4
+    matrices.  Memory is the field alone, so `bound` (default 1009)
+    limits time, about p^2 calls to `has_square_root`, not memory; p =
+    1009 takes a few seconds.
+
+    Two certificates run on every call and raise InternalInvariantViolation
+    if they fail: the class sizes sum to p^4, and the singular classes
+    (det 0) sum to p^4 - |GL_2(F_p)| = p^4 - (p^2 - 1)(p^2 - p).
     """
     p = F.p
     if p > bound:
         raise TooLarge("census needs p <= %d, got %d" % (bound, p))
-    p3 = p**3
     n_total = p**4
-    marked = np.zeros(n_total, dtype=bool)
+    n_counted = n_singular = n_square = n_nonsq_inv = 0
+    for rep, n, size in _conjugacy_classes(F):
+        n_counted += size
+        if n == 0:
+            n_singular += size
+        if has_square_root(rep, F).found:
+            n_square += size
+        elif n != 0:
+            n_nonsq_inv += size
 
-    b = np.arange(p, dtype=np.int64).reshape(p, 1, 1)
-    c = np.arange(p, dtype=np.int64).reshape(1, p, 1)
-    d = np.arange(p, dtype=np.int64).reshape(1, 1, p)
-    bc = (b * c) % p
-    e22 = (d * d + bc) % p
-    for a in range(p):
-        apd = (a + d) % p
-        e11 = (a * a + bc) % p
-        e12 = (b * apd) % p
-        e21 = (c * apd) % p
-        idx = ((e11 * p + e12) * p + e21) * p + e22
-        marked[idx.ravel()] = True
-
-    n_square = int(np.count_nonzero(marked))
-    n_singular = 0
-    n_nonsq_inv = 0
-    for a in range(p):
-        blk = marked[a * p3 : (a + 1) * p3].reshape(p, p, p)
-        detb = (a * d - b * c) % p
-        singular = detb == 0
-        n_singular += int(np.count_nonzero(singular))
-        n_nonsq_inv += int(np.count_nonzero(~blk & ~singular))
-
+    if n_counted != n_total:
+        raise InternalInvariantViolation("class sizes sum to %d, not p^4 = %d (p=%d)" % (n_counted, n_total, p))
+    n_gl2 = (p * p - 1) * (p * p - p)
+    if n_singular != n_total - n_gl2:
+        raise InternalInvariantViolation(
+            "singular classes sum to %d, not p^4 - |GL_2| = %d (p=%d)" % (n_singular, n_total - n_gl2, p)
+        )
     return Census(p, n_total, n_singular, n_square, n_nonsq_inv, n_nonsq_inv / n_total)
 
 

@@ -1,11 +1,13 @@
-"""Shared helpers: cached fields and a couple of tiny brute-force oracles."""
+"""Shared helpers: cached fields and the brute-force oracles the fast routes are checked against."""
 
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from detsums import make_field
+from detsums.mat2 import Census
 
 
 @functools.lru_cache(maxsize=64)
@@ -28,3 +30,40 @@ def legendre_oracle(x, p):
         return 0
     squares = {(i * i) % p for i in range(1, p)}
     return 1 if x % p in squares else -1
+
+
+def census_by_enumeration(F):
+    """Census of squares in M_2(F_p) by squaring all p^4 matrices B.
+
+    Marks B*B in a flat table indexed by ((m11*p + m12)*p + m21)*p + m22,
+    then tallies squares and invertible non-squares: O(p^4) time and a
+    p^4-entry table, the oracle for the class census in `mat2.census`.
+    """
+    p = F.p
+    p3 = p**3
+    n_total = p**4
+    marked = np.zeros(n_total, dtype=bool)
+
+    b = np.arange(p, dtype=np.int64).reshape(p, 1, 1)
+    c = np.arange(p, dtype=np.int64).reshape(1, p, 1)
+    d = np.arange(p, dtype=np.int64).reshape(1, 1, p)
+    bc = (b * c) % p
+    e22 = (d * d + bc) % p
+    for a in range(p):
+        apd = (a + d) % p
+        e11 = (a * a + bc) % p
+        e12 = (b * apd) % p
+        e21 = (c * apd) % p
+        idx = ((e11 * p + e12) * p + e21) * p + e22
+        marked[idx.ravel()] = True
+
+    n_square = int(np.count_nonzero(marked))
+    n_singular = 0
+    n_nonsq_inv = 0
+    for a in range(p):
+        blk = marked[a * p3 : (a + 1) * p3].reshape(p, p, p)
+        singular = (a * d - b * c) % p == 0
+        n_singular += int(np.count_nonzero(singular))
+        n_nonsq_inv += int(np.count_nonzero(~blk & ~singular))
+
+    return Census(p, n_total, n_singular, n_square, n_nonsq_inv, n_nonsq_inv / n_total)

@@ -73,6 +73,7 @@ def test_validation_errors():
         (["--kind", "s", "--p", "101", "--n-grid", "5"], {"DETSUM_MAX_TABLE": "abc"}),
         (["--kind", "s", "--p", "101", "--n-grid", "5", "--workers", "0"], {}),
         (["--kind", "nonresidue", "--p", "101", "--x-limit", "-5"], {}),
+        (["--kind", "census", "--p", "3", "--out", "/nonexistent/x.csv"], {}),
     ],
 )
 def test_bad_input_exit_2_without_traceback(argv, env, capsys, monkeypatch):
@@ -82,6 +83,21 @@ def test_bad_input_exit_2_without_traceback(argv, env, capsys, monkeypatch):
     assert run_cli(["scan", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_out_path_named_before_tasks_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "x.csv"
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", "census", "--p", "3", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert ran == []
+
+
+def test_order_4_scan_is_exact(capsys):
+    assert run_cli(["scan", "--kind", "s", "--p", "10009", "--order", "4", "--n-grid", "10"]) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert (row["re_value"], row["im_value"]) == ("-44.0", "42.0")
 
 
 def test_table_cap_env_exit_2(tmp_path, monkeypatch):

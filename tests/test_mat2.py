@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from detsums import Mat2, TooLarge, census, has_square_root, mul, pair_image_census
+from detsums import InternalInvariantViolation, Mat2, TooLarge, census, has_square_root, mul, pair_image_census
+from detsums import mat2
 from detsums.mat2 import det, identity, trace
 
-from conftest import field
+from conftest import census_by_enumeration, field
 
 # Census numbers frozen from this package's own full-enumeration runs.
 CENSUS_FIXTURES = {
@@ -137,6 +138,39 @@ def test_census_against_decision():
 def test_census_bound():
     with pytest.raises(TooLarge):
         census(field(11), bound=7)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 61])
+def test_census_matches_enumeration(p):
+    """Every Census field, ratio included, equals the p^4 enumeration's."""
+    F = field(p)
+    assert census(F) == census_by_enumeration(F)
+
+
+def test_census_class_size_certificate(monkeypatch):
+    real_size = mat2._class_size
+    monkeypatch.setattr(mat2, "_class_size", lambda p, symbol: real_size(p, symbol) + (symbol == -1))
+    with pytest.raises(InternalInvariantViolation, match="class sizes"):
+        census(field(7))
+
+
+def test_census_singular_certificate(monkeypatch):
+    real_classes = mat2._conjugacy_classes
+
+    def zero_class_relabelled(F):
+        for rep, n, size in real_classes(F):
+            yield rep, (1 if rep == Mat2(0, 0, 0, 0) else n), size
+
+    monkeypatch.setattr(mat2, "_conjugacy_classes", zero_class_relabelled)
+    with pytest.raises(InternalInvariantViolation, match="singular classes"):
+        census(field(7))
+
+
+def test_census_p257():
+    p = 257
+    cen = census(field(p))
+    assert cen.n_singular == p**4 - (p * p - 1) * (p * p - p)
+    assert abs(cen.ratio - 5 / 8) <= 5 / p
 
 
 def test_pair_image_fixtures():
