@@ -122,7 +122,7 @@ def _run_task(task):
         _, p, x_limit = task
         X = x_limit if x_limit > 0 else max(2, math.isqrt(p))
         X = min(X, p - 1)
-        rep = residues.nonresidue_report(_field(p), X)
+        rep = residues.nonresidue_report(p, X)  # int path: no dlog table per prime
         return [[rep.p, rep.z_p, _fmt(rep.kappa_empirical), rep.X, rep.count, _fmt(rep.count / rep.X)]]
     if kind == "sift":
         _, N, x, y, multiplicity = task
@@ -195,13 +195,13 @@ def default_calibration_path():
     return str(resources.files("detsums") / "data" / "calibration.txt")
 
 
-def _check_out(path):
-    """ValidationError unless the CSV and its manifest can be written at `path`."""
+def _check_out(flag, path):
+    """ValidationError unless a file (and its manifest) can be written at `path`."""
     if path == "-":
         return
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-        raise ValidationError("--out %r is not a writable file path" % path)
+        raise ValidationError("%s %r is not a writable file path" % (flag, path))
 
 
 def _write(path, text):
@@ -214,7 +214,7 @@ def _write(path, text):
 
 def _cmd_scan(args):
     tasks, schema = _build_tasks(args)
-    _check_out(args.out)  # before any task runs, so a long scan cannot fail at the end
+    _check_out("--out", args.out)  # before any task runs, so a long scan cannot fail at the end
     t0 = time.perf_counter()
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as ex:
@@ -250,11 +250,12 @@ def _cmd_scan(args):
 
 def _cmd_calibrate(args):
     path = args.calibration_file or default_calibration_path()
-    fresh = sifter.measure_constants()
+    _check_out("--calibration-file", path)  # before the constants are measured
     try:
         old = sifter.read_calibration(path)
     except FileNotFoundError:
         old = {}
+    fresh = sifter.measure_constants()
     worsened = []
     for name in sorted(fresh):
         if name in old:
@@ -273,7 +274,7 @@ def _cmd_calibrate(args):
     if worsened:
         sys.stderr.write("constants worsened by more than 5%%: %s\n" % ", ".join(worsened))
         return 3
-    sifter.write_calibration(path, fresh)
+    _write(path, sifter.calibration_text(fresh))
     print("wrote %s" % path)
     return 0
 

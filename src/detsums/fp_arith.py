@@ -2,8 +2,8 @@
 
 A PrimeField carries a verified primitive root g and a dense table of
 discrete logarithms, so that downstream character evaluation is a single
-array lookup.  The dense table caps the supported modulus (default 2*10^6,
-override with the DETSUM_MAX_TABLE environment variable).
+array lookup.  The dense tables (dlog, Legendre) cap the supported modulus
+(default 2*10^6, override with the DETSUM_MAX_TABLE environment variable).
 """
 
 import os
@@ -127,29 +127,39 @@ class PrimeField:
         return (r, self.p - r)
 
     def legendre_table(self):
-        """int8 array L with L[x] = (x/p); built once by marking squares."""
+        """legendre_table(p), built once per field."""
         if self._leg is None:
-            p = self.p
-            tab = np.full(p, -1, dtype=np.int8)
-            tab[0] = 0
-            r = np.arange(1, p, dtype=np.int64)
-            tab[(r * r) % p] = 1
-            self._leg = tab
+            self._leg = legendre_table(self.p)
         return self._leg
 
 
-def max_table_bound():
-    """Current dlog table cap: DETSUM_MAX_TABLE env var, else the default."""
-    raw = os.environ.get("DETSUM_MAX_TABLE")
-    if raw is None:
-        return DEFAULT_MAX_TABLE
+def _check_table_size(p):
+    """TooLarge unless a dense table of length p fits the cap: DETSUM_MAX_TABLE, else the default."""
+    raw = os.environ.get("DETSUM_MAX_TABLE", str(DEFAULT_MAX_TABLE))
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValidationError("DETSUM_MAX_TABLE must be an integer, got %r" % raw) from None
+    if p > HARD_CAP:
+        raise TooLarge("p=%d exceeds the hard cap 2^31" % p)
+    if p > cap:
+        raise TooLarge("p=%d exceeds the table cap %d (DETSUM_MAX_TABLE)" % (p, cap))
 
 
-def make_field(p, max_table=None):
+def legendre_table(p):
+    """int8 array L with L[x] = (x/p) for an odd prime p, by marking squares.
+
+    O(p) time and memory, so it is held to the same cap as the dlog table.
+    """
+    _check_table_size(p)
+    tab = np.full(p, -1, dtype=np.int8)
+    tab[0] = 0
+    r = np.arange(1, p, dtype=np.int64)
+    tab[(r * r) % p] = 1
+    return tab
+
+
+def make_field(p):
     """Build a PrimeField for an odd prime p with a full dlog table.
 
     Raises NotPrime for composite or even input, TooLarge above the
@@ -157,11 +167,7 @@ def make_field(p, max_table=None):
     to share across workers.
     """
     p = check_odd_prime(p)
-    cap = max_table if max_table is not None else max_table_bound()
-    if p > HARD_CAP:
-        raise TooLarge("p=%d exceeds the hard cap 2^31" % p)
-    if p > cap:
-        raise TooLarge("p=%d exceeds the dlog table cap %d" % (p, cap))
+    _check_table_size(p)
 
     g = find_primitive_root(p)
     dlog = np.empty(p, dtype=np.int32)

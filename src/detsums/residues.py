@@ -2,8 +2,9 @@
 
 Operations accept either a PrimeField or a plain int modulus: scans over
 many primes (say every p up to 10^6) would be crippled by building a
-dense dlog table per prime, so the int path works through modular
-exponentiation only.
+dense dlog table per prime.  Both paths find the least non-residue by
+the Euler criterion and count non-residues from the squares table
+`legendre_table(p)` (cached on a field), held to the same size cap.
 """
 
 import math
@@ -13,42 +14,31 @@ import numpy as np
 
 from . import mat2
 from .errors import InternalInvariantViolation, ValidationError
-from .fp_arith import PrimeField, check_odd_prime
+from .fp_arith import PrimeField, check_odd_prime, legendre_table
 
 
 def _as_modulus(F):
-    """(p, legendre_callable) from a PrimeField or a validated int prime."""
-    if isinstance(F, PrimeField):
-        return F.p, F.legendre
-    p = check_odd_prime(F)
-    e = (p - 1) // 2
-
-    def leg(n):
-        if n % p == 0:
-            return 0
-        return 1 if pow(n, e, p) == 1 else -1
-
-    return p, leg
+    """p from a PrimeField or a validated int prime."""
+    return F.p if isinstance(F, PrimeField) else check_odd_prime(F)
 
 
 def least_nonresidue(F):
-    """Smallest n >= 2 with (n/p) = -1, by linear scan."""
-    p, leg = _as_modulus(F)
+    """Smallest n >= 2 with (n/p) = -1, by linear scan with the Euler criterion."""
+    p = _as_modulus(F)
+    e = (p - 1) // 2
     for n in range(2, p):
-        if leg(n) == -1:
+        if pow(n, e, p) != 1:
             return n
     raise InternalInvariantViolation("no non-residue below p=%d" % p)  # pragma: no cover
 
 
 def count_nonresidues(F, X):
-    """Exact #{1 <= n <= X : (n/p) = -1}; X must stay below p."""
-    p, leg = _as_modulus(F)
+    """Exact #{1 <= n <= X : (n/p) = -1} from the squares table; X must stay below p."""
+    p = _as_modulus(F)
     if not 1 <= X < p:
         raise ValidationError("need 1 <= X < p, got X=%d with p=%d" % (X, p))
-    if isinstance(F, PrimeField):
-        # dlog parity: odd exponent of the primitive root marks a non-residue
-        return int(np.count_nonzero(F.dlog[1 : X + 1] & 1))
-    return sum(1 for n in range(1, X + 1) if leg(n) == -1)
+    table = F.legendre_table() if isinstance(F, PrimeField) else legendre_table(p)
+    return int(np.count_nonzero(table[1 : X + 1] < 0))
 
 
 class NonResidueReport(NamedTuple):
@@ -61,7 +51,7 @@ class NonResidueReport(NamedTuple):
 
 def nonresidue_report(F, X):
     """Report: least non-residue, its log_p size, and the count up to X."""
-    p, _ = _as_modulus(F)
+    p = _as_modulus(F)
     z = least_nonresidue(F)
     return NonResidueReport(p, z, X, count_nonresidues(F, X), math.log(z) / math.log(p))
 

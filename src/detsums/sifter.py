@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadWindow
+from .errors import BadWindow, ValidationError
 
 
 def primes_upto(n):
@@ -193,19 +193,25 @@ def measure_constants():
     return out
 
 
+def calibration_text(constants):
+    return "".join("%s %r\n" % (name, constants[name]) for name in sorted(constants))
+
+
 def write_calibration(path, constants):
     with open(path, "w") as fh:
-        for name in sorted(constants):
-            fh.write("%s %r\n" % (name, constants[name]))
+        fh.write(calibration_text(constants))
 
 
 def read_calibration(path):
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            name, value = line.split()
-            out[name] = float(value)
+            try:
+                name, value = line.split()
+                out[name] = float(value)
+            except ValueError:
+                raise ValidationError("%s line %d: want 'name value', got %r" % (path, lineno, line)) from None
     return out

@@ -4,8 +4,9 @@ Two routes everywhere: a direct route that touches every index tuple,
 and a binned route that first counts how many tuples land on each value
 (difference profile over integer determinants, or residue bins for the
 ratio map) and then contracts the counts against the character.  Both
-are exact in integer arithmetic; agreement of the two routes is the
-module's core correctness check.
+are exact: the determinant correlation behind the binned s and u sums is
+float64-exact below N^4 < 2^53 and raises Overflow above; agreement of
+the two routes is the module's core correctness check.
 """
 
 from typing import NamedTuple
@@ -54,22 +55,33 @@ def _check_length(N, p):
     return N
 
 
-def delta_profile(N):
-    """Exact DeltaProfile via the product-count autocorrelation.
+def _correlation(wa, wb):
+    """Weighted determinant correlation T_Delta = sum over ad - bc = Delta of wa_a wb_b.
 
-    r(v) = #{(x,y) in [1,N]^2 : xy = v}; then T_Delta = sum_v r(v) r(v - Delta),
-    computed as one direct integer convolution of two length N^2 + 1 arrays:
-    O(N^4) operations, exact in int64.
+    (a,b,c,d) runs over [1,N]^4 with N = len(wa); entry i holds
+    Delta = i - (N^2 - 1).  Each side bins its weighted products,
+    r(v) = sum over xy = v of w_x, and the two bins are cross-correlated
+    by one float64 convolution: O(N^4) operations.  For weights in
+    {-1, 0, 1} every partial sum is an integer of size at most N^4, so the
+    result is exact below the guard N^4 < 2^53.
     """
+    N = len(wa)
+    if N**4 >= 2**53:
+        raise Overflow("N^4 exceeds the float64 integer range 2^53 at N=%d" % N)
+    prods = _products(N, N)  # row index a (or b) carries its weight
+    ra = np.bincount(prods, weights=np.repeat(wa, N), minlength=N * N + 1)
+    rb = np.bincount(prods, weights=np.repeat(wb, N), minlength=N * N + 1)
+    # full[N^2 + Delta] = sum_v ra(v + Delta) rb(v); the ends are empty lags
+    return np.convolve(ra, rb[::-1])[1:-1]
+
+
+def delta_profile(N):
+    """Exact DeltaProfile: the determinant correlation with unit weights, O(N^4)."""
     N = int(N)
     if N < 1:
         raise ValidationError("N must be >= 1, got %d" % N)
-    if N**4 >= 2**63:
-        raise Overflow("N^4 exceeds int64 tally capacity at N=%d" % N)
-    r = np.bincount(_products(N, N), minlength=N * N + 1)
-    full = np.convolve(r, r[::-1])  # lag N^2 - k at position k, ends are empty lags
-    counts = full[1:-1][::-1].copy()
-    prof = DeltaProfile(N, counts.astype(np.int64))
+    ones = np.ones(N)
+    prof = DeltaProfile(N, _correlation(ones, ones).astype(np.int64))
     if prof.total() != N**4:  # pragma: no cover
         raise InternalInvariantViolation("delta profile mass %d != N^4" % prof.total())
     return prof
@@ -92,10 +104,16 @@ def _direct_blocks(chi, N):
         yield slice(lo, lo + step), ktab[diff]
 
 
-def _delta_index(chi, N):
-    """Index of chi(Delta mod p) for Delta = -(N^2-1) .. N^2-1, -1 for chi(0)."""
+def _binned(chi, N, corr):
+    """(per-index totals, chi(0) total) of a determinant correlation corr.
+
+    corr[i] is the weight of Delta = i - (N^2 - 1); it is added to the
+    index of chi(Delta mod p), or to the chi(0) total when p divides Delta.
+    """
     top = N * N - 1
-    return chi.index_table()[np.arange(-top, top + 1, dtype=np.int64) % chi.field.p]
+    ks = chi.index_table()[np.arange(-top, top + 1, dtype=np.int64) % chi.field.p]
+    nz = ks >= 0
+    return np.bincount(ks[nz], weights=corr[nz], minlength=chi.d), corr[~nz].sum()
 
 
 def s_sum_direct(chi, N):
@@ -121,14 +139,7 @@ def s_sum_binned(chi, N):
     multiples of p land in the zero tally like any other chi(0) term.
     """
     N = _check_length(N, chi.field.p)
-    if N * N >= 2**31:
-        raise Overflow("N^2 must stay below 2^31")
-    prof = delta_profile(N)
-    ks = _delta_index(chi, N)
-    nz = ks >= 0
-    counts = np.zeros(chi.d, dtype=np.int64)
-    np.add.at(counts, ks[nz], prof.counts[nz])
-    zero_terms = int(prof.counts[~nz].sum())
+    counts, zero_terms = _binned(chi, N, delta_profile(N).counts)
     return CharSumAccumulator(chi.d, counts, zero_terms)
 
 
@@ -141,25 +152,11 @@ def u_sum(chi, alpha, beta, N):
     """U(alpha, beta, N) = sum alpha_a beta_b chi(ad - bc) over [1,N]^4, binned.
 
     alpha weights index a, beta weights index b; c and d are unweighted.
-    Weighted product counts on each side are cross-correlated, then
-    contracted against chi per character index.
+    The weighted determinant correlation is binned per character index,
+    then contracted against chi.
     """
     N = _check_length(N, chi.field.p)
-    wa = _weight_array(alpha, N)
-    wb = _weight_array(beta, N)
-    prods = _products(N, N)
-
-    ra = np.zeros(N * N + 1)
-    np.add.at(ra, prods, np.repeat(wa, N))  # row index a carries alpha_a
-    rb = np.zeros(N * N + 1)
-    np.add.at(rb, prods, np.repeat(wb, N))
-
-    # cross[N^2 + Delta] = sum_v ra(v + Delta) rb(v); cross[1:-1] spans |Delta| < N^2
-    cross = np.convolve(ra, rb[::-1])
-    ks = _delta_index(chi, N)
-    nz = ks >= 0
-    per_index = np.zeros(chi.d)
-    np.add.at(per_index, ks[nz], cross[1:-1][nz])
+    per_index, _ = _binned(chi, N, _correlation(_weight_array(alpha, N), _weight_array(beta, N)))
     return complex(contract(per_index, chi.d))
 
 
@@ -192,35 +189,24 @@ class BinTable:
         return int(self.counts.sum())
 
 
-def ratio_bins(F, A, B, C, strategy="auto"):
+def ratio_bins(F, A, B, C):
     """I(lam) = #{(a,b,c) in [1,A]x[1,B]x[1,C] : a*b/c = lam mod p}, exactly.
 
-    Two exact strategies: "direct" walks all A*B*C triples (O(ABC)), and
-    "table" first bins the A*B products then scatters each product class
-    through the C inverses (O(AB + C*p)).  "auto" picks table when
-    A*B > p, i.e. when A*B*C > C*p.
+    The A*B products are binned by residue once, then each occupied
+    product class is scattered through the C inverses:
+    O(AB + p + C*min(AB, p)).
     """
     p = F.p
     A, B, C = int(A), int(B), int(C)
     if not (1 <= A < p and 1 <= B < p and 1 <= C < p):
         raise ValidationError("need 1 <= A, B, C < p, got %d, %d, %d with p=%d" % (A, B, C, p))
-    if strategy == "auto":
-        strategy = "table" if A * B > p else "direct"
-    ab = _products(A, B) % p
+    table = np.bincount(_products(A, B) % p, minlength=p)
+    support = np.flatnonzero(table)
+    mass = table[support]
     bins = np.zeros(p, dtype=np.int64)
-    if strategy == "direct":
-        for c in range(1, C + 1):
-            idx = ab * F.inv(c) % p
-            bins += np.bincount(idx, minlength=p)
-    elif strategy == "table":
-        table = np.bincount(ab, minlength=p)
-        support = np.flatnonzero(table)
-        mass = table[support]
-        for c in range(1, C + 1):
-            # multiplication by a unit is injective, so the targets are distinct
-            bins[support * F.inv(c) % p] += mass
-    else:
-        raise ValueError("unknown strategy %r" % (strategy,))
+    for c in range(1, C + 1):
+        # multiplication by a unit is injective, so the targets are distinct
+        bins[support * F.inv(c) % p] += mass
     if bins[0] != 0 or bins.sum() != A * B * C:  # pragma: no cover
         raise InternalInvariantViolation("ratio bins lost mass")
     return BinTable(p, bins)

@@ -32,6 +32,14 @@ def legendre_oracle(x, p):
     return 1 if x % p in squares else -1
 
 
+def ratio_bins_oracle(p, A, B, C):
+    """I(lam) over residues mod p by counting every triple (a, b, c): one a*b*c^-1 each."""
+    a = np.arange(1, A + 1, dtype=np.int64).reshape(-1, 1, 1)
+    b = np.arange(1, B + 1, dtype=np.int64).reshape(1, -1, 1)
+    c_inv = np.array([pow(c, p - 2, p) for c in range(1, C + 1)], dtype=np.int64).reshape(1, 1, -1)
+    return np.bincount((a * b % p * c_inv % p).ravel(), minlength=p)
+
+
 def census_by_enumeration(F):
     """Census of squares in M_2(F_p) by squaring all p^4 matrices B.
 

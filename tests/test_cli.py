@@ -64,23 +64,28 @@ def test_validation_errors():
 @pytest.mark.parametrize(
     "argv, env",
     [
-        (["--kind", "s", "--p", "101", "--n-grid", "x"], {}),
-        (["--kind", "delta_profile", "--n-grid", "0"], {}),
-        (["--kind", "de_moment", "--p", "101", "--nu", "9"], {}),
-        (["--kind", "de_moment", "--p", "101", "--shift-count", "0"], {}),
-        (["--kind", "t_abs", "--p", "101", "--abc", "2,2,2", "--shift-count", "-3"], {}),
-        (["--kind", "t_abs", "--p", "101", "--abc", "0,3,3"], {}),
-        (["--kind", "s", "--p", "101", "--n-grid", "5"], {"DETSUM_MAX_TABLE": "abc"}),
-        (["--kind", "s", "--p", "101", "--n-grid", "5", "--workers", "0"], {}),
-        (["--kind", "nonresidue", "--p", "101", "--x-limit", "-5"], {}),
-        (["--kind", "census", "--p", "3", "--out", "/nonexistent/x.csv"], {}),
+        (["scan", "--kind", "s", "--p", "101", "--n-grid", "x"], {}),
+        (["scan", "--kind", "delta_profile", "--n-grid", "0"], {}),
+        (["scan", "--kind", "de_moment", "--p", "101", "--nu", "9"], {}),
+        (["scan", "--kind", "de_moment", "--p", "101", "--shift-count", "0"], {}),
+        (["scan", "--kind", "t_abs", "--p", "101", "--abc", "2,2,2", "--shift-count", "-3"], {}),
+        (["scan", "--kind", "t_abs", "--p", "101", "--abc", "0,3,3"], {}),
+        (["scan", "--kind", "s", "--p", "101", "--n-grid", "5"], {"DETSUM_MAX_TABLE": "abc"}),
+        (["scan", "--kind", "s", "--p", "101", "--n-grid", "5", "--workers", "0"], {}),
+        (["scan", "--kind", "nonresidue", "--p", "101", "--x-limit", "-5"], {}),
+        (["scan", "--kind", "census", "--p", "3", "--out", "/nonexistent/x.csv"], {}),
+        (["calibrate", "--calibration-file", "/nonexistent/x.txt"], {}),
+        (["calibrate", "--calibration-file", "{tmp}"], {}),
+        (["calibrate", "--calibration-file", "{tmp}/bad.txt"], {}),
+        (["scan", "--kind", "nonresidue", "--p", "101"], {"DETSUM_MAX_TABLE": "50"}),
     ],
 )
-def test_bad_input_exit_2_without_traceback(argv, env, capsys, monkeypatch):
+def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     cli._field.cache_clear()  # a cached field would skip the DETSUM_MAX_TABLE lookup
-    assert run_cli(["scan", *argv]) == 2
+    (tmp_path / "bad.txt").write_text("a0_C 1 2\n")  # a malformed calibration line
+    assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

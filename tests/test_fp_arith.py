@@ -45,11 +45,6 @@ def test_generator_enumerates_units():
     assert seen == set(range(1, 31))
 
 
-def test_table_cap():
-    with pytest.raises(TooLarge):
-        make_field(11, max_table=7)
-
-
 def test_table_cap_env(monkeypatch):
     monkeypatch.setenv("DETSUM_MAX_TABLE", "5")
     with pytest.raises(TooLarge):

@@ -57,12 +57,15 @@ def test_count_full_range():
         assert count_nonresidues(field(p), p - 1) == (p - 1) // 2
 
 
-def test_count_examples():
+def test_count_examples(rng):
     assert count_nonresidues(field(7), 4) == 1  # only n = 3
     F = field(23)
     z = least_nonresidue(F)
     assert count_nonresidues(F, z - 1) == 0
     assert count_nonresidues(23, 11) == count_nonresidues(F, 11)
+    for p in rng.sample([int(q) for q in primes_upto(5000)[1:]], 20):
+        X = rng.randrange(1, p)
+        assert count_nonresidues(p, X) == count_nonresidues(field(p), X)
 
 
 def test_count_monotone():

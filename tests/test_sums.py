@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detsums import (
     DomainTooLarge,
@@ -24,8 +26,9 @@ from detsums import (
     u_sum,
     u_sum_direct,
 )
+from detsums.fp_arith import is_prime
 
-from conftest import HIGH_ORDER_PAIRS, field
+from conftest import HIGH_ORDER_PAIRS, field, ratio_bins_oracle
 
 
 def quadruple_profile_oracle(N):
@@ -65,9 +68,17 @@ def test_delta_profile_symmetry_and_mass():
             assert prof.count(delta) == prof.count(-delta)
 
 
-def test_delta_profile_overflow():
+def test_delta_profile_overflow(monkeypatch):
     with pytest.raises(Overflow):
         delta_profile(60_000)
+    # N^4 >= 2^53 at N = 10^4: the binned sums refuse before any convolution starts
+    chi = make_character(field(100_003), 2)
+    ones = WeightSeq.ones(range(1, 10_001))
+    monkeypatch.setattr(np, "convolve", None)
+    with pytest.raises(Overflow):
+        s_sum_binned(chi, 10_000)
+    with pytest.raises(Overflow):
+        u_sum(chi, ones, ones, 10_000)
 
 
 def test_s_sum_n1_is_zero_term():
@@ -112,6 +123,29 @@ def test_s_sum_binned_equals_direct(rng):
         chi = make_character(field(p), d)
         N = rng.randrange(1, min(13, p))
         assert s_sum_binned(chi, N) == s_sum_direct(chi, N)
+
+
+PROPERTY_PRIMES = tuple(q for q in range(5, 200) if is_prime(q))
+
+
+@st.composite
+def field_order_length(draw):
+    """(p, d, N): an odd prime, an order in {2, 3, 4, 6} dividing p - 1, and 1 <= N <= 12."""
+    p = draw(st.sampled_from(PROPERTY_PRIMES))
+    d = draw(st.sampled_from([d for d in (2, 3, 4, 6) if (p - 1) % d == 0]))
+    return p, d, draw(st.integers(1, min(12, p - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(field_order_length(), st.data())
+def test_binned_equals_direct_property(pdn, data):
+    p, d, N = pdn
+    chi = make_character(field(p), d)
+    assert s_sum_binned(chi, N) == s_sum_direct(chi, N)
+    signs = st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=N, max_size=N)
+    alpha = WeightSeq.from_values(data.draw(signs))
+    beta = WeightSeq.from_values(data.draw(signs))
+    assert u_sum(chi, alpha, beta, N) == u_sum_direct(chi, alpha, beta, N)
 
 
 def test_u_sum_zero_weights():
@@ -188,30 +222,19 @@ def test_ratio_bins_eight_triples():
     assert table.total() == 8
 
 
-def test_ratio_bins_strategies_agree(rng):
+def test_ratio_bins_matches_triple_count(rng):
     for _ in range(25):
         p = rng.choice((7, 11, 31, 97))
         A, B, C = (rng.randrange(1, p) for _ in range(3))
-        direct = ratio_bins(field(p), A, B, C, strategy="direct")
-        table = ratio_bins(field(p), A, B, C, strategy="table")
-        auto = ratio_bins(field(p), A, B, C)
-        assert np.array_equal(direct.counts, table.counts)
-        assert np.array_equal(direct.counts, auto.counts)
-        assert direct.total() == A * B * C
-        assert direct.count(0) == 0
+        table = ratio_bins(field(p), A, B, C)
+        assert np.array_equal(table.counts, ratio_bins_oracle(p, A, B, C))
+        assert table.total() == A * B * C
+        assert table.count(0) == 0
 
 
 def test_ratio_bins_oracle():
-    p = 11
-    F = field(p)
-    A, B, C = 3, 4, 5
-    ref = [0] * p
-    for a in range(1, A + 1):
-        for b in range(1, B + 1):
-            for c in range(1, C + 1):
-                ref[a * b * F.inv(c) % p] += 1
-    got = ratio_bins(F, A, B, C)
-    assert got.counts.tolist() == ref
+    got = ratio_bins(field(11), 3, 4, 5)
+    assert got.counts.tolist() == ratio_bins_oracle(11, 3, 4, 5).tolist()
 
 
 def test_t_abs_zero_weights():
