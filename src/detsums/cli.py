@@ -22,8 +22,8 @@ from importlib import resources
 
 from . import __version__, mat2, residues, sifter, sums
 from .characters import WeightSeq, de_moment, make_character
-from .errors import DetsumsError, InternalInvariantViolation, ValidationError
-from .fp_arith import check_odd_prime, make_field
+from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
+from .fp_arith import _check_table_size, check_odd_prime, make_field
 
 SUM_KINDS = ("s", "u", "t_abs", "t_n", "de_moment")
 ALL_KINDS = SUM_KINDS + ("delta_profile", "census", "nonresidue", "sift")
@@ -53,6 +53,10 @@ def _collect_primes(args):
             lo, hi = (int(tok) for tok in args.p_range.split(":"))
         except ValueError:
             raise ValidationError("--p-range wants LO:HI, got %r" % args.p_range)
+        try:
+            _check_table_size(hi)  # before the sieve allocates HI + 1 bytes
+        except TooLarge as exc:
+            raise ValidationError("--p-range HI: %s" % exc) from None
         ps.extend(int(q) for q in sifter.primes_upto(hi) if q >= lo)
     return [check_odd_prime(p) for p in sorted(set(ps))]
 

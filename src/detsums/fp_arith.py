@@ -1,9 +1,11 @@
-"""Exact arithmetic in F_p: primality, inverses, Legendre symbol, discrete logs.
+"""Exact arithmetic in F_p: primality, factorization, inverses, Legendre symbol, discrete logs.
 
 A PrimeField carries a verified primitive root g and a dense table of
 discrete logarithms, so that downstream character evaluation is a single
 array lookup.  The dense tables (dlog, Legendre) cap the supported modulus
 (default 2*10^6, override with the DETSUM_MAX_TABLE environment variable).
+`factorize` is the package's one trial-division factorization: the
+primitive-root check and `sifter.tau` take their primes from it.
 """
 
 import os
@@ -52,28 +54,33 @@ def check_odd_prime(p):
     return p
 
 
-def prime_factors(n):
-    """Distinct prime factors of n, by trial division (fine at desk scale)."""
+def factorize(n):
+    """Prime factorization of n >= 1 as [(q, e), ...], primes increasing, by trial division.
+
+    The one trial-division loop in the package: O(sqrt n) steps, fine at
+    desk scale (p - 1 for p below the table cap, single tau values).
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be >= 1, got %d" % n)
     out = []
-    if n % 2 == 0:
-        out.append(2)
-        while n % 2 == 0:
-            n //= 2
-    q = 3
+    q = 2
     while q * q <= n:
         if n % q == 0:
-            out.append(q)
+            e = 0
             while n % q == 0:
                 n //= q
-        q += 2
+                e += 1
+            out.append((q, e))
+        q += 1 if q == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
 def find_primitive_root(p):
     """Smallest g generating F_p^*, verified via the prime factors of p-1."""
-    parts = [(p - 1) // q for q in prime_factors(p - 1)]
+    parts = [(p - 1) // q for q, _ in factorize(p - 1)]
     g = 2
     while True:
         if all(pow(g, e, p) != 1 for e in parts):

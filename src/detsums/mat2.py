@@ -192,7 +192,7 @@ def pair_image_census(F):
     if p > PAIR_CENSUS_BOUND:
         raise TooLarge("pair census needs p <= %d, got %d" % (PAIR_CENSUS_BOUND, p))
     leg = F.legendre_table()
-    squares = np.unique((np.arange(p, dtype=np.int64) ** 2) % p)  # (p+1)/2 values, 0 included
+    squares = np.flatnonzero(leg >= 0)  # the (p+1)/2 squares, 0 included, increasing
 
     type_a = 0
     uniques = []

@@ -2,7 +2,10 @@
 
 A_r(N; x, y) partitions [1, N] by the number r of prime divisors inside
 the window (x, y], counted with multiplicity by default (a flag switches
-to distinct primes).  The module also measures the constants hidden in
+to distinct primes).  The strata and the table of tau_s(m) for m <= M
+come from one walk over prime powers q^e (`_prime_powers`), each a
+strided numpy slice update; a single tau value comes from
+`fp_arith.factorize`.  The module also measures the constants hidden in
 the asymptotic bounds on a fixed grid, so they can be pinned in a
 calibration file and re-asserted by the test suite.
 """
@@ -12,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadWindow, ValidationError
+from .errors import BadWindow, Overflow, ValidationError
+from .fp_arith import factorize
 
 
 def primes_upto(n):
@@ -28,14 +32,14 @@ def primes_upto(n):
     return np.flatnonzero(sieve).astype(np.int64)
 
 
-def smallest_prime_factors(n):
-    """spf[m] = least prime factor of m for 2 <= m <= n (spf[0] = spf[1] = 0)."""
-    n = int(n)
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for q in range(2, n + 1):
-        if spf[q] == 0:
-            spf[q::q][spf[q::q] == 0] = q
-    return spf
+def _prime_powers(primes, N):
+    """Yield (q, e, q^e) for each prime q in `primes` and each e >= 1 with q^e <= N."""
+    for q in primes:
+        q = int(q)
+        e, qe = 1, q
+        while qe <= N:
+            yield q, e, qe
+            e, qe = e + 1, qe * q
 
 
 class SiftProfile(NamedTuple):
@@ -58,17 +62,9 @@ def sift(N, x, y, multiplicity=True):
     if not N >= y >= x >= 2:
         raise BadWindow("need N >= y >= x >= 2, got N=%s x=%s y=%s" % (N, x, y))
     counts = np.zeros(N + 1, dtype=np.int64)
-    for q in primes_upto(math.floor(y)):
-        q = int(q)
-        if q <= x:
-            continue
-        if multiplicity:
-            qe = q
-            while qe <= N:
-                counts[qe::qe] += 1
-                qe *= q
-        else:
-            counts[q::q] += 1
+    for q, e, qe in _prime_powers(primes_upto(math.floor(y)), N):
+        if q > x and (multiplicity or e == 1):
+            counts[qe::qe] += 1
     sizes = np.bincount(counts[1:])
     return SiftProfile(N, float(x), float(y), multiplicity, tuple(int(v) for v in sizes), len(sizes) - 1)
 
@@ -96,42 +92,30 @@ def tau(m, s):
     s = int(s)
     if not 1 <= s <= 4:
         raise ValueError("s must be in [1, 4]")
-    out = 1
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            out *= math.comb(e + s - 1, s - 1)
-        q += 1 if q == 2 else 2
-    if m > 1:
-        out *= s  # single prime: C(1 + s - 1, s - 1) = s
-    return out
+    return math.prod(math.comb(e + s - 1, s - 1) for _, e in factorize(m))
 
 
 def tau_square_average(M, s):
-    """Exact sum of tau_s(m)^2 over m <= M, via a least-prime-factor sieve."""
+    """Exact sum of tau_s(m)^2 over m <= M, as a Python int; O(M log log M).
+
+    Builds tau_s(m) for every m <= M in one int64 array by the prime-power
+    walk: at q^e, each multiple of q^e swaps its factor C(e+s-2, s-1) for
+    C(e+s-1, s-1) (the division is exact).  The sum of squares is taken in
+    int64 only while max(tau)^2 * M < 2^63; above that it raises Overflow.
+    """
     M = int(M)
     if M < 1:
         raise ValueError("M must be >= 1")
     s = int(s)
     if s not in (2, 3, 4):
         raise ValueError("s must be in {2, 3, 4}")
-    spf = smallest_prime_factors(M)
-    total = 1  # m = 1 contributes tau = 1
-    for m in range(2, M + 1):
-        t = 1
-        while m > 1:
-            q = int(spf[m])
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            t *= math.comb(e + s - 1, s - 1)
-        total += t * t
-    return total
+    t = np.ones(M + 1, dtype=np.int64)
+    for _, e, qe in _prime_powers(primes_upto(M), M):
+        t[qe::qe] = t[qe::qe] // math.comb(e + s - 2, s - 1) * math.comb(e + s - 1, s - 1)
+    t = t[1:]
+    if int(t.max()) ** 2 * M >= 2**63:
+        raise Overflow("sum of tau_%d(m)^2 over m <= %d may exceed int64" % (s, M))
+    return int(np.dot(t, t))
 
 
 def prime_tail(x, P):
@@ -195,11 +179,6 @@ def measure_constants():
 
 def calibration_text(constants):
     return "".join("%s %r\n" % (name, constants[name]) for name in sorted(constants))
-
-
-def write_calibration(path, constants):
-    with open(path, "w") as fh:
-        fh.write(calibration_text(constants))
 
 
 def read_calibration(path):

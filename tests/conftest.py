@@ -5,9 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from detsums import make_field
 from detsums.mat2 import Census
+
+# One profile for every property test: reproducible examples, no example database on disk.
+settings.register_profile("detsums", max_examples=60, deadline=None, derandomize=True, database=None)
+settings.load_profile("detsums")
 
 
 @functools.lru_cache(maxsize=64)

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from detsums import cli
-from detsums.sifter import write_calibration, read_calibration
+from detsums import cli, sifter
+from detsums.sifter import calibration_text, read_calibration
 
 
 def run_cli(argv):
@@ -78,11 +78,17 @@ def test_validation_errors():
         (["calibrate", "--calibration-file", "{tmp}"], {}),
         (["calibrate", "--calibration-file", "{tmp}/bad.txt"], {}),
         (["scan", "--kind", "nonresidue", "--p", "101"], {"DETSUM_MAX_TABLE": "50"}),
+        (["scan", "--kind", "census", "--p-range", "3:4294967296"], {}),
     ],
 )
 def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+
+    def no_sieve(n):
+        raise AssertionError("a bad input reached the prime sieve")
+
+    monkeypatch.setattr(sifter, "primes_upto", no_sieve)  # the HI check must come before the sieve
     cli._field.cache_clear()  # a cached field would skip the DETSUM_MAX_TABLE lookup
     (tmp_path / "bad.txt").write_text("a0_C 1 2\n")  # a malformed calibration line
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
@@ -187,7 +193,7 @@ def test_calibrate_roundtrip(tmp_path, capsys):
 
     # Tamper: shrink one pinned constant so the fresh value worsens it by >5%
     stored["a0_C"] = stored["a0_C"] / 2
-    write_calibration(path, stored)
+    path.write_text(calibration_text(stored))
     assert run_cli(["calibrate", "--calibration-file", str(path)]) == 3
     third = capsys.readouterr().out
     assert "->" in third

@@ -1,12 +1,15 @@
 """Field construction, Legendre symbol, inverses, discrete logs."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detsums import NotPrime, TooLarge, ZeroInverse, make_field
-from detsums.fp_arith import find_primitive_root, is_prime, prime_factors
+from detsums.fp_arith import factorize, find_primitive_root, is_prime
 
 from conftest import field, legendre_oracle
 
@@ -144,9 +147,22 @@ def test_is_prime_small():
     assert not is_prime(2_147_483_647 * 3)
 
 
-def test_prime_factors():
-    assert prime_factors(360) == [2, 3, 5]
-    assert prime_factors(97) == [97]
+def test_factorize():
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(97) == [(97, 1)]
+    assert factorize(1) == []
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+@given(st.integers(1, 10**9))
+def test_factorize_property(n):
+    """The factors multiply back to n, with increasing primes and positive exponents."""
+    factors = factorize(n)
+    assert math.prod(q**e for q, e in factors) == n
+    qs = [q for q, _ in factors]
+    assert qs == sorted(set(qs))
+    assert all(is_prime(q) and e >= 1 for q, e in factors)
 
 
 def test_primitive_root_order():

@@ -3,16 +3,18 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from detsums import BadWindow, a0_bound_check, prime_tail, sift, tau, tau_square_average
+from detsums import BadWindow, Overflow, a0_bound_check, prime_tail, sift, sifter, tau, tau_square_average
 from detsums.cli import default_calibration_path
 from detsums.sifter import (
     a0_grid,
     measure_constants,
     primes_upto,
     read_calibration,
-    smallest_prime_factors,
     TAIL_GRID_X,
     TAIL_P,
     TAU_GRID_M,
@@ -41,11 +43,6 @@ def test_primes_upto():
     assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_spf():
-    spf = smallest_prime_factors(20)
-    assert spf[2] == 2 and spf[15] == 3 and spf[17] == 17 and spf[18] == 2
-
-
 def test_sift_fixture_30():
     prof = sift(30, 2, 30)
     # A_0 = {1, 2, 4, 8, 16}: nothing with a prime divisor in (2, 30]
@@ -55,14 +52,31 @@ def test_sift_fixture_30():
     assert prof.sizes[prof.R] > 0
 
 
+def assert_sift_matches_oracle(N, x, y):
+    for multiplicity in (True, False):
+        prof = sift(N, x, y, multiplicity)
+        ref = [0] * (prof.R + 1)
+        for n in range(1, N + 1):
+            ref[window_count_oracle(n, x, y, multiplicity)] += 1
+        assert list(prof.sizes) == ref
+
+
 def test_sift_matches_oracle():
     for N, x, y in ((50, 2, 50), (100, 3, 10), (60, 2, 7.5)):
-        for multiplicity in (True, False):
-            prof = sift(N, x, y, multiplicity)
-            ref = [0] * (prof.R + 1)
-            for n in range(1, N + 1):
-                ref[window_count_oracle(n, x, y, multiplicity)] += 1
-            assert list(prof.sizes) == ref
+        assert_sift_matches_oracle(N, x, y)
+
+
+@st.composite
+def sift_window(draw):
+    """(N, x, y) with N >= y >= x >= 2 and N <= 300."""
+    N = draw(st.integers(2, 300))
+    x = draw(st.integers(2, N))
+    return N, x, draw(st.integers(x, N))
+
+
+@given(sift_window())
+def test_sift_matches_oracle_property(window):
+    assert_sift_matches_oracle(*window)
 
 
 def test_sift_empty_window():
@@ -156,6 +170,22 @@ def test_tau_square_average():
     for M in (50, 200):
         for s in (2, 3):
             assert tau_square_average(M, s) == sum(tau(m, s) ** 2 for m in range(1, M + 1))
+
+
+@given(st.integers(1, 2000), st.sampled_from((2, 3, 4)))
+def test_tau_square_average_property(M, s):
+    assert tau_square_average(M, s) == sum(tau(m, s) ** 2 for m in range(1, M + 1))
+
+
+def test_tau_square_average_overflow(monkeypatch):
+    """A tau table whose squares could wrap int64 raises instead of summing.
+
+    Real tables stay far below the bound at any M that fits in memory, so
+    the walk is fed the prime 2 thirty times: tau(2) becomes 4^30.
+    """
+    monkeypatch.setattr(sifter, "primes_upto", lambda n: np.full(30, 2, dtype=np.int64))
+    with pytest.raises(Overflow):
+        tau_square_average(3, 4)
 
 
 def test_prime_tail():

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from detsums import (
@@ -136,7 +136,6 @@ def field_order_length(draw):
     return p, d, draw(st.integers(1, min(12, p - 1)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(field_order_length(), st.data())
 def test_binned_equals_direct_property(pdn, data):
     p, d, N = pdn
