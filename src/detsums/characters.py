@@ -219,13 +219,14 @@ def make_character(F, d, power=1):
 def interval_sum(chi, M, N):
     """Exact accumulator of chi(n) for n in [M, M+N], arguments reduced mod p.
 
-    N = 0 is allowed and gives the single term chi(M mod p).
+    M may be any integer (it is reduced mod p first).  N = 0 is allowed and
+    gives the single term chi(M mod p).
     """
     if N < 0:
         raise ValidationError("interval length N must be >= 0, got %d" % N)
     p = chi.field.p
     ktab = chi.index_table()
-    xs = np.arange(M, M + N + 1, dtype=np.int64) % p
+    xs = (M % p + np.arange(N + 1, dtype=np.int64)) % p
     ks = ktab[xs]
     nz = ks >= 0
     counts = np.bincount(ks[nz], minlength=chi.d).astype(np.int64)

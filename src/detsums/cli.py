@@ -44,6 +44,14 @@ def _parse_int_list(flag, text):
         raise ValidationError("%s wants comma-separated integers, got %r" % (flag, text)) from None
 
 
+def _check_capped(flag, n, name):
+    """ValidationError naming `flag` unless a dense table of length n fits the table cap."""
+    try:
+        _check_table_size(n, name)
+    except TooLarge as exc:
+        raise ValidationError("%s: %s" % (flag, exc)) from None
+
+
 def _collect_primes(args):
     ps = []
     if args.p:
@@ -53,10 +61,7 @@ def _collect_primes(args):
             lo, hi = (int(tok) for tok in args.p_range.split(":"))
         except ValueError:
             raise ValidationError("--p-range wants LO:HI, got %r" % args.p_range)
-        try:
-            _check_table_size(hi)  # before the sieve allocates HI + 1 bytes
-        except TooLarge as exc:
-            raise ValidationError("--p-range HI: %s" % exc) from None
+        _check_capped("--p-range HI", hi, "p")  # before the sieve allocates HI + 1 bytes
         ps.extend(int(q) for q in sifter.primes_upto(hi) if q >= lo)
     return [check_odd_prime(p) for p in sorted(set(ps))]
 
@@ -149,6 +154,7 @@ def _build_tasks(args):
             raise ValidationError("sift needs --n-grid")
         tasks = []
         for N in n_grid:
+            _check_capped("--n-grid", N, "N")  # before sift allocates a length-N tally
             x = args.sift_x
             y = args.sift_y if args.sift_y > 0 else max(x, math.isqrt(N))
             tasks.append(("sift", N, x, y, not args.distinct))

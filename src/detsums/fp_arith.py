@@ -140,17 +140,20 @@ class PrimeField:
         return self._leg
 
 
-def _check_table_size(p):
-    """TooLarge unless a dense table of length p fits the cap: DETSUM_MAX_TABLE, else the default."""
+def _check_table_size(n, name="p"):
+    """TooLarge unless a dense table of length n fits the cap: DETSUM_MAX_TABLE, else the default.
+
+    `name` labels n in the message (p for a field, N or M for a sieve range).
+    """
     raw = os.environ.get("DETSUM_MAX_TABLE", str(DEFAULT_MAX_TABLE))
     try:
         cap = int(raw)
     except ValueError:
         raise ValidationError("DETSUM_MAX_TABLE must be an integer, got %r" % raw) from None
-    if p > HARD_CAP:
-        raise TooLarge("p=%d exceeds the hard cap 2^31" % p)
-    if p > cap:
-        raise TooLarge("p=%d exceeds the table cap %d (DETSUM_MAX_TABLE)" % (p, cap))
+    if n > HARD_CAP:
+        raise TooLarge("%s=%d exceeds the hard cap 2^31" % (name, n))
+    if n > cap:
+        raise TooLarge("%s=%d exceeds the table cap %d (DETSUM_MAX_TABLE)" % (name, n, cap))
 
 
 def legendre_table(p):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadWindow, Overflow, ValidationError
-from .fp_arith import factorize
+from .fp_arith import _check_table_size, factorize
 
 
 def primes_upto(n):
@@ -56,11 +56,13 @@ def sift(N, x, y, multiplicity=True):
 
     Window primes are the q with x < q <= y.  In multiplicity mode the
     count of n is sum of exponents of window primes in n; otherwise the
-    number of distinct window primes dividing n.
+    number of distinct window primes dividing n.  N is held to the table
+    cap (TooLarge) before the length-N tally is allocated.
     """
     N = int(N)
     if not N >= y >= x >= 2:
         raise BadWindow("need N >= y >= x >= 2, got N=%s x=%s y=%s" % (N, x, y))
+    _check_table_size(N, "N")
     counts = np.zeros(N + 1, dtype=np.int64)
     for q, e, qe in _prime_powers(primes_upto(math.floor(y)), N):
         if q > x and (multiplicity or e == 1):
@@ -102,6 +104,7 @@ def tau_square_average(M, s):
     walk: at q^e, each multiple of q^e swaps its factor C(e+s-2, s-1) for
     C(e+s-1, s-1) (the division is exact).  The sum of squares is taken in
     int64 only while max(tau)^2 * M < 2^63; above that it raises Overflow.
+    M is held to the table cap (TooLarge) before the table is allocated.
     """
     M = int(M)
     if M < 1:
@@ -109,6 +112,7 @@ def tau_square_average(M, s):
     s = int(s)
     if s not in (2, 3, 4):
         raise ValueError("s must be in {2, 3, 4}")
+    _check_table_size(M, "M")
     t = np.ones(M + 1, dtype=np.int64)
     for _, e, qe in _prime_powers(primes_upto(M), M):
         t[qe::qe] = t[qe::qe] // math.comb(e + s - 2, s - 1) * math.comb(e + s - 1, s - 1)

@@ -3,10 +3,13 @@
 Two routes everywhere: a direct route that touches every index tuple,
 and a binned route that first counts how many tuples land on each value
 (difference profile over integer determinants, or residue bins for the
-ratio map) and then contracts the counts against the character.  Both
-are exact: the determinant correlation behind the binned s and u sums is
-float64-exact below N^4 < 2^53 and raises Overflow above; agreement of
-the two routes is the module's core correctness check.
+ratio map) and then contracts the counts against the character.  The
+binned s and u sums and the Delta-profile share one determinant
+correlation, an O(N^2 log N) real FFT with a rounding certificate: for
+integral weights (unit, +-1, or in {-1, 0, 1}) it is rounded to exact
+integers below the guard N^4 < 2^53 and raises Overflow above; other
+weights keep a float result within 1e-9 * N^4.  Agreement of the two
+routes is the module's core correctness check.
 """
 
 from typing import NamedTuple
@@ -55,28 +58,92 @@ def _check_length(N, p):
     return N
 
 
+# Largest |x - rint(x)| an integral-weight correlation may show before it is
+# rounded; far below 1/2, so a result that passes rounds to the exact integers.
+_RESIDUAL_MARGIN = 1 / 16
+# Tolerance of a general-weight correlation, relative to N^4.
+_FLOAT_TOL = 1e-9
+
+
 def _correlation(wa, wb):
     """Weighted determinant correlation T_Delta = sum over ad - bc = Delta of wa_a wb_b.
 
     (a,b,c,d) runs over [1,N]^4 with N = len(wa); entry i holds
     Delta = i - (N^2 - 1).  Each side bins its weighted products,
-    r(v) = sum over xy = v of w_x, and the two bins are cross-correlated
-    by one float64 convolution: O(N^4) operations.  For weights in
-    {-1, 0, 1} every partial sum is an integer of size at most N^4, so the
-    result is exact below the guard N^4 < 2^53.
+    r(v) = sum over xy = v of w_x for v in [1, N^2], and the two bins are
+    cross-correlated by one zero-padded real FFT of power-of-two length
+    n in [2N^2 - 1, 4N^2): O(N^2 log N) time.  Memory: about 3n float64
+    entries at peak, so within 12N^2 (n = 2^23 at N = 2000, a measured
+    peak of 203 MB).
+
+    With every weight in {-1, 0, 1} each T_Delta is an integer of size at
+    most N^4, and the result is rounded to those exact integers; the guard
+    N^4 < 2^53 raises Overflow before any array is built.  Other weights in
+    [-1, 1] keep the float result, within 1e-9 * N^4 of the exact one.
+    Every call is certified by _certified before it returns.
     """
     N = len(wa)
     if N**4 >= 2**53:
         raise Overflow("N^4 exceeds the float64 integer range 2^53 at N=%d" % N)
-    prods = _products(N, N)  # row index a (or b) carries its weight
-    ra = np.bincount(prods, weights=np.repeat(wa, N), minlength=N * N + 1)
-    rb = np.bincount(prods, weights=np.repeat(wb, N), minlength=N * N + 1)
-    # full[N^2 + Delta] = sum_v ra(v + Delta) rb(v); the ends are empty lags
-    return np.convolve(ra, rb[::-1])[1:-1]
+    size = 2 * N * N - 1  # lags Delta in (-N^2, N^2)
+    n = 1 << (size - 1).bit_length()
+    prods = _products(N, N) - 1  # bin v - 1 holds product v; row index a (or b) carries its weight
+    # out[N^2 - 1 + Delta] = sum_v ra(v + Delta) rb(v): a convolution with rb reversed
+    spec = np.fft.rfft(np.bincount(prods, weights=np.repeat(wa, N), minlength=N * N), n)
+    spec *= np.fft.rfft(np.bincount(prods, weights=np.repeat(wb, N), minlength=N * N)[::-1], n)
+    del prods  # the certificates allocate next; keep the peak to the transform arrays
+    out = np.fft.irfft(spec, n)[:size]
+    del spec
+    return _certified(out, wa, wb)
+
+
+def _certified(out, wa, wb):
+    """The correlation `out` of weights wa, wb once it passes its checks, rounded if integral.
+
+    InternalInvariantViolation names the failed check and its margin:
+      residual  integral weights: max |x - rint(x)| < 1/16, then x -> rint(x);
+      mass      sum of T_Delta equals (sum wa)(sum wb) N^2, exactly for
+                integral weights (every partial sum is then an integer of
+                size at most N^4 < 2^53), within 1e-9 * N^4 otherwise;
+      symmetry  integral weights with wa == wb (unit weights among them):
+                T_Delta = T_{-Delta} exactly.
+    """
+    N = len(wa)
+    integral = bool(np.all(wa == np.rint(wa)) and np.all(wb == np.rint(wb)))
+    if integral:
+        exact = np.rint(out)
+        dev = out - exact
+        residual = float(np.max(np.abs(dev, out=dev)))
+        if not residual < _RESIDUAL_MARGIN:
+            raise InternalInvariantViolation(
+                "correlation residual certificate failed at N=%d: max |x - rint(x)| = %.3g, margin %g"
+                % (N, residual, _RESIDUAL_MARGIN)
+            )
+        out = exact
+    mass = float(np.sum(wa)) * float(np.sum(wb)) * N * N
+    err = abs(float(out.sum()) - mass)
+    tol = 0.0 if integral else _FLOAT_TOL * N**4
+    if not err <= tol:
+        raise InternalInvariantViolation(
+            "correlation mass certificate failed at N=%d: sum is off by %.3g from %r, tolerance %.3g"
+            % (N, err, mass, tol)
+        )
+    if integral and np.array_equal(wa, wb) and not np.array_equal(out, out[::-1]):
+        worst = float(np.max(np.abs(out - out[::-1])))
+        raise InternalInvariantViolation(
+            "correlation symmetry certificate failed at N=%d: max |T(D) - T(-D)| = %g" % (N, worst)
+        )
+    return out
 
 
 def delta_profile(N):
-    """Exact DeltaProfile: the determinant correlation with unit weights, O(N^4)."""
+    """Exact DeltaProfile: the determinant correlation with unit weights.
+
+    O(N^2 log N) time and about 3n float64 entries of memory, n < 4N^2 the
+    padded FFT length (n = 2^23 at N = 2000), by the certified correlation:
+    its residual, mass and symmetry checks run on every call.  The mass
+    N^4 is checked once more here on the int64 counts.
+    """
     N = int(N)
     if N < 1:
         raise ValidationError("N must be >= 1, got %d" % N)
@@ -152,8 +219,11 @@ def u_sum(chi, alpha, beta, N):
     """U(alpha, beta, N) = sum alpha_a beta_b chi(ad - bc) over [1,N]^4, binned.
 
     alpha weights index a, beta weights index b; c and d are unweighted.
-    The weighted determinant correlation is binned per character index,
-    then contracted against chi.
+    The weighted determinant correlation (O(N^2 log N), certified) is
+    binned per character index, then contracted against chi.  With weights
+    in {-1, 0, 1}, as in every CLI u scan, the correlation is exact
+    integers and the value equals u_sum_direct bit for bit; other weights
+    in [-1, 1] keep the float correlation, within 1e-9 * N^4 per entry.
     """
     N = _check_length(N, chi.field.p)
     per_index, _ = _binned(chi, N, _correlation(_weight_array(alpha, N), _weight_array(beta, N)))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from detsums import make_field
+from detsums import Overflow, make_field
 from detsums.mat2 import Census
+from detsums.sums import _products
 
 # One profile for every property test: reproducible examples, no example database on disk.
 settings.register_profile("detsums", max_examples=60, deadline=None, derandomize=True, database=None)
@@ -35,6 +36,27 @@ def legendre_oracle(x, p):
         return 0
     squares = {(i * i) % p for i in range(1, p)}
     return 1 if x % p in squares else -1
+
+
+def correlation_by_convolution(wa, wb):
+    """Weighted determinant correlation T_Delta = sum over ad - bc = Delta of wa_a wb_b.
+
+    (a,b,c,d) runs over [1,N]^4 with N = len(wa); entry i holds
+    Delta = i - (N^2 - 1).  Each side bins its weighted products,
+    r(v) = sum over xy = v of w_x, and the two bins are cross-correlated
+    by one float64 convolution: O(N^4) operations.  For weights in
+    {-1, 0, 1} every partial sum is an integer of size at most N^4, so the
+    result is exact below the guard N^4 < 2^53.  The oracle for the FFT
+    correlation in `sums._correlation`.
+    """
+    N = len(wa)
+    if N**4 >= 2**53:
+        raise Overflow("N^4 exceeds the float64 integer range 2^53 at N=%d" % N)
+    prods = _products(N, N)  # row index a (or b) carries its weight
+    ra = np.bincount(prods, weights=np.repeat(wa, N), minlength=N * N + 1)
+    rb = np.bincount(prods, weights=np.repeat(wb, N), minlength=N * N + 1)
+    # full[N^2 + Delta] = sum_v ra(v + Delta) rb(v); the ends are empty lags
+    return np.convolve(ra, rb[::-1])[1:-1]
 
 
 def ratio_bins_oracle(p, A, B, C):

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detsums import (
     BadOrder,
@@ -109,6 +111,21 @@ def test_interval_sum_matches_scalar_eval(rng):
         for n in range(M, M + N + 1):
             ref.add(chi.eval(n % p))
         assert acc == ref
+
+
+@given(
+    st.sampled_from(((11, 2), (13, 3), (13, 4), (13, 6), (17, 4), (31, 5), (37, 6), (61, 4), (97, 3))),
+    st.integers(),
+    st.integers(0, 300),
+)
+def test_interval_sum_property(pd, M, N):
+    # any integer start, negative and far beyond int64 included; N up to 300 wraps round p
+    p, d = pd
+    chi = make_character(field(p), d)
+    ref = CharSumAccumulator(d)
+    for n in range(M, M + N + 1):
+        ref.add(chi.eval(n % p))
+    assert interval_sum(chi, M, N) == ref
 
 
 def test_conjugate_reverses_indices(rng):

@@ -79,6 +79,7 @@ def test_validation_errors():
         (["calibrate", "--calibration-file", "{tmp}/bad.txt"], {}),
         (["scan", "--kind", "nonresidue", "--p", "101"], {"DETSUM_MAX_TABLE": "50"}),
         (["scan", "--kind", "census", "--p-range", "3:4294967296"], {}),
+        (["scan", "--kind", "sift", "--n-grid", "10000000000"], {}),
     ],
 )
 def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeypatch):
@@ -88,12 +89,22 @@ def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeyp
     def no_sieve(n):
         raise AssertionError("a bad input reached the prime sieve")
 
+    def no_tally(*args, **kwargs):
+        raise AssertionError("a bad input reached the sift tally")
+
     monkeypatch.setattr(sifter, "primes_upto", no_sieve)  # the HI check must come before the sieve
+    monkeypatch.setattr(sifter.np, "zeros", no_tally)  # the N check must come before the tally
     cli._field.cache_clear()  # a cached field would skip the DETSUM_MAX_TABLE lookup
     (tmp_path / "bad.txt").write_text("a0_C 1 2\n")  # a malformed calibration line
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_sift_n_cap_names_flag(capsys, monkeypatch):
+    monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
+    assert run_cli(["scan", "--kind", "sift", "--n-grid", "500,1001"]) == 2
+    assert capsys.readouterr().err == "error: --n-grid: N=1001 exceeds the table cap 1000 (DETSUM_MAX_TABLE)\n"
 
 
 def test_bad_out_path_named_before_tasks_run(tmp_path, capsys, monkeypatch):

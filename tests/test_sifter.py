@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detsums import BadWindow, Overflow, a0_bound_check, prime_tail, sift, sifter, tau, tau_square_average
+from detsums import BadWindow, Overflow, TooLarge, a0_bound_check, prime_tail, sift, sifter, tau, tau_square_average
 from detsums.cli import default_calibration_path
 from detsums.sifter import (
     a0_grid,
@@ -175,6 +175,23 @@ def test_tau_square_average():
 @given(st.integers(1, 2000), st.sampled_from((2, 3, 4)))
 def test_tau_square_average_property(M, s):
     assert tau_square_average(M, s) == sum(tau(m, s) ** 2 for m in range(1, M + 1))
+
+
+def test_sift_and_tau_caps_before_allocation(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(sifter.np, "zeros", no_alloc)
+    monkeypatch.setattr(sifter.np, "ones", no_alloc)
+    with pytest.raises(TooLarge, match="N=10000000000 exceeds the hard cap"):
+        sift(10**10, 2, 100)
+    with pytest.raises(TooLarge, match="M=10000000000 exceeds the hard cap"):
+        tau_square_average(10**10, 2)
+    monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
+    with pytest.raises(TooLarge, match="N=1001"):
+        sift(1001, 2, 100)
+    with pytest.raises(TooLarge, match="M=1001"):
+        tau_square_average(1001, 2)
 
 
 def test_tau_square_average_overflow(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from detsums import (
     DomainTooLarge,
+    InternalInvariantViolation,
     Overflow,
     WeightOutOfRange,
     WeightSeq,
@@ -26,9 +27,11 @@ from detsums import (
     u_sum,
     u_sum_direct,
 )
+from detsums import cli, sums
 from detsums.fp_arith import is_prime
+from detsums.sums import _correlation
 
-from conftest import HIGH_ORDER_PAIRS, field, ratio_bins_oracle
+from conftest import HIGH_ORDER_PAIRS, correlation_by_convolution, field, ratio_bins_oracle
 
 
 def quadruple_profile_oracle(N):
@@ -79,6 +82,102 @@ def test_delta_profile_overflow(monkeypatch):
         s_sum_binned(chi, 10_000)
     with pytest.raises(Overflow):
         u_sum(chi, ones, ones, 10_000)
+
+
+def test_correlation_guard_before_fft(monkeypatch):
+    # the N^4 < 2^53 guard fires before any product bin or transform is built
+    chi = make_character(field(100_003), 2)
+    ones = WeightSeq.ones(range(1, 10_001))
+    monkeypatch.setattr(np.fft, "rfft", None)
+    monkeypatch.setattr(sums, "_products", None)
+    with pytest.raises(Overflow):
+        delta_profile(10_000)
+    with pytest.raises(Overflow):
+        s_sum_binned(chi, 10_000)
+    with pytest.raises(Overflow):
+        u_sum(chi, ones, ones, 10_000)
+
+
+def test_delta_profile_large_mass_and_symmetry():
+    for N in (400, 1000):
+        prof = delta_profile(N)
+        assert prof.total() == N**4
+        assert np.array_equal(prof.counts, prof.counts[::-1])
+
+
+@given(st.integers(1, 40), st.data())
+def test_correlation_matches_convolution_property(N, data):
+    def draw(elements):
+        return np.array(data.draw(st.lists(elements, min_size=N, max_size=N)), dtype=np.float64)
+
+    integral = st.sampled_from((-1.0, 0.0, 1.0))
+    wa, wb = draw(integral), draw(integral)
+    assert np.array_equal(_correlation(wa, wb), correlation_by_convolution(wa, wb))
+    assert np.array_equal(_correlation(wa, wa), correlation_by_convolution(wa, wa))  # symmetry certificate path
+    real = st.floats(-1.0, 1.0)
+    wa, wb = draw(real), draw(real)
+    assert np.max(np.abs(_correlation(wa, wb) - correlation_by_convolution(wa, wb))) <= 1e-9
+
+
+def bump_irfft(monkeypatch, bumps):
+    """Make np.fft.irfft add bumps[i] to entry i of its result."""
+    real_irfft = np.fft.irfft
+
+    def bumped(*args, **kwargs):
+        out = real_irfft(*args, **kwargs)
+        for i, b in bumps.items():
+            out[i] += b
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", bumped)
+
+
+def test_correlation_residual_certificate(monkeypatch, capsys):
+    bump_irfft(monkeypatch, {0: 0.4})
+    with pytest.raises(InternalInvariantViolation, match="residual.*0.4"):
+        delta_profile(5)
+    signs = np.array([1.0, -1.0, 0.0, 1.0])
+    with pytest.raises(InternalInvariantViolation, match="residual"):
+        _correlation(signs, signs[::-1].copy())
+    assert cli.main(["scan", "--kind", "delta_profile", "--n-grid", "5"]) == 3
+    assert capsys.readouterr().err.startswith("internal invariant violation: correlation residual")
+
+
+def test_correlation_mass_certificate(monkeypatch):
+    bump_irfft(monkeypatch, {0: 1.0})  # still integral, so only the mass is off
+    with pytest.raises(InternalInvariantViolation, match="mass.*off by 1"):
+        delta_profile(5)
+    with pytest.raises(InternalInvariantViolation, match="mass"):
+        _correlation(np.full(5, 0.5), np.full(5, -0.25))  # general weights: float mass
+
+
+def test_correlation_symmetry_certificate(monkeypatch):
+    bump_irfft(monkeypatch, {0: 1.0, 1: -1.0})  # integral, same mass, no longer symmetric
+    with pytest.raises(InternalInvariantViolation, match="symmetry"):
+        delta_profile(5)
+
+
+# S(N, chi) at p = 10009 as the O(N^4) convolution route computed it, order 2
+# (an integer) and order 4 (a Gaussian integer); the order-4 scan is exact too.
+PINNED_S_10009 = {
+    50: (461338, 5046 + 6316j),
+    100: (1921572, -10790 - 2218j),
+    150: (3774722, 217072 + 148766j),
+    200: (5511800, 192570 + 85914j),
+}
+
+
+def test_s_sum_pinned_p10009():
+    chi2 = make_character(field(10009), 2)
+    chi4 = make_character(field(10009), 4)
+    for N, (s2, s4) in PINNED_S_10009.items():
+        acc2 = s_sum_binned(chi2, N)
+        acc4 = s_sum_binned(chi4, N)
+        assert acc2.int_value() == s2
+        assert acc4.value() == s4
+        # chi_4^2 = chi_2: the order-4 tallies fold onto the order-2 value
+        c = acc4.counts
+        assert int(c[0] - c[1] + c[2] - c[3]) == s2 and acc4.zero_terms == acc2.zero_terms
 
 
 def test_s_sum_n1_is_zero_term():
@@ -265,6 +364,27 @@ def test_t_abs_binned_equals_direct(rng):
         lhs = t_abs_sum(chi, A, B, C, shifts, alpha)
         rhs = t_abs_sum_direct(chi, A, B, C, shifts, alpha)
         assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@st.composite
+def t_abs_instance(draw):
+    """(p, d, A, B, C, shifts, alpha): p < 200, d | p - 1, A*B*C < p, +-1 weights on the shifts."""
+    p, d, _ = draw(field_order_length())
+    A = draw(st.integers(1, p - 1))
+    B = draw(st.integers(1, (p - 1) // A))
+    C = draw(st.integers(1, (p - 1) // (A * B)))
+    shifts = sorted(draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=8)))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(shifts), max_size=len(shifts)))
+    return p, d, A, B, C, shifts, WeightSeq(dict(zip(shifts, signs)))
+
+
+@given(t_abs_instance())
+def test_t_abs_binned_equals_direct_property(inst):
+    p, d, A, B, C, shifts, alpha = inst
+    chi = make_character(field(p), d)
+    lhs = t_abs_sum(chi, A, B, C, shifts, alpha)
+    rhs = t_abs_sum_direct(chi, A, B, C, shifts, alpha)
+    assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def test_t_abs_domain_guard():
