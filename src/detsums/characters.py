@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadOrder, ValidationError, WeightOutOfRange
+from .errors import BadOrder, InternalInvariantViolation, ValidationError, WeightOutOfRange
 
 
 class CharValue(NamedTuple):
@@ -171,27 +171,37 @@ class Character:
         return "Character(p=%d, d=%d, power=%d)" % (self.field.p, self.d, self.power)
 
     def index_table(self):
-        """int32 array T with T[x] = index of chi(x), and T[0] = -1."""
+        """int32 array T with T[x] = index of chi(x), and T[0] = -1.
+
+        Scatters (k mod d) * power mod d, a pattern of period d, onto
+        g^k for k < p - 1 from the field's blocked power walk.  The
+        certificate that g is primitive is that every unit gets written;
+        InternalInvariantViolation otherwise.
+        """
         if self._ktab is None:
-            tab = np.empty(self.field.p, dtype=np.int32)
-            tab[0] = -1
-            dl = self.field.dlog[1:].astype(np.int64)
-            tab[1:] = (dl * self.power) % self.d
+            p, d = self.field.p, self.d
+            tab = np.full(p, -1, dtype=np.int32)
+            pattern = (np.arange(d, dtype=np.int64) * self.power % d).astype(np.int32)
+            tab[self.field.powers()] = np.tile(pattern, (p - 1) // d)
+            missed = int(np.count_nonzero(tab[1:] < 0))
+            if missed:
+                raise InternalInvariantViolation(
+                    "index table certificate failed at p=%d: g=%d leaves %d units unwritten, so it is not primitive"
+                    % (p, self.field.g, missed)
+                )
             self._ktab = tab
         return self._ktab
 
     def eval(self, x):
-        """CharValue of chi(x) for a residue 0 <= x < p; O(1)."""
+        """CharValue of chi(x) for a residue 0 <= x < p, read from index_table()."""
         if not 0 <= x < self.field.p:
             raise ValueError("residue out of range: %r" % (x,))
-        if x == 0:
-            return CHAR_ZERO
-        k = int(self.field.dlog[x]) * self.power % self.d
-        return CharValue(False, k)
+        k = int(self.index_table()[x])
+        return CHAR_ZERO if k < 0 else CharValue(False, k)
 
     def minus_one_index(self):
         """Index of chi(-1); 0 for even characters, d/2 for odd ones."""
-        # dlog(-1) = (p-1)/2 because g^((p-1)/2) is the unique element of order 2.
+        # -1 = g^((p-1)/2), because g^((p-1)/2) is the unique element of order 2.
         return (self.field.p - 1) // 2 * self.power % self.d
 
     def is_odd(self):
@@ -248,17 +258,26 @@ def shifted_sums(chi, lams, terms):
     """Contracted inner sums sum_{(s, w) in terms} w * chi(lam + s), one per lam in lams.
 
     Weights are tallied per character index before the single contraction,
-    so +-1 weights with order 2 stay in exact arithmetic.
+    so +-1 weights with order 2 stay in exact arithmetic.  Shift by shift,
+    each index row adds the weight where chi(lam + s) has that index, so
+    every cell sums the same addends in the same order as a scatter-add.
+    For lams the full range 1..p-1 the shifted values are two contiguous
+    slices of the index table, with no gather.
     """
     p = chi.field.p
     ktab = chi.index_table()
+    full = len(lams) == p - 1 and np.array_equal(lams, np.arange(1, p))
     per_index = np.zeros((chi.d, len(lams)))
     for s, w in terms:
         if w == 0.0:
             continue
-        idx = ktab[(lams + s) % p]
-        nz = idx >= 0
-        np.add.at(per_index, (idx[nz], np.flatnonzero(nz)), w)
+        if full:
+            s %= p
+            idx = np.concatenate((ktab[s + 1 :], ktab[:s]))
+        else:
+            idx = ktab[(lams + s) % p]
+        for j, row in enumerate(per_index):
+            row += w * (idx == j)  # w or a signed zero per cell: exactly the sums of np.add.at
     return contract(per_index, chi.d)
 
 

@@ -20,6 +20,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
+import numpy as np
+
 from . import __version__, mat2, residues, sifter, sums
 from .characters import WeightSeq, de_moment, make_character
 from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
@@ -121,8 +123,9 @@ def _run_task(task):
         return [[p, d, n_col, kind, _fmt(val.real), _fmt(val.imag), _fmt(mag), _fmt(mag / n_col**4), "%.3f" % ms]]
     if kind == "delta_profile":
         _, N = task
-        prof = sums.delta_profile(N)
-        return [[N, delta, prof.count(delta)] for delta in prof.deltas() if prof.count(delta)]
+        counts = sums.delta_profile(N).counts
+        nz = np.flatnonzero(counts)
+        return [[N, delta, c] for delta, c in zip((nz - (N * N - 1)).tolist(), counts[nz].tolist())]
     if kind == "census":
         _, p, bound = task
         cen = mat2.census(_field(p), bound)
@@ -131,7 +134,7 @@ def _run_task(task):
         _, p, x_limit = task
         X = x_limit if x_limit > 0 else max(2, math.isqrt(p))
         X = min(X, p - 1)
-        rep = residues.nonresidue_report(p, X)  # int path: no dlog table per prime
+        rep = residues.nonresidue_report(p, X)  # int path: no field per prime
         return [[rep.p, rep.z_p, _fmt(rep.kappa_empirical), rep.X, rep.count, _fmt(rep.count / rep.X)]]
     if kind == "sift":
         _, N, x, y, multiplicity = task

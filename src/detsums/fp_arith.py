@@ -1,18 +1,22 @@
-"""Exact arithmetic in F_p: primality, factorization, inverses, Legendre symbol, discrete logs.
+"""Exact arithmetic in F_p: primality, factorization, inverses, Legendre symbol, square roots.
 
-A PrimeField carries a verified primitive root g and a dense table of
-discrete logarithms, so that downstream character evaluation is a single
-array lookup.  The dense tables (dlog, Legendre) cap the supported modulus
-(default 2*10^6, override with the DETSUM_MAX_TABLE environment variable).
-`factorize` is the package's one trial-division factorization: the
-primitive-root check and `sifter.tau` take their primes from it.
+A PrimeField holds only p and a primitive root g, so building one costs
+the O(sqrt p) factorization of p - 1.  Dense per-residue tables are built
+on demand: every power of g by one blocked walk (`PrimeField.powers`,
+which `Character.index_table` scatters), the Legendre table and the
+square-root table, each by one vectorized pass.  The field and its tables
+are held to one modulus cap (default 2*10^6, override with the
+DETSUM_MAX_TABLE environment variable).  `factorize` is the package's one
+trial-division factorization: the primitive-root check and `sifter.tau`
+take their primes from it.
 """
 
+import math
 import os
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, NotPrime, TooLarge, ValidationError, ZeroInverse
+from .errors import NotPrime, TooLarge, ValidationError, ZeroInverse
 
 DEFAULT_MAX_TABLE = 2_000_000
 HARD_CAP = 2**31
@@ -91,25 +95,29 @@ def find_primitive_root(p):
 class PrimeField:
     """Immutable arithmetic context for a fixed odd prime p.
 
-    Do not construct directly; use make_field, which validates p and
-    builds the discrete-log table.
+    Do not construct directly; use make_field, which validates p, checks
+    the table cap and finds the primitive root g.  Nothing is tabulated
+    up front: the Legendre and square-root tables are built on first use.
     """
 
-    __slots__ = ("p", "g", "dlog", "_leg")
+    __slots__ = ("p", "g", "_leg", "_roots")
 
-    def __init__(self, p, g, dlog):
+    def __init__(self, p, g):
         self.p = p
         self.g = g
-        self.dlog = dlog
         self._leg = None
+        self._roots = None
 
     def __repr__(self):
         return "PrimeField(p=%d, g=%d)" % (self.p, self.g)
 
-    def legendre(self, x):
-        """Legendre symbol (x/p) in {-1, 0, 1}, by the Euler criterion."""
+    def _check_residue(self, x):
         if not 0 <= x < self.p:
             raise ValueError("residue out of range: %r" % (x,))
+
+    def legendre(self, x):
+        """Legendre symbol (x/p) in {-1, 0, 1}, by the Euler criterion."""
+        self._check_residue(x)
         if x == 0:
             return 0
         r = pow(x, (self.p - 1) // 2, self.p)
@@ -117,20 +125,26 @@ class PrimeField:
 
     def inv(self, x):
         """Multiplicative inverse of x mod p."""
-        if not 0 <= x < self.p:
-            raise ValueError("residue out of range: %r" % (x,))
+        self._check_residue(x)
         if x == 0:
             raise ZeroInverse("0 has no inverse mod %d" % self.p)
         return pow(x, self.p - 2, self.p)
 
     def sqrt_roots(self, x):
-        """All square roots of x mod p: (), (0,), or a pair (r, p-r)."""
-        if x == 0:
-            return (0,)
-        k = int(self.dlog[x])
-        if k % 2 == 1:
+        """All square roots of x mod p: (), (0,), or a pair (r, p-r) with r <= (p-1)/2."""
+        self._check_residue(x)
+        if self._roots is None:
+            # Each nonzero square has exactly one root in [1, (p-1)/2], so
+            # the scatter writes every square once; -1 marks non-squares.
+            r = np.arange((self.p + 1) // 2, dtype=np.int64)
+            roots = np.full(self.p, -1, dtype=np.int32)
+            roots[r * r % self.p] = r
+            self._roots = roots
+        r = int(self._roots[x])
+        if r < 0:
             return ()
-        r = pow(self.g, k // 2, self.p)
+        if r == 0:
+            return (0,)
         return (r, self.p - r)
 
     def legendre_table(self):
@@ -138,6 +152,22 @@ class PrimeField:
         if self._leg is None:
             self._leg = legendre_table(self.p)
         return self._leg
+
+    def powers(self):
+        """int64 array W with W[k] = g^k mod p for k = 0, ..., p-2, by a blocked walk.
+
+        With B = ceil(sqrt(p-1)), two Python loops of about sqrt(p) pows
+        give g^(iB) per row i and g^j for j < B; their outer product mod p
+        (products below p^2 < 2^62) gives all p - 1 powers in order.
+        Nothing here checks that g is primitive: a caller that needs every
+        unit to appear must check it (`Character.index_table` does).
+        """
+        p, g = self.p, self.g
+        B = math.isqrt(p - 2) + 1
+        rows = np.array([pow(g, i * B, p) for i in range(-(-(p - 1) // B))], dtype=np.int64)
+        walk = np.multiply.outer(rows, np.array([pow(g, j, p) for j in range(B)], dtype=np.int64))
+        walk %= p
+        return walk.ravel()[: p - 1]
 
 
 def _check_table_size(n, name="p"):
@@ -159,7 +189,7 @@ def _check_table_size(n, name="p"):
 def legendre_table(p):
     """int8 array L with L[x] = (x/p) for an odd prime p, by marking squares.
 
-    O(p) time and memory, so it is held to the same cap as the dlog table.
+    O(p) time and memory, so it is held to the field's table cap.
     """
     _check_table_size(p)
     tab = np.full(p, -1, dtype=np.int8)
@@ -170,22 +200,13 @@ def legendre_table(p):
 
 
 def make_field(p):
-    """Build a PrimeField for an odd prime p with a full dlog table.
+    """Build a PrimeField for an odd prime p: validate p, find its primitive root.
 
     Raises NotPrime for composite or even input, TooLarge above the
-    table cap.  Construction is O(p); the result is immutable and safe
-    to share across workers.
+    table cap (the cap of the per-residue tables a field can build).
+    Construction is O(sqrt p), the factorization of p - 1; the result is
+    immutable and safe to share across workers.
     """
     p = check_odd_prime(p)
     _check_table_size(p)
-
-    g = find_primitive_root(p)
-    dlog = np.empty(p, dtype=np.int32)
-    dlog[0] = -1  # sentinel, never a valid log
-    x = 1
-    for k in range(p - 1):
-        dlog[x] = k
-        x = x * g % p
-    if x != 1:  # pragma: no cover
-        raise InternalInvariantViolation("primitive root loop failed to close")
-    return PrimeField(p, g, dlog)
+    return PrimeField(p, find_primitive_root(p))

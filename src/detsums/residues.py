@@ -1,10 +1,10 @@
 """Least quadratic non-residue machinery and the small non-square matrix.
 
-Operations accept either a PrimeField or a plain int modulus: scans over
-many primes (say every p up to 10^6) would be crippled by building a
-dense dlog table per prime.  Both paths find the least non-residue by
+Operations accept either a PrimeField or a plain int modulus, so a scan
+over many primes (say every p up to 10^6) needs no field per prime and
+so no primitive-root search.  Both paths find the least non-residue by
 the Euler criterion and count non-residues from the squares table
-`legendre_table(p)` (cached on a field), held to the same size cap.
+`legendre_table(p)` (cached on a field), held to the field's table cap.
 """
 
 import math

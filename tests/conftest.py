@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from detsums import Overflow, make_field
+from detsums import InternalInvariantViolation, Overflow, make_field
+from detsums.characters import contract
 from detsums.mat2 import Census
 from detsums.sums import _products
 
@@ -36,6 +37,40 @@ def legendre_oracle(x, p):
         return 0
     squares = {(i * i) % p for i in range(1, p)}
     return 1 if x % p in squares else -1
+
+
+def dlog_by_loop(p, g):
+    """int32 discrete-log table: dlog[g^k mod p] = k for k < p - 1, dlog[0] = -1.
+
+    One Python step per unit, O(p): the oracle for the blocked power walk
+    behind `Character.index_table`.
+    """
+    dlog = np.empty(p, dtype=np.int32)
+    dlog[0] = -1  # sentinel, never a valid log
+    x = 1
+    for k in range(p - 1):
+        dlog[x] = k
+        x = x * g % p
+    if x != 1:  # pragma: no cover
+        raise InternalInvariantViolation("primitive root loop failed to close")
+    return dlog
+
+
+def shifted_sums_by_add_at(chi, lams, terms):
+    """sum_{(s, w) in terms} w * chi(lam + s) per lam, tallied by one np.add.at per shift.
+
+    The oracle for the per-index tally in `characters.shifted_sums`.
+    """
+    p = chi.field.p
+    ktab = chi.index_table()
+    per_index = np.zeros((chi.d, len(lams)))
+    for s, w in terms:
+        if w == 0.0:
+            continue
+        idx = ktab[(lams + s) % p]
+        nz = idx >= 0
+        np.add.at(per_index, (idx[nz], np.flatnonzero(nz)), w)
+    return contract(per_index, chi.d)
 
 
 def correlation_by_convolution(wa, wb):

@@ -12,15 +12,20 @@ from hypothesis import strategies as st
 
 from detsums import (
     BadOrder,
+    InternalInvariantViolation,
     WeightOutOfRange,
     WeightSeq,
     de_moment,
     interval_sum,
     make_character,
 )
-from detsums.characters import CHAR_ZERO, CharSumAccumulator, roots_of_unity
+from detsums import cli, fp_arith
+from detsums.characters import CHAR_ZERO, CharSumAccumulator, roots_of_unity, shifted_sums
+from detsums.sifter import primes_upto
 
-from conftest import HIGH_ORDER_PAIRS, field
+from conftest import HIGH_ORDER_PAIRS, dlog_by_loop, field, shifted_sums_by_add_at
+
+ODD_PRIMES_BELOW_5000 = [int(q) for q in primes_upto(5000)[1:]]
 
 
 def test_make_character_order_three():
@@ -65,6 +70,57 @@ def test_index_is_multiplicative():
         for y in range(1, 13):
             kxy = chi.eval(x * y % 13).k
             assert kxy == (chi.eval(x).k + chi.eval(y).k) % 4
+
+
+@given(st.data())
+def test_index_table_matches_dlog_oracle(data):
+    """index_table() is (dlog * power) mod d, and eval(x) reads it, for drawn p, d | p-1, power."""
+    p = data.draw(st.sampled_from(ODD_PRIMES_BELOW_5000))
+    d = data.draw(st.sampled_from([q for q in range(2, p) if (p - 1) % q == 0]))
+    power = data.draw(st.sampled_from([k for k in range(1, d) if math.gcd(k, d) == 1]))
+    F = field(p)
+    chi = make_character(F, d, power)
+    dlog = dlog_by_loop(p, F.g).astype(np.int64)
+    tab = chi.index_table()
+    assert tab.dtype == np.int32
+    assert np.array_equal(tab, np.where(dlog < 0, -1, dlog * power % d))
+    assert chi.eval(0) == CHAR_ZERO
+    for x in range(1, p):
+        assert chi.eval(x) == (False, tab[x])
+
+
+def test_index_table_certificate_rejects_non_primitive_root(monkeypatch, capsys):
+    """A field whose g is a square leaves units unwritten: InternalInvariantViolation, CLI exit 3."""
+    monkeypatch.setattr(fp_arith, "find_primitive_root", lambda p: 4)
+    with pytest.raises(InternalInvariantViolation, match="not primitive"):
+        make_character(fp_arith.make_field(13), 2).index_table()
+    cli._field.cache_clear()  # the CLI's field cache must not hand back a good field
+    try:
+        assert cli.main(["scan", "--kind", "s", "--p", "13", "--n-grid", "3"]) == 3
+    finally:
+        cli._field.cache_clear()
+    assert "internal invariant violation" in capsys.readouterr().err
+
+
+@given(
+    st.sampled_from((13, 37, 61)),
+    st.sampled_from((2, 3, 4, 6)),
+    st.booleans(),
+    st.sampled_from((st.sampled_from((-1.0, 0.0, 1.0)), st.floats(-1.0, 1.0))),
+    st.data(),
+)
+def test_shifted_sums_matches_add_at_oracle(p, d, full, weights, data):
+    """The per-index tally equals the np.add.at oracle bit for bit, over full and sparse lams."""
+    chi = make_character(field(p), d)
+    shifts = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=8))
+    if full:
+        lams = np.arange(1, p, dtype=np.int64)
+    else:
+        drawn = data.draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=p // 2))
+        hit_zero = -shifts[0] % p  # lam + s = 0 mod p for the first shift
+        lams = np.array(sorted(drawn | ({hit_zero} if hit_zero else set())), dtype=np.int64)
+    terms = [(s, data.draw(weights)) for s in shifts]
+    assert np.array_equal(shifted_sums(chi, lams, terms), shifted_sums_by_add_at(chi, lams, terms))
 
 
 def test_minus_one_index():

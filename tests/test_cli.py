@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from detsums import cli, sifter
+from detsums import cli, sifter, sums
 from detsums.sifter import calibration_text, read_calibration
 
 
@@ -156,6 +156,17 @@ def test_delta_profile_scan(tmp_path):
     by_delta = {int(r["delta"]): int(r["count"]) for r in rows}
     assert by_delta[0] == 6 and by_delta[3] == 1 and by_delta[-3] == 1
     assert sum(by_delta.values()) == 16
+
+
+def test_delta_profile_rows_match_per_lag(tmp_path):
+    """The CSV is byte-identical to one row per nonzero lag read by DeltaProfile.count."""
+    out = tmp_path / "delta.csv"
+    assert run_cli(["scan", "--kind", "delta_profile", "--n-grid", "1,2,7,30", "--out", str(out)]) == 0
+    lines = ["N,delta,count"]
+    for N in (1, 2, 7, 30):
+        prof = sums.delta_profile(N)
+        lines += ["%d,%d,%d" % (N, delta, prof.count(delta)) for delta in prof.deltas() if prof.count(delta)]
+    assert out.read_text().split("\n") == lines + [""]  # a list diff stays fast if they differ
 
 
 def test_nonresidue_scan(tmp_path):

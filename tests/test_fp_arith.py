@@ -1,4 +1,4 @@
-"""Field construction, Legendre symbol, inverses, discrete logs."""
+"""Field construction, Legendre symbol, inverses, square roots, the power walk against the dlog oracle."""
 
 import math
 import random
@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detsums import NotPrime, TooLarge, ZeroInverse, make_field
+from detsums import NotPrime, TooLarge, ZeroInverse, make_character, make_field
 from detsums.fp_arith import factorize, find_primitive_root, is_prime
 
-from conftest import field, legendre_oracle
+from conftest import dlog_by_loop, field, legendre_oracle
 
 
 def test_composite_rejected():
@@ -36,10 +36,16 @@ def test_p3_has_generator_two():
 
 
 def test_dlog_defining_property():
+    """The dlog oracle inverts g^k, the walk lists g^k, and the order p-1 index table is the dlog."""
     for p in (7, 101):
         F = field(p)
+        dlog = dlog_by_loop(p, F.g)
+        walk = F.powers()
+        assert len(walk) == p - 1
         for k in range(p - 1):
-            assert F.dlog[pow(F.g, k, p)] == k
+            assert dlog[pow(F.g, k, p)] == k
+            assert walk[k] == pow(F.g, k, p)
+        assert np.array_equal(make_character(F, p - 1).index_table(), dlog)
 
 
 def test_generator_enumerates_units():
@@ -93,11 +99,12 @@ def test_legendre_sums_to_zero():
 
 
 def test_dlog_parity_crosscheck():
-    """Three-way Legendre agreement: Euler pow, dlog parity, square marking.
+    """Three-way Legendre agreement: Euler pow, order-2 index parity, square marking.
 
-    The dlog-parity route and the square-marking table are swept in full
-    for every prime below 10^4; the per-residue Euler criterion is swept
-    in full below 500 and sampled above (it is the slow scalar route).
+    The parity of the order-2 index table equals that of the dlog oracle,
+    and both it and the square-marking table are swept in full for every
+    prime below 10^4; the per-residue Euler criterion is swept in full
+    below 500 and sampled above (it is the slow scalar route).
     """
     from detsums.sifter import primes_upto
 
@@ -105,7 +112,9 @@ def test_dlog_parity_crosscheck():
     for p in primes_upto(10_000)[1:]:
         p = int(p)
         F = field(p) if p <= 101 else make_field(p)
-        parity = np.where(F.dlog[1:] & 1, -1, 1)
+        ktab = make_character(F, 2).index_table()[1:]
+        assert np.array_equal(ktab, dlog_by_loop(p, F.g)[1:] & 1)
+        parity = np.where(ktab & 1, -1, 1)
         table = F.legendre_table()[1:]
         assert np.array_equal(parity, table.astype(parity.dtype))
         xs = range(1, p) if p < 500 else [rng.randrange(1, p) for _ in range(20)]
@@ -123,6 +132,27 @@ def test_inv():
         for x in range(1, p):
             assert x * F.inv(x) % p == 1
             assert F.inv(F.inv(x)) == x
+
+
+def test_sqrt_roots_range_check():
+    F = field(13)
+    for x in (13, -1, 14, -13):
+        with pytest.raises(ValueError):
+            F.sqrt_roots(x)
+
+
+def test_sqrt_roots_brute_force():
+    """The root table against squaring every residue, for every x and every odd p < 200."""
+    from detsums.sifter import primes_upto
+
+    for p in primes_upto(200)[1:]:
+        p = int(p)
+        F = make_field(p)
+        roots = {x: [] for x in range(p)}
+        for r in range(p):
+            roots[r * r % p].append(r)
+        for x in range(p):
+            assert sorted(F.sqrt_roots(x)) == roots[x]
 
 
 def test_sqrt_roots():
