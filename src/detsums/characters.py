@@ -36,11 +36,17 @@ def contract(per_index, d):
     """sum_k per_index[k] * e(k/d) along axis 0, the one readout of per-index totals.
 
     For d = 2 this is the real difference per_index[0] - per_index[1],
-    exact for integer totals; for d > 2 it is complex.
+    exact for integer totals; for d > 2 it is complex.  The real and
+    imaginary parts are contracted separately, so the real tally is never
+    copied to complex.
     """
     if d == 2:
         return per_index[0] - per_index[1]
-    return roots_of_unity(d) @ per_index
+    roots = roots_of_unity(d)
+    out = np.empty(np.shape(per_index)[1:], dtype=complex)
+    out.real = roots.real @ per_index
+    out.imag = roots.imag @ per_index
+    return out
 
 
 class WeightSeq:

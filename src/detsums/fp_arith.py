@@ -133,14 +133,7 @@ class PrimeField:
     def sqrt_roots(self, x):
         """All square roots of x mod p: (), (0,), or a pair (r, p-r) with r <= (p-1)/2."""
         self._check_residue(x)
-        if self._roots is None:
-            # Each nonzero square has exactly one root in [1, (p-1)/2], so
-            # the scatter writes every square once; -1 marks non-squares.
-            r = np.arange((self.p + 1) // 2, dtype=np.int64)
-            roots = np.full(self.p, -1, dtype=np.int32)
-            roots[r * r % self.p] = r
-            self._roots = roots
-        r = int(self._roots[x])
+        r = int(self.root_table()[x])
         if r < 0:
             return ()
         if r == 0:
@@ -152,6 +145,19 @@ class PrimeField:
         if self._leg is None:
             self._leg = legendre_table(self.p)
         return self._leg
+
+    def root_table(self):
+        """int32 array R: R[x] is the square root of x in [0, (p-1)/2], -1 off the squares; built once per field.
+
+        Each nonzero square has exactly one root in [1, (p-1)/2], so the
+        r*r scatter writes every square once.
+        """
+        if self._roots is None:
+            r = np.arange((self.p + 1) // 2, dtype=np.int64)
+            roots = np.full(self.p, -1, dtype=np.int32)
+            roots[r * r % self.p] = r
+            self._roots = roots
+        return self._roots
 
     def powers(self):
         """int64 array W with W[k] = g^k mod p for k = 0, ..., p-2, by a blocked walk.

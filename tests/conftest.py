@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from detsums import InternalInvariantViolation, Overflow, make_field
 from detsums.characters import contract
-from detsums.mat2 import Census
+from detsums.mat2 import Census, Mat2, _class_size, has_square_root
 from detsums.sums import _products
 
 # One profile for every property test: reproducible examples, no example database on disk.
@@ -136,4 +136,48 @@ def census_by_enumeration(F):
         n_singular += int(np.count_nonzero(singular))
         n_nonsq_inv += int(np.count_nonzero(~blk & ~singular))
 
+    return Census(p, n_total, n_singular, n_square, n_nonsq_inv, n_nonsq_inv / n_total)
+
+
+def conjugacy_classes(F):
+    """Yield (representative, det, class size) for every class of M_2(F_p).
+
+    The p scalar classes u*I have size 1; the p^2 non-scalar classes are
+    one per characteristic polynomial x^2 - t*x + n, represented by the
+    companion matrix [[0, -n], [1, t]].
+    """
+    p = F.p
+    leg = F.legendre_table().tolist()
+    for u in range(p):
+        yield Mat2(u, 0, 0, u), u * u % p, 1
+    for t in range(p):
+        for n in range(p):
+            yield Mat2(0, -n % p, 1, t), n, _class_size(p, leg[(t * t - 4 * n) % p])
+
+
+def census_by_classes(F):
+    """Census of squares in M_2(F_p): one `has_square_root` decision per conjugacy class.
+
+    p + p^2 Python decisions weighted by the class sizes, with both
+    certificates: the oracle for the eigenvalue rule in `mat2.census`.
+    """
+    p = F.p
+    n_total = p**4
+    n_counted = n_singular = n_square = n_nonsq_inv = 0
+    for rep, n, size in conjugacy_classes(F):
+        n_counted += size
+        if n == 0:
+            n_singular += size
+        if has_square_root(rep, F).found:
+            n_square += size
+        elif n != 0:
+            n_nonsq_inv += size
+
+    if n_counted != n_total:
+        raise InternalInvariantViolation("class sizes sum to %d, not p^4 = %d (p=%d)" % (n_counted, n_total, p))
+    n_gl2 = (p * p - 1) * (p * p - p)
+    if n_singular != n_total - n_gl2:
+        raise InternalInvariantViolation(
+            "singular classes sum to %d, not p^4 - |GL_2| = %d (p=%d)" % (n_singular, n_total - n_gl2, p)
+        )
     return Census(p, n_total, n_singular, n_square, n_nonsq_inv, n_nonsq_inv / n_total)

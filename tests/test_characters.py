@@ -20,7 +20,7 @@ from detsums import (
     make_character,
 )
 from detsums import cli, fp_arith
-from detsums.characters import CHAR_ZERO, CharSumAccumulator, roots_of_unity, shifted_sums
+from detsums.characters import CHAR_ZERO, CharSumAccumulator, contract, roots_of_unity, shifted_sums
 from detsums.sifter import primes_upto
 
 from conftest import HIGH_ORDER_PAIRS, dlog_by_loop, field, shifted_sums_by_add_at
@@ -203,6 +203,20 @@ def test_accumulator_value_and_merge():
         acc.merge(CharSumAccumulator(2))
     with pytest.raises(ValueError):
         acc.int_value()
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 12])
+def test_contract_matches_complex_product(d):
+    """Real and imaginary parts contracted apart equal the complex product, exactly at d = 4."""
+    rng = np.random.default_rng(d)
+    for per_index in (rng.integers(-1000, 1000, size=d), rng.integers(-1000, 1000, size=(d, 50)).astype(float)):
+        got = contract(per_index, d)
+        want = roots_of_unity(d) @ per_index
+        assert got.shape == want.shape
+        if d == 4:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
 
 
 def test_exact_zero_detection():

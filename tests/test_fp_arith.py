@@ -151,8 +151,11 @@ def test_sqrt_roots_brute_force():
         roots = {x: [] for x in range(p)}
         for r in range(p):
             roots[r * r % p].append(r)
+        table = F.root_table()
+        assert table is F.root_table() and table.dtype == np.int32
         for x in range(p):
             assert sorted(F.sqrt_roots(x)) == roots[x]
+            assert table[x] == (min(roots[x]) if roots[x] else -1)
 
 
 def test_sqrt_roots():

@@ -2,13 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from detsums import InternalInvariantViolation, Mat2, TooLarge, census, has_square_root, mul, pair_image_census
 from detsums import mat2
 from detsums.mat2 import det, identity, trace
+from detsums.sifter import primes_upto
 
-from conftest import census_by_enumeration, field
+from conftest import census_by_classes, census_by_enumeration, conjugacy_classes, field
 
 # Census numbers frozen from this package's own full-enumeration runs.
 CENSUS_FIXTURES = {
@@ -155,19 +159,54 @@ def test_census_class_size_certificate(monkeypatch):
 
 
 def test_census_singular_certificate(monkeypatch):
-    real_classes = mat2._conjugacy_classes
+    real_tally = mat2._class_tally
 
-    def zero_class_relabelled(F):
-        for rep, n, size in real_classes(F):
-            yield rep, (1 if rep == Mat2(0, 0, 0, 0) else n), size
+    def singular_class_relabelled(F):
+        tally = real_tally(F)
+        tally[2, 1] += (1, -1)  # one split square class with n = 0 counted as invertible
+        return tally
 
-    monkeypatch.setattr(mat2, "_conjugacy_classes", zero_class_relabelled)
+    monkeypatch.setattr(mat2, "_class_tally", singular_class_relabelled)
     with pytest.raises(InternalInvariantViolation, match="singular classes"):
         census(field(7))
 
 
+@pytest.mark.parametrize("p", [int(q) for q in primes_upto(61)[1:]])
+def test_square_rule_matches_decision(p):
+    """The eigenvalue rule agrees with `has_square_root` on every class representative."""
+    F = field(p)
+    symbol, square = mat2._square_classes(F, np.arange(p, dtype=np.int64)[:, None])
+    n_scalar = 0
+    for rep, n, size in conjugacy_classes(F):
+        found = has_square_root(rep, F).found
+        if rep.c == 0:  # the scalar classes u*I, all squares by the rule
+            n_scalar += 1
+            assert found, rep
+        else:
+            t = rep.d
+            assert size == mat2._class_size(p, int(symbol[t, n]))
+            assert bool(square[t, n]) == found, (p, t, n)
+    assert n_scalar == p
+
+
+# Up to a second per example, so no shrinking: a failing prime is reported as drawn.
+@settings(max_examples=8, phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from([int(q) for q in primes_upto(400)[1:]]))
+def test_census_matches_class_decisions(p):
+    """The blocked rule gives the same Census as one decision per class."""
+    F = field(p)
+    assert census(F) == census_by_classes(F)
+
+
 def test_census_p257():
     p = 257
+    cen = census(field(p))
+    assert cen.n_singular == p**4 - (p * p - 1) * (p * p - p)
+    assert abs(cen.ratio - 5 / 8) <= 5 / p
+
+
+def test_census_p1009():
+    p = 1009
     cen = census(field(p))
     assert cen.n_singular == p**4 - (p * p - 1) * (p * p - p)
     assert abs(cen.ratio - 5 / 8) <= 5 / p
