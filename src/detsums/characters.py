@@ -23,13 +23,26 @@ class CharValue(NamedTuple):
 CHAR_ZERO = CharValue(True, 0)
 
 
+_H = math.sqrt(3) / 2  # correctly rounded: the one irrational coordinate of a twelfth root
+# e(m/12) for m = 0, ..., 11; every coordinate 0, +-1/2 or +-1 is exact
+_TWELFTH_ROOTS = np.array(
+    [1, _H + 0.5j, 0.5 + _H * 1j, 1j, -0.5 + _H * 1j, -_H + 0.5j]
+    + [-1, -_H - 0.5j, -0.5 - _H * 1j, -1j, 0.5 - _H * 1j, _H - 0.5j]
+)
+
+
 def roots_of_unity(d):
-    """Complex array [e(0/d), e(1/d), ..., e((d-1)/d)]; exact for d = 2 and d = 4."""
-    if d == 2:
-        return np.array([1.0 + 0.0j, -1.0 + 0.0j])
-    if d == 4:
-        return np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
-    return np.exp(2j * np.pi * np.arange(d) / d)
+    """Complex array [e(0/d), e(1/d), ..., e((d-1)/d)].
+
+    Where d divides 12k (decided on integers, never by a float tolerance)
+    e(k/d) is the twelfth root e((12k/d)/12), so orders 2 and 4 read out
+    exactly and orders 3 and 6 have exact real parts; the rest is np.exp.
+    """
+    k = np.arange(d)
+    roots = np.exp(2j * np.pi * k / d)
+    exact = 12 * k % d == 0
+    roots[exact] = _TWELFTH_ROOTS[12 * k[exact] // d]
+    return roots
 
 
 def contract(per_index, d):
@@ -198,6 +211,20 @@ class Character:
             self._ktab = tab
         return self._ktab
 
+    def tally(self, xs, weights=None):
+        """(per-index totals, chi(0) total) of chi over the integers xs, each reduced mod p.
+
+        Unweighted: int64 counts.  Weighted (an array shaped like xs):
+        float sums of the weights, per index in element order.  Outside
+        this module the index table is read only through this method.
+        """
+        ks = self.index_table()[np.asarray(xs, dtype=np.int64) % self.field.p]
+        nz = ks >= 0
+        if weights is None:
+            return np.bincount(ks[nz], minlength=self.d), int(np.count_nonzero(~nz))
+        w = np.asarray(weights)
+        return np.bincount(ks[nz], weights=w[nz], minlength=self.d), float(w[~nz].sum())
+
     def eval(self, x):
         """CharValue of chi(x) for a residue 0 <= x < p, read from index_table()."""
         if not 0 <= x < self.field.p:
@@ -240,13 +267,8 @@ def interval_sum(chi, M, N):
     """
     if N < 0:
         raise ValidationError("interval length N must be >= 0, got %d" % N)
-    p = chi.field.p
-    ktab = chi.index_table()
-    xs = (M % p + np.arange(N + 1, dtype=np.int64)) % p
-    ks = ktab[xs]
-    nz = ks >= 0
-    counts = np.bincount(ks[nz], minlength=chi.d).astype(np.int64)
-    return CharSumAccumulator(chi.d, counts, int(np.count_nonzero(~nz)))
+    counts, zero_terms = chi.tally(M % chi.field.p + np.arange(N + 1, dtype=np.int64))
+    return CharSumAccumulator(chi.d, counts, zero_terms)
 
 
 def check_shifts(D_set, p):

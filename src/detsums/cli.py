@@ -56,8 +56,9 @@ def _check_capped(flag, n, name):
 
 def _collect_primes(args):
     ps = []
-    if args.p:
-        ps.extend(_parse_int_list("--p", args.p))
+    for p in _parse_int_list("--p", args.p):
+        _check_capped("--p", p, "p")  # every prime, before any task runs
+        ps.append(p)
     if args.p_range:
         try:
             lo, hi = (int(tok) for tok in args.p_range.split(":"))

@@ -3,8 +3,9 @@
 A PrimeField holds only p and a primitive root g, so building one costs
 the O(sqrt p) factorization of p - 1.  Dense per-residue tables are built
 on demand: every power of g by one blocked walk (`PrimeField.powers`,
-which `Character.index_table` scatters), the Legendre table and the
-square-root table, each by one vectorized pass.  The field and its tables
+which a character's index table scatters), and the square-root table
+`root_table`, the one table of squares, whose sign is the Legendre
+symbol, by one vectorized scatter.  The field and its tables
 are held to one modulus cap (default 2*10^6, override with the
 DETSUM_MAX_TABLE environment variable).  `factorize` is the package's one
 trial-division factorization: the primitive-root check and `sifter.tau`
@@ -97,15 +98,14 @@ class PrimeField:
 
     Do not construct directly; use make_field, which validates p, checks
     the table cap and finds the primitive root g.  Nothing is tabulated
-    up front: the Legendre and square-root tables are built on first use.
+    up front: the square-root table is built on first use.
     """
 
-    __slots__ = ("p", "g", "_leg", "_roots")
+    __slots__ = ("p", "g", "_roots")
 
     def __init__(self, p, g):
         self.p = p
         self.g = g
-        self._leg = None
         self._roots = None
 
     def __repr__(self):
@@ -140,23 +140,10 @@ class PrimeField:
             return (0,)
         return (r, self.p - r)
 
-    def legendre_table(self):
-        """legendre_table(p), built once per field."""
-        if self._leg is None:
-            self._leg = legendre_table(self.p)
-        return self._leg
-
     def root_table(self):
-        """int32 array R: R[x] is the square root of x in [0, (p-1)/2], -1 off the squares; built once per field.
-
-        Each nonzero square has exactly one root in [1, (p-1)/2], so the
-        r*r scatter writes every square once.
-        """
+        """root_table(p), built once per field."""
         if self._roots is None:
-            r = np.arange((self.p + 1) // 2, dtype=np.int64)
-            roots = np.full(self.p, -1, dtype=np.int32)
-            roots[r * r % self.p] = r
-            self._roots = roots
+            self._roots = root_table(self.p)
         return self._roots
 
     def powers(self):
@@ -166,7 +153,7 @@ class PrimeField:
         give g^(iB) per row i and g^j for j < B; their outer product mod p
         (products below p^2 < 2^62) gives all p - 1 powers in order.
         Nothing here checks that g is primitive: a caller that needs every
-        unit to appear must check it (`Character.index_table` does).
+        unit to appear must check it (a character's index table does).
         """
         p, g = self.p, self.g
         B = math.isqrt(p - 2) + 1
@@ -192,17 +179,19 @@ def _check_table_size(n, name="p"):
         raise TooLarge("%s=%d exceeds the table cap %d (DETSUM_MAX_TABLE)" % (name, n, cap))
 
 
-def legendre_table(p):
-    """int8 array L with L[x] = (x/p) for an odd prime p, by marking squares.
+def root_table(p):
+    """int32 array R for an odd prime p: R[x] is the square root of x in [0, (p-1)/2], -1 off the squares.
 
-    O(p) time and memory, so it is held to the field's table cap.
+    The package's one table of squares.  Each nonzero square has exactly
+    one root in [1, (p-1)/2], so the one r*r scatter writes every square
+    once, and sign(R[x]) is the Legendre symbol (x/p).  O(p) time and
+    memory, so it is held to the field's table cap.
     """
     _check_table_size(p)
-    tab = np.full(p, -1, dtype=np.int8)
-    tab[0] = 0
-    r = np.arange(1, p, dtype=np.int64)
-    tab[(r * r) % p] = 1
-    return tab
+    r = np.arange((p + 1) // 2, dtype=np.int64)
+    roots = np.full(p, -1, dtype=np.int32)
+    roots[r * r % p] = r
+    return roots
 
 
 def make_field(p):

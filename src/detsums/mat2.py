@@ -135,14 +135,13 @@ def _square_classes(F, t):
     norm n is a square; a repeated one iff t/2 is a nonzero square.
     """
     p = F.p
-    leg = F.legendre_table()
+    R = F.root_table()  # R[x] >= 0 on the squares, 0 included; sign(R[x]) is (x/p)
     half = (p + 1) // 2  # 1/2 mod p
     n = np.arange(p, dtype=np.int64)
-    disc = (t * t - 4 * n) % p
-    symbol = leg[disc]
-    r = F.root_table()[disc]  # -1 off the squares, read only where symbol == 1
-    both_square = (leg[(t + r) * half % p] >= 0) & (leg[(t - r) * half % p] >= 0)
-    square = np.where(symbol == 1, both_square, np.where(symbol == -1, leg == 1, leg[t * half % p] == 1))
+    r = R[(t * t - 4 * n) % p]  # sqrt(disc), -1 off the squares, read only where symbol == 1
+    symbol = np.sign(r)
+    both_square = (R[(t + r) * half % p] >= 0) & (R[(t - r) * half % p] >= 0)
+    square = np.where(symbol == 1, both_square, np.where(symbol == -1, R > 0, R[t * half % p] > 0))
     return symbol, square
 
 
@@ -156,15 +155,12 @@ def _class_tally(F):
     """
     p = F.p
     rows = max(1, CENSUS_BLOCK_CELLS // p)
-    tally = np.zeros((3, 2, 2), dtype=np.int64)
+    singular = np.arange(p) == 0  # the n = 0 column
+    tally = np.zeros(12, dtype=np.int64)
     for lo in range(0, p, rows):
         symbol, square = _square_classes(F, np.arange(lo, min(lo + rows, p), dtype=np.int64)[:, None])
-        for s in (-1, 0, 1):
-            kind = symbol == s
-            for q, cls in enumerate((kind & ~square, kind & square)):
-                singular = np.count_nonzero(cls[:, 0])  # the n = 0 column
-                tally[s + 1, q] += np.count_nonzero(cls) - singular, singular
-    return tally
+        tally += np.bincount(((symbol + 1) * 4 + square * 2 + singular).ravel(), minlength=12)
+    return tally.reshape(3, 2, 2)
 
 
 def census(F, bound=DEFAULT_CENSUS_BOUND):
@@ -226,8 +222,8 @@ def pair_image_census(F):
     p = F.p
     if p > PAIR_CENSUS_BOUND:
         raise TooLarge("pair census needs p <= %d, got %d" % (PAIR_CENSUS_BOUND, p))
-    leg = F.legendre_table()
-    squares = np.flatnonzero(leg >= 0)  # the (p+1)/2 squares, 0 included, increasing
+    R = F.root_table()  # sign(R[x]) is (x/p)
+    squares = np.flatnonzero(R >= 0)  # the (p+1)/2 squares, 0 included, increasing
 
     type_a = 0
     uniques = []
@@ -235,7 +231,7 @@ def pair_image_census(F):
     for lo in range(0, p, slab):
         s = np.arange(lo, min(lo + slab, p), dtype=np.int64).reshape(-1, 1)
         disc = (squares - 4 * s) % p
-        type_a += int(np.count_nonzero(leg[disc] == 1))
+        type_a += int(np.count_nonzero(R[disc] > 0))
         codes = ((s * s) % p) * p + (squares - 2 * s) % p
         uniques.append(np.unique(codes))
     image = int(np.unique(np.concatenate(uniques)).size)

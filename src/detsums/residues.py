@@ -3,8 +3,9 @@
 Operations accept either a PrimeField or a plain int modulus, so a scan
 over many primes (say every p up to 10^6) needs no field per prime and
 so no primitive-root search.  Both paths find the least non-residue by
-the Euler criterion and count non-residues from the squares table
-`legendre_table(p)` (cached on a field), held to the field's table cap.
+the Euler criterion and count non-residues from the one table of
+squares, `root_table(p)` (cached on a field), whose sign is the Legendre
+symbol; it is held to the field's table cap.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import mat2
 from .errors import InternalInvariantViolation, ValidationError
-from .fp_arith import PrimeField, check_odd_prime, legendre_table
+from .fp_arith import PrimeField, check_odd_prime, root_table
 
 
 def _as_modulus(F):
@@ -37,8 +38,8 @@ def count_nonresidues(F, X):
     p = _as_modulus(F)
     if not 1 <= X < p:
         raise ValidationError("need 1 <= X < p, got X=%d with p=%d" % (X, p))
-    table = F.legendre_table() if isinstance(F, PrimeField) else legendre_table(p)
-    return int(np.count_nonzero(table[1 : X + 1] < 0))
+    table = F.root_table() if isinstance(F, PrimeField) else root_table(p)
+    return int(np.count_nonzero(table[1 : X + 1] < 0))  # sign(R[n]) = (n/p), and n != 0 here
 
 
 class NonResidueReport(NamedTuple):

@@ -8,8 +8,11 @@ binned s and u sums and the Delta-profile share one determinant
 correlation, an O(N^2 log N) real FFT with a rounding certificate: for
 integral weights (unit, +-1, or in {-1, 0, 1}) it is rounded to exact
 integers below the guard N^4 < 2^53 and raises Overflow above; other
-weights keep a float result within 1e-9 * N^4.  Agreement of the two
-routes is the module's core correctness check.
+weights keep a float result within 1e-9 * N^4.  The character is read
+only through `characters`: `shifted_sums` for the binned t sum, and
+`Character.tally` everywhere else, on the lags Delta of the binned s and
+u sums and on blocks of raw determinants ad - bc in the direct routes.
+Agreement of the two routes is the module's core correctness check.
 """
 
 from typing import NamedTuple
@@ -154,48 +157,33 @@ def delta_profile(N):
     return prof
 
 
-def _direct_blocks(chi, N):
-    """Index-table values of chi(ad - bc) over [1,N]^4, in blocks of (a,d) rows.
+def _direct_blocks(N):
+    """The determinants ad - bc over [1,N]^4, in blocks of (a,d) rows.
 
-    Yields (rows, ks): ks[i, j] is the index of chi(ad - bc), -1 for
-    chi(0), where (a,d) is the product pair of row rows.start + i and (b,c)
-    that of column j, both numbered as in _products(N, N).  Blocks keep
-    scratch memory under _DIRECT_CHUNK entries.
+    Yields (rows, dets): dets[i, j] = ad - bc as an int64, where (a,d) is
+    the product pair of row rows.start + i and (b,c) that of column j,
+    both numbered as in _products(N, N).  Blocks keep scratch memory
+    under _DIRECT_CHUNK entries.
     """
-    p = chi.field.p
-    ktab = chi.index_table()
     prods = _products(N, N)
     step = max(1, _DIRECT_CHUNK // len(prods))
     for lo in range(0, len(prods), step):
-        diff = (prods[lo : lo + step, None] - prods[None, :]) % p
-        yield slice(lo, lo + step), ktab[diff]
-
-
-def _binned(chi, N, corr):
-    """(per-index totals, chi(0) total) of a determinant correlation corr.
-
-    corr[i] is the weight of Delta = i - (N^2 - 1); it is added to the
-    index of chi(Delta mod p), or to the chi(0) total when p divides Delta.
-    """
-    top = N * N - 1
-    ks = chi.index_table()[np.arange(-top, top + 1, dtype=np.int64) % chi.field.p]
-    nz = ks >= 0
-    return np.bincount(ks[nz], weights=corr[nz], minlength=chi.d), corr[~nz].sum()
+        yield slice(lo, lo + step), prods[lo : lo + step, None] - prods[None, :]
 
 
 def s_sum_direct(chi, N):
     """S(N, chi) = sum over all (a,b,c,d) in [1,N]^4 of chi(ad - bc), term by term.
 
-    The O(N^4) reference route: every quadruple contributes one table
-    lookup (blocked to keep scratch memory flat).
+    The O(N^4) reference route: every quadruple's determinant is tallied
+    by chi (blocked to keep scratch memory flat).
     """
     N = _check_length(N, chi.field.p)
     counts = np.zeros(chi.d, dtype=np.int64)
     zero_terms = 0
-    for _, ks in _direct_blocks(chi, N):
-        nz = ks >= 0
-        counts += np.bincount(ks[nz], minlength=chi.d)
-        zero_terms += int(np.count_nonzero(~nz))
+    for _, dets in _direct_blocks(N):
+        block_counts, block_zeros = chi.tally(dets)
+        counts += block_counts
+        zero_terms += block_zeros
     return CharSumAccumulator(chi.d, counts, zero_terms)
 
 
@@ -206,7 +194,8 @@ def s_sum_binned(chi, N):
     multiples of p land in the zero tally like any other chi(0) term.
     """
     N = _check_length(N, chi.field.p)
-    counts, zero_terms = _binned(chi, N, delta_profile(N).counts)
+    profile = delta_profile(N).counts  # its guard fires before the lags Delta are built
+    counts, zero_terms = chi.tally(np.arange(1 - N * N, N * N, dtype=np.int64), profile)
     return CharSumAccumulator(chi.d, counts, zero_terms)
 
 
@@ -226,7 +215,8 @@ def u_sum(chi, alpha, beta, N):
     in [-1, 1] keep the float correlation, within 1e-9 * N^4 per entry.
     """
     N = _check_length(N, chi.field.p)
-    per_index, _ = _binned(chi, N, _correlation(_weight_array(alpha, N), _weight_array(beta, N)))
+    corr = _correlation(_weight_array(alpha, N), _weight_array(beta, N))  # guard before the lags
+    per_index, _ = chi.tally(np.arange(1 - N * N, N * N, dtype=np.int64), corr)
     return complex(contract(per_index, chi.d))
 
 
@@ -236,10 +226,8 @@ def u_sum_direct(chi, alpha, beta, N):
     w_ad = np.repeat(_weight_array(alpha, N), N)  # weight of the (a,d) slot is alpha_a
     w_bc = np.repeat(_weight_array(beta, N), N)
     per_index = np.zeros(chi.d)
-    for rows, ks in _direct_blocks(chi, N):
-        w2 = np.outer(w_ad[rows], w_bc)
-        nz = ks >= 0  # chi(0) terms drop out of the weighted sum
-        np.add.at(per_index, ks[nz], w2[nz])
+    for rows, dets in _direct_blocks(N):
+        per_index += chi.tally(dets, np.outer(w_ad[rows], w_bc))[0]  # chi(0) terms drop out
     return complex(contract(per_index, chi.d))
 
 
@@ -288,6 +276,11 @@ def t_abs_sum(chi, A, B, C, D_set, alpha):
     Factoring chi(c) out of each term leaves sum_lam I(lam) * |inner(lam)|,
     so the triple loop collapses onto the ratio bins.  Needs A*B*C < p.
     """
+    return _t_abs_with_bins(chi, A, B, C, D_set, alpha)[0]
+
+
+def _t_abs_with_bins(chi, A, B, C, D_set, alpha):
+    """(t_abs_sum, the ratio bins it was summed over), so holder_chain builds the bins once."""
     p = chi.field.p
     if int(A) * int(B) * int(C) >= p:
         raise DomainTooLarge("t_abs_sum needs A*B*C < p")
@@ -296,25 +289,20 @@ def t_abs_sum(chi, A, B, C, D_set, alpha):
     table = ratio_bins(chi.field, A, B, C)
     lams = np.flatnonzero(table.counts)
     mags = np.abs(shifted_sums(chi, lams, [(-s, alpha[s]) for s in ds]))
-    return float(np.sum(table.counts[lams] * mags))
+    return float(np.sum(table.counts[lams] * mags)), table
 
 
 def t_abs_sum_direct(chi, A, B, C, D_set, alpha):
     """O(ABC*D) reference route for t_abs_sum, one term per triple."""
-    p = chi.field.p
     alpha = as_weights(alpha)
-    ds = check_shifts(D_set, p)
-    ktab = chi.index_table()
+    ds = check_shifts(D_set, chi.field.p)
+    shifts = np.array(ds, dtype=np.int64)
+    weights = np.array([alpha[d0] for d0 in ds])
     total = 0.0
     for a in range(1, int(A) + 1):
         for b in range(1, int(B) + 1):
-            ab = a * b
             for c in range(1, int(C) + 1):
-                per = np.zeros(chi.d)
-                for d0 in ds:
-                    k = ktab[(ab - c * d0) % p]
-                    if k >= 0:
-                        per[k] += alpha[d0]
+                per, _ = chi.tally(a * b - c * shifts, weights)
                 total += abs(contract(per, chi.d))
     return total
 
@@ -337,9 +325,8 @@ class HolderChain(NamedTuple):
 
 def holder_chain(chi, A, B, C, D_set, alpha, nu):
     """The three-factor bound lhs <= sigma1 * sigma2 * sigma3 as computed numbers."""
-    t = t_abs_sum(chi, A, B, C, D_set, alpha)
+    t, table = _t_abs_with_bins(chi, A, B, C, D_set, alpha)
     sigma1 = de_moment(chi, D_set, alpha, nu)
     sigma2 = float(int(A) * int(B) * int(C)) ** (2 * nu - 2)
-    table = ratio_bins(chi.field, A, B, C)
     sigma3 = float(np.sum(table.counts.astype(np.float64) ** 2))
     return HolderChain(t ** (2 * nu), sigma1, sigma2, sigma3)

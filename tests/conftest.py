@@ -144,15 +144,16 @@ def conjugacy_classes(F):
 
     The p scalar classes u*I have size 1; the p^2 non-scalar classes are
     one per characteristic polynomial x^2 - t*x + n, represented by the
-    companion matrix [[0, -n], [1, t]].
+    companion matrix [[0, -n], [1, t]].  Class sizes take the symbol of
+    the discriminant from the Euler criterion, not from the root table
+    the census reads.
     """
     p = F.p
-    leg = F.legendre_table().tolist()
     for u in range(p):
         yield Mat2(u, 0, 0, u), u * u % p, 1
     for t in range(p):
         for n in range(p):
-            yield Mat2(0, -n % p, 1, t), n, _class_size(p, leg[(t * t - 4 * n) % p])
+            yield Mat2(0, -n % p, 1, t), n, _class_size(p, F.legendre((t * t - 4 * n) % p))
 
 
 def census_by_classes(F):

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from detsums import (
     interval_sum,
     make_character,
 )
-from detsums import cli, fp_arith
+from detsums import characters, cli, fp_arith
 from detsums.characters import CHAR_ZERO, CharSumAccumulator, contract, roots_of_unity, shifted_sums
 from detsums.sifter import primes_upto
 
@@ -100,6 +101,68 @@ def test_index_table_certificate_rejects_non_primitive_root(monkeypatch, capsys)
     finally:
         cli._field.cache_clear()
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+@given(st.data())
+def test_tally_matches_eval(data):
+    """tally(xs) and tally(xs, weights) total chi(x mod p) as eval reads it, for drawn p, d | p-1.
+
+    xs mixes negatives, values >= p and multiples of p; weighted per-index
+    totals are summed in element order, so they match the loop exactly.
+    """
+    p = data.draw(st.sampled_from(ODD_PRIMES_BELOW_5000))
+    d = data.draw(st.sampled_from([q for q in range(2, p) if (p - 1) % q == 0]))
+    chi = make_character(field(p), d)
+    xs = data.draw(
+        st.lists(
+            st.one_of(
+                st.integers(-3 * p, 3 * p),
+                st.integers(-5, 5).map(lambda k: k * p),
+                st.integers(-(2**62), 2**62),
+            ),
+            max_size=80,
+        )
+    )
+    ws = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(xs), max_size=len(xs)))
+    counts, zero_terms = np.zeros(d, dtype=np.int64), 0
+    sums, zero_sum = [0.0] * d, 0.0
+    for x, w in zip(xs, ws):
+        v = chi.eval(x % p)
+        if v.zero:
+            zero_terms += 1
+            zero_sum += w
+        else:
+            counts[v.k] += 1
+            sums[v.k] += w
+    got, got_zero = chi.tally(np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64 and np.array_equal(got, counts) and got_zero == zero_terms
+    got, got_zero = chi.tally(np.array(xs, dtype=np.int64), np.array(ws))
+    assert got.tolist() == sums
+    assert math.isclose(got_zero, zero_sum, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_only_characters_reads_the_index_table():
+    """Other modules read the index table only through Character.tally, so only characters.py names it."""
+    src = pathlib.Path(characters.__file__).parent
+    assert sorted(f.name for f in src.glob("*.py") if "index_table" in f.read_text()) == ["characters.py"]
+
+
+def test_roots_of_unity_exact_where_d_divides_12k():
+    """Orders 2 and 4 keep their exact roots bit for bit; 3, 6 and 12 have exact rational coordinates."""
+    assert roots_of_unity(2).tobytes() == np.array([1.0 + 0.0j, -1.0 + 0.0j]).tobytes()
+    assert roots_of_unity(4).tobytes() == np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]).tobytes()
+    h = math.sqrt(3) / 2
+    for d in (3, 6, 12):
+        roots = roots_of_unity(d)
+        for k, z in enumerate(roots):
+            want = cmath.exp(2j * math.pi * k / d)
+            for got, ref in ((z.real, want.real), (z.imag, want.imag)):
+                exact = min((0.0, 0.5, 1.0, -0.5, -1.0, h, -h), key=lambda c: abs(c - ref))
+                assert got == exact, (d, k)
+    # decided on integers: at d = 10^6 only k = 0, d/4, d/2, 3d/4 are exact, and e(1/d) is not snapped to 1
+    roots = roots_of_unity(10**6)
+    assert (roots[0], roots[250_000], roots[500_000], roots[750_000]) == (1, 1j, -1, -1j)
+    assert roots[1].real < 1.0 and roots[1].imag > 0.0
 
 
 @given(

@@ -116,6 +116,21 @@ def test_bad_out_path_named_before_tasks_run(tmp_path, capsys, monkeypatch):
     assert ran == []
 
 
+def test_p_above_cap_named_before_tasks_run(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", "s", "--p", "101,3000017", "--n-grid", "5"]) == 2
+    assert "--p: p=3000017 exceeds the table cap" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_order_6_scan_real_parts_are_exact(capsys):
+    argv = ["scan", "--kind", "s", "--p", "10009", "--order", "6", "--n-grid", "10,50,100"]
+    assert run_cli(argv) == 0
+    rows = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert [row["re_value"] for row in rows] == ["629.0", "-105068.0", "-330750.0"]
+
+
 def test_order_4_scan_is_exact(capsys):
     assert run_cli(["scan", "--kind", "s", "--p", "10009", "--order", "4", "--n-grid", "10"]) == 0
     (row,) = csv.DictReader(capsys.readouterr().out.splitlines())

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,21 @@ def test_correlation_guard_before_fft(monkeypatch):
         s_sum_binned(chi, 10_000)
     with pytest.raises(Overflow):
         u_sum(chi, ones, ones, 10_000)
+
+
+def test_binned_sums_refuse_before_allocating():
+    # N^4 >= 2^53 at N = 10^4: Overflow before the correlation or the 2N^2 - 1 lags (1.6 GB) exist
+    chi = make_character(field(100_003), 2)
+    ones = WeightSeq.ones(range(1, 10_001))
+    for call in (lambda: s_sum_binned(chi, 10_000), lambda: u_sum(chi, ones, ones, 10_000)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Overflow):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_delta_profile_large_mass_and_symmetry():
