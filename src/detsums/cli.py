@@ -17,8 +17,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from importlib import resources
 
 import numpy as np
 
@@ -206,6 +204,8 @@ def _build_tasks(args):
 
 
 def default_calibration_path():
+    from importlib import resources  # imported here: only calibrate needs it
+
     return str(resources.files("detsums") / "data" / "calibration.txt")
 
 
@@ -231,6 +231,8 @@ def _cmd_scan(args):
     _check_out("--out", args.out)  # before any task runs, so a long scan cannot fail at the end
     t0 = time.perf_counter()
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: a serial scan needs no pool
+
         with ProcessPoolExecutor(max_workers=args.workers) as ex:
             chunks = list(ex.map(_run_task, tasks))
     else:

@@ -5,9 +5,11 @@ over many primes (say every p up to 10^6) needs no field per prime and
 so no primitive-root search.  Both paths find the least non-residue by
 the Euler criterion and count non-residues from the one table of
 squares, `root_table(p)` (cached on a field), whose sign is the Legendre
-symbol; it is held to the field's table cap.
+symbol; it is held to the field's table cap.  An int p is checked for
+primality once per report, however many operations the report runs.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -18,9 +20,15 @@ from .errors import InternalInvariantViolation, ValidationError
 from .fp_arith import PrimeField, check_odd_prime, root_table
 
 
+@functools.lru_cache(maxsize=1)
+def _checked_prime(p):
+    """check_odd_prime(p), remembered for the last p (a NotPrime is never cached)."""
+    return check_odd_prime(p)
+
+
 def _as_modulus(F):
     """p from a PrimeField or a validated int prime."""
-    return F.p if isinstance(F, PrimeField) else check_odd_prime(F)
+    return F.p if isinstance(F, PrimeField) else _checked_prime(F)
 
 
 def least_nonresidue(F):

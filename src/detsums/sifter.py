@@ -3,9 +3,12 @@
 A_r(N; x, y) partitions [1, N] by the number r of prime divisors inside
 the window (x, y], counted with multiplicity by default (a flag switches
 to distinct primes).  The strata and the table of tau_s(m) for m <= M
-come from one walk over prime powers q^e (`_prime_powers`), each a
-strided numpy slice update; a single tau value comes from
-`fp_arith.factorize`.  The module also measures the constants hidden in
+come from one walk over prime powers q^e (`_prime_powers`) of the primes
+q <= sqrt(N), each a strided numpy slice update.  A prime q > sqrt(N)
+divides each n <= N at most once, so its only update is at e = 1; the
+multiples of all such primes are built together and applied in blocks of
+about 2^18 indices (`_large_prime_multiples`).  A single tau value comes
+from `fp_arith.factorize`.  The module also measures the constants hidden in
 the asymptotic bounds on a fixed grid, so they can be pinned in a
 calibration file and re-asserted by the test suite.
 """
@@ -42,6 +45,37 @@ def _prime_powers(primes, N):
             e, qe = e + 1, qe * q
 
 
+# Indices per block of the large-prime pass: its temporaries stay at a few MB.
+_BLOCK = 1 << 18
+
+
+def _large_prime_multiples(primes, N):
+    """Yield every multiple k*q <= N of each q in `primes`, in blocks of about _BLOCK indices.
+
+    Meant for primes q > isqrt(N), each dividing any n <= N at most once.
+    A prime that appears twice in `primes` has its multiples yielded twice,
+    so callers apply a block with `np.add.at` / `np.multiply.at`.
+    """
+    counts = N // primes
+    ends = np.cumsum(counts)  # ends[i]: how many multiples primes[:i + 1] have in all
+    lo = 0
+    while lo < primes.size:
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK, side="right")))
+        cnt = counts[lo:hi]
+        block = np.arange(start + 1, int(ends[hi - 1]) + 1, dtype=np.int64)
+        block -= np.repeat(ends[lo:hi] - cnt, cnt)  # k = 1, 2, ... within each prime's run
+        block *= np.repeat(primes[lo:hi], cnt)
+        yield block
+        lo = hi
+
+
+def _split_at_root(primes, N):
+    """(primes q <= isqrt(N), primes q > isqrt(N))."""
+    r = math.isqrt(N)
+    return primes[primes <= r], primes[primes > r]
+
+
 class SiftProfile(NamedTuple):
     N: int
     x: float
@@ -56,17 +90,24 @@ def sift(N, x, y, multiplicity=True):
 
     Window primes are the q with x < q <= y.  In multiplicity mode the
     count of n is sum of exponents of window primes in n; otherwise the
-    number of distinct window primes dividing n.  N is held to the table
-    cap (TooLarge) before the length-N tally is allocated.
+    number of distinct window primes dividing n.  Window primes up to
+    sqrt(N) walk their powers; the larger ones add 1 on their multiples
+    in blocks, so the temporaries beside the int64 tally of N + 1 entries
+    stay at a few MB.  N is held to the table cap (TooLarge) before the
+    length-N tally is allocated.
     """
     N = int(N)
     if not N >= y >= x >= 2:
         raise BadWindow("need N >= y >= x >= 2, got N=%s x=%s y=%s" % (N, x, y))
     _check_table_size(N, "N")
     counts = np.zeros(N + 1, dtype=np.int64)
-    for q, e, qe in _prime_powers(primes_upto(math.floor(y)), N):
-        if q > x and (multiplicity or e == 1):
+    window = primes_upto(math.floor(y))
+    small, large = _split_at_root(window[window > x], N)
+    for _, e, qe in _prime_powers(small, N):
+        if multiplicity or e == 1:
             counts[qe::qe] += 1
+    for block in _large_prime_multiples(large, N):
+        np.add.at(counts, block, 1)
     sizes = np.bincount(counts[1:])
     return SiftProfile(N, float(x), float(y), multiplicity, tuple(int(v) for v in sizes), len(sizes) - 1)
 
@@ -101,10 +142,13 @@ def tau_square_average(M, s):
     """Exact sum of tau_s(m)^2 over m <= M, as a Python int; O(M log log M).
 
     Builds tau_s(m) for every m <= M in one int64 array by the prime-power
-    walk: at q^e, each multiple of q^e swaps its factor C(e+s-2, s-1) for
-    C(e+s-1, s-1) (the division is exact).  The sum of squares is taken in
-    int64 only while max(tau)^2 * M < 2^63; above that it raises Overflow.
-    M is held to the table cap (TooLarge) before the table is allocated.
+    walk over q <= sqrt(M): at q^e, each multiple of q^e swaps its factor
+    C(e+s-2, s-1) for C(e+s-1, s-1) (the division is exact).  A prime
+    q > sqrt(M) only has e = 1, where that swap is a factor
+    C(s, s-1) / C(s-1, s-1) = s, applied to its multiples in blocks of a
+    few MB.  The sum of squares is taken in int64 only while
+    max(tau)^2 * M < 2^63; above that it raises Overflow.  M is held to
+    the table cap (TooLarge) before the table is allocated.
     """
     M = int(M)
     if M < 1:
@@ -114,8 +158,11 @@ def tau_square_average(M, s):
         raise ValueError("s must be in {2, 3, 4}")
     _check_table_size(M, "M")
     t = np.ones(M + 1, dtype=np.int64)
-    for _, e, qe in _prime_powers(primes_upto(M), M):
+    small, large = _split_at_root(primes_upto(M), M)
+    for _, e, qe in _prime_powers(small, M):
         t[qe::qe] = t[qe::qe] // math.comb(e + s - 2, s - 1) * math.comb(e + s - 1, s - 1)
+    for block in _large_prime_multiples(large, M):
+        np.multiply.at(t, block, s)
     t = t[1:]
     if int(t.max()) ** 2 * M >= 2**63:
         raise Overflow("sum of tau_%d(m)^2 over m <= %d may exceed int64" % (s, M))
@@ -126,7 +173,11 @@ def prime_tail(x, P):
     """Sum of 1/q^2 over primes q with x <= q <= P (0 for an empty range)."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    qs = primes_upto(P)
+    return _prime_tail(primes_upto(P), x)
+
+
+def _prime_tail(qs, x):
+    """Sum of 1/q^2 over the primes q >= x in the prime array `qs`."""
     qs = qs[qs >= x]
     if qs.size == 0:
         return 0.0
@@ -175,8 +226,9 @@ def measure_constants():
             best = max(best, tau_square_average(M, s) / (M * math.log(2 * M) ** (s * s - 1)))
         out["tau%d_C" % s] = best
     best = 0.0
+    qs = primes_upto(TAIL_P)  # one sieve for the whole tail grid
     for x in TAIL_GRID_X:
-        best = max(best, prime_tail(x, TAIL_P) * x * math.log(2 * x))
+        best = max(best, _prime_tail(qs, x) * x * math.log(2 * x))
     out["prime_tail_C"] = best
     return out
 

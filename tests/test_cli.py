@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +165,20 @@ def test_worker_count_independence(tmp_path):
     assert run_cli(args + ["--workers", "1", "--out", str(one)]) == 0
     assert run_cli(args + ["--workers", "3", "--out", str(two)]) == 0
     assert strip_wall(read_rows(one)) == strip_wall(read_rows(two))
+
+
+def test_import_leaves_worker_pool_unloaded():
+    """Importing the CLI in a fresh interpreter loads neither concurrent.futures nor multiprocessing."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, detsums.cli; print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def test_p_range_from_1_names_the_first_non_odd_prime(capsys):
+    assert run_cli(["scan", "--kind", "nonresidue", "--p-range", "1:100"]) == 2
+    assert "got 2" in capsys.readouterr().err
 
 
 def test_delta_profile_scan(tmp_path):

@@ -180,6 +180,14 @@ def test_is_prime_small():
     assert not is_prime(2_147_483_647 * 3)
 
 
+def test_is_prime_beyond_bases_2_to_37():
+    """The least strong pseudoprime to the bases 2..37 is composite to is_prime."""
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert is_prime(2**89 - 1)  # a Mersenne prime inside the documented range, n < 3.3 * 10^24
+
+
 def test_factorize():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(97) == [(97, 1)]

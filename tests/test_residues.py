@@ -1,9 +1,11 @@
 """Least non-residue scans and the small non-square construction."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from detsums import cli, fp_arith, residues
 from detsums import (
     NotPrime,
     construct_nonsquare,
@@ -45,6 +47,43 @@ def test_int_path_validates():
         least_nonresidue(15)
     with pytest.raises(NotPrime):
         least_nonresidue(2)
+
+
+@pytest.fixture
+def prime_checks(monkeypatch):
+    """Counter of fp_arith.is_prime calls by argument, starting from an empty check cache."""
+    calls = Counter()
+    real = fp_arith.is_prime
+
+    def spy(n):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(fp_arith, "is_prime", spy)
+    residues._checked_prime.cache_clear()
+    return calls
+
+
+def test_report_checks_an_int_prime_once(prime_checks):
+    for p in (10007, 101, 10007):  # one remembered prime: 10007 is checked again after 101
+        prime_checks.clear()
+        nonresidue_report(p, 10)
+        assert prime_checks == {p: 1}
+
+
+def test_scan_checks_each_prime_at_most_twice(prime_checks, capsys):
+    assert cli.main(["scan", "--kind", "nonresidue", "--p-range", "3:200", "--out", "-"]) == 0
+    primes = [int(q) for q in primes_upto(200)[1:]]
+    assert set(prime_checks) == set(primes)
+    assert max(prime_checks.values()) <= 2
+
+
+def test_not_prime_is_never_cached():
+    for _ in range(2):
+        with pytest.raises(NotPrime):
+            nonresidue_report(9, 2)
+        with pytest.raises(NotPrime):
+            least_nonresidue(15)
 
 
 def test_least_is_prime_sample():

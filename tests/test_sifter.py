@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,43 @@ def sift_window(draw):
 @given(sift_window())
 def test_sift_matches_oracle_property(window):
     assert_sift_matches_oracle(*window)
+
+
+def test_sift_split_at_root_matches_oracle():
+    """Windows that straddle sqrt(N) = 97, where the walk hands over to the blocked pass."""
+    q = 97
+    for N in (q * q - 1, q * q, q * q + 1):
+        for x, y in ((2, N), (q - 1, q + 1), (q, N)):
+            assert_sift_matches_oracle(N, x, y)
+
+
+def test_large_prime_multiples_blocks():
+    """Every multiple of every prime, once per copy of the prime, in blocks of at most _BLOCK."""
+    N = 3 * sifter._BLOCK
+    qs = primes_upto(N)
+    qs = qs[qs > math.isqrt(N)]
+    qs = np.concatenate([qs, qs[-1:]])  # the largest prime twice
+    blocks = list(sifter._large_prime_multiples(qs, N))
+    assert len(blocks) > 1
+    assert all(b.size <= sifter._BLOCK for b in blocks)
+    got = np.concatenate(blocks)
+    want = np.concatenate([np.arange(q, N + 1, q) for q in qs.tolist()])
+    assert np.array_equal(got, want)
+
+
+def test_sift_memory_stays_blocked():
+    """The large-prime pass adds a few MB at the table cap and nothing when no prime passes sqrt(N)."""
+    peaks = []
+    for args in ((2_000_000, 2, 2_000_000), (1_000_000, 5, 1000)):
+        tracemalloc.start()
+        try:
+            sift(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 32 * 2**20
+    tally = 8 * (1_000_000 + 1)  # the int64 tally itself
+    assert peaks[1] < tally + 2**19
 
 
 def test_sift_empty_window():
@@ -169,6 +207,13 @@ def test_tau_square_average():
     assert tau_square_average(10, 2) == 83
     for M in (50, 200):
         for s in (2, 3):
+            assert tau_square_average(M, s) == sum(tau(m, s) ** 2 for m in range(1, M + 1))
+
+
+def test_tau_square_average_split_at_root():
+    q = 97
+    for M in (q * q - 1, q * q, q * q + 1):
+        for s in (2, 3, 4):
             assert tau_square_average(M, s) == sum(tau(m, s) ** 2 for m in range(1, M + 1))
 
 
