@@ -285,38 +285,64 @@ def check_shifts(D_set, p):
 def shifted_sums(chi, lams, terms):
     """Contracted inner sums sum_{(s, w) in terms} w * chi(lam + s), one per lam in lams.
 
-    Weights are tallied per character index before the single contraction,
-    so +-1 weights with order 2 stay in exact arithmetic.  Shift by shift,
-    each index row adds the weight where chi(lam + s) has that index, so
-    every cell sums the same addends in the same order as a scatter-add.
-    For lams the full range 1..p-1 the shifted values are two contiguous
-    slices of the index table, with no gather.
+    lams=None asks for the full range lam = 1..p-1 without building it:
+    chi(lam + s) then reads two contiguous slices of the one-hot rows
+    (index table == j).  Weights are tallied per character index before
+    the single contraction, shift by shift, each row adding w where
+    chi(lam + s) has its index: the same addends in the same order as a
+    scatter-add.  A +-1 weight adds or subtracts the bool row in place;
+    any other weight adds w or a signed zero per cell.  The tally is int32
+    when d = 2 and every nonzero weight is +-1: the contraction is then an
+    integer difference, and a count is at most len(terms) < 2^31 in
+    absolute value (p - 1 for distinct shifts), so it is exact.  Otherwise
+    it is float64, since at d > 2 an int32 tally would be cast whole for
+    the contraction; its sums of +-1 are exact integers too.
     """
-    p = chi.field.p
+    p, d = chi.field.p, chi.d
     ktab = chi.index_table()
-    full = len(lams) == p - 1 and np.array_equal(lams, np.arange(1, p))
-    per_index = np.zeros((chi.d, len(lams)))
+    terms = [(s % p, w) for s, w in terms if w != 0.0]
+    int_tally = d == 2 and len(terms) < 2**31 and all(abs(w) == 1.0 for _, w in terms)
+    per_index = np.zeros((d, p - 1 if lams is None else len(lams)), dtype=np.int32 if int_tally else np.float64)
+    hots = [ktab == j for j in range(d)] if lams is None else None
     for s, w in terms:
-        if w == 0.0:
-            continue
-        if full:
-            s %= p
-            idx = np.concatenate((ktab[s + 1 :], ktab[:s]))
+        if lams is None:
+            # lam + s for lam = 1..p-1 runs through s+1..p-1, then wraps to 0..s-1
+            cut = p - 1 - s
+            for row, hot in zip(per_index, hots):
+                _add_where(row[:cut], w, hot[s + 1 :])
+                _add_where(row[cut:], w, hot[:s])
         else:
             idx = ktab[(lams + s) % p]
-        for j, row in enumerate(per_index):
-            row += w * (idx == j)  # w or a signed zero per cell: exactly the sums of np.add.at
-    return contract(per_index, chi.d)
+            for j, row in enumerate(per_index):
+                _add_where(row, w, idx == j)
+    return contract(per_index, d)
+
+
+def _add_where(cell, w, mask):
+    """cell += w where the bool mask is set: +-1 in place, any other w by a w-or-signed-zero row."""
+    if abs(w) == 1.0:
+        (np.add if w > 0 else np.subtract)(cell, mask, out=cell)
+    else:
+        cell += w * mask
 
 
 def de_moment(chi, D_set, alpha, nu):
-    """Shifted-product moment sum_{lam=1}^{p-1} |sum_{d in D} alpha_d chi(lam+d)|^(2 nu)."""
+    """Shifted-product moment sum_{lam=1}^{p-1} |sum_{d in D} alpha_d chi(lam+d)|^(2 nu).
+
+    The inner sums come from shifted_sums over the full range: an exact
+    int32 tally for +-1 weights at order 2, float64 otherwise.  The
+    readout squares them into one float64 row and applies the power in
+    place.
+    """
     alpha = as_weights(alpha)
     p = chi.field.p
     ds = check_shifts(D_set, p)
     nu = int(nu)
     if not 1 <= nu <= 6:
         raise ValidationError("moment index nu must be in [1, 6], got %d" % nu)
-    inner = shifted_sums(chi, np.arange(1, p, dtype=np.int64), [(s, alpha[s]) for s in ds])
-    mag2 = inner.real**2 + inner.imag**2
-    return float(np.sum(mag2**nu))
+    inner = shifted_sums(chi, None, [(s, alpha[s]) for s in ds])
+    mag2 = np.square(inner.real, dtype=np.float64)
+    if np.iscomplexobj(inner):
+        mag2 += np.square(inner.imag)
+    mag2 **= nu
+    return float(np.sum(mag2))

@@ -53,18 +53,24 @@ def _check_capped(flag, n, name):
 
 
 def _collect_primes(args):
+    """Sorted distinct primes from --p and --p-range; NotPrime for one that is not an odd prime.
+
+    Each --p value is tested once.  A prime sifted from --p-range needs no
+    test, but 2 still raises, so `--p-range 1:100` exits 2 with "got 2".
+    """
     ps = []
     for p in _parse_int_list("--p", args.p):
         _check_capped("--p", p, "p")  # every prime, before any task runs
         ps.append(p)
+    sieved = set()
     if args.p_range:
         try:
             lo, hi = (int(tok) for tok in args.p_range.split(":"))
         except ValueError:
             raise ValidationError("--p-range wants LO:HI, got %r" % args.p_range)
         _check_capped("--p-range HI", hi, "p")  # before the sieve allocates HI + 1 bytes
-        ps.extend(int(q) for q in sifter.primes_upto(hi) if q >= lo)
-    return [check_odd_prime(p) for p in sorted(set(ps))]
+        sieved = {int(q) for q in sifter.primes_upto(hi) if q >= lo}
+    return [p if p in sieved and p != 2 else check_odd_prime(p) for p in sorted(sieved.union(ps))]
 
 
 @functools.lru_cache(maxsize=8)

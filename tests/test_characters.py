@@ -5,6 +5,7 @@ import itertools
 import math
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,22 +169,45 @@ def test_roots_of_unity_exact_where_d_divides_12k():
 @given(
     st.sampled_from((13, 37, 61)),
     st.sampled_from((2, 3, 4, 6)),
-    st.booleans(),
+    st.sampled_from(("sparse", "full array", "full request")),
     st.sampled_from((st.sampled_from((-1.0, 0.0, 1.0)), st.floats(-1.0, 1.0))),
     st.data(),
 )
-def test_shifted_sums_matches_add_at_oracle(p, d, full, weights, data):
-    """The per-index tally equals the np.add.at oracle bit for bit, over full and sparse lams."""
+def test_shifted_sums_matches_add_at_oracle(p, d, lams_kind, weights, data):
+    """The per-index tally equals the np.add.at oracle bit for bit, over sparse lams, the
+    full range as an array, and the full range asked for by lams=None."""
     chi = make_character(field(p), d)
     shifts = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=8))
-    if full:
-        lams = np.arange(1, p, dtype=np.int64)
-    else:
+    if lams_kind == "sparse":
         drawn = data.draw(st.sets(st.integers(1, p - 1), min_size=1, max_size=p // 2))
         hit_zero = -shifts[0] % p  # lam + s = 0 mod p for the first shift
         lams = np.array(sorted(drawn | ({hit_zero} if hit_zero else set())), dtype=np.int64)
+    else:
+        lams = np.arange(1, p, dtype=np.int64)
     terms = [(s, data.draw(weights)) for s in shifts]
-    assert np.array_equal(shifted_sums(chi, lams, terms), shifted_sums_by_add_at(chi, lams, terms))
+    asked = None if lams_kind == "full request" else lams
+    assert np.array_equal(shifted_sums(chi, asked, terms), shifted_sums_by_add_at(chi, lams, terms))
+
+
+@pytest.mark.parametrize("d, bound_mib", [(2, 24), (6, 78)])
+def test_de_moment_sign_weights_peak_memory(d, bound_mib):
+    """+-1 weights at p = 1000003 and 12 shifts, with the index table built: order 2 tallies
+    one-hot rows in int32 and peaks below 24 MiB, order 6 in float64 in place and peaks below
+    78 MiB (float64 rows with per-shift temporaries peak near 35 and 80 MiB, an int32 tally cast
+    to float64 for the order-6 contraction near 97 MiB)."""
+    p = 1_000_003
+    chi = make_character(field(p), d)
+    chi.index_table()
+    shifts = sorted(random.Random(11).sample(range(1, p), 12))
+    alpha = WeightSeq.signs(shifts, random.Random(12))
+    tracemalloc.start()
+    try:
+        value = de_moment(chi, shifts, alpha, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+    assert value == int(value) > 0
 
 
 def test_minus_one_index():

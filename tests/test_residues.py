@@ -78,6 +78,12 @@ def test_scan_checks_each_prime_at_most_twice(prime_checks, capsys):
     assert max(prime_checks.values()) <= 2
 
 
+def test_scan_checks_range_primes_only_in_reports(prime_checks):
+    """A sieved --p-range prime is tested once, by its report; a --p value once more by the CLI."""
+    assert cli.main(["scan", "--kind", "nonresidue", "--p-range", "3:200", "--p", "211", "--out", "-"]) == 0
+    assert prime_checks == {int(q): 1 for q in primes_upto(200)[1:]} | {211: 2}
+
+
 def test_not_prime_is_never_cached():
     for _ in range(2):
         with pytest.raises(NotPrime):

@@ -269,7 +269,7 @@ def test_calibration_pinned():
     fresh = measure_constants()
     assert set(stored) == set(fresh)
     for name, value in fresh.items():
-        assert math.isclose(stored[name], value, rel_tol=1e-9), name
+        assert stored[name] == value, name
 
     # Bounds hold with the pinned constants on every grid point.
     for N, x, y in a0_grid():
