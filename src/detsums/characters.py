@@ -76,10 +76,6 @@ class WeightSeq:
                 raise WeightOutOfRange("weight at index %d is %g, sup norm bound is 1" % (i, v))
 
     @classmethod
-    def from_values(cls, values, start=1):
-        return cls({start + i: v for i, v in enumerate(values)})
-
-    @classmethod
     def ones(cls, indices):
         return cls({i: 1.0 for i in indices})
 
@@ -90,15 +86,6 @@ class WeightSeq:
 
     def __getitem__(self, i):
         return self._w[i]
-
-    def __len__(self):
-        return len(self._w)
-
-    def indices(self):
-        return sorted(self._w)
-
-    def items(self):
-        return [(i, self._w[i]) for i in sorted(self._w)]
 
     def __repr__(self):
         return "WeightSeq(%r)" % (self._w,)
@@ -120,22 +107,6 @@ class CharSumAccumulator:
         self.counts = np.zeros(d, dtype=np.int64) if counts is None else np.asarray(counts, dtype=np.int64)
         self.zero_terms = int(zero_terms)
 
-    def add(self, val):
-        if val.zero:
-            self.zero_terms += 1
-        else:
-            self.counts[val.k] += 1
-
-    def merge(self, other):
-        if other.d != self.d:
-            raise ValueError("cannot merge accumulators of different order")
-        self.counts += other.counts
-        self.zero_terms += other.zero_terms
-        return self
-
-    def total_terms(self):
-        return int(self.counts.sum()) + self.zero_terms
-
     def value(self):
         """Complex value sum_k counts[k] * e(k/d); exact integer real part for d=2."""
         return complex(contract(self.counts, self.d))
@@ -145,13 +116,6 @@ class CharSumAccumulator:
         if self.d != 2:
             raise ValueError("int_value requires order 2")
         return int(self.counts[0]) - int(self.counts[1])
-
-    def reversed_indices(self):
-        """Accumulator of the conjugate character: counts[k] -> counts[-k mod d]."""
-        rev = np.empty_like(self.counts)
-        rev[0] = self.counts[0]
-        rev[1:] = self.counts[:0:-1]
-        return CharSumAccumulator(self.d, rev, self.zero_terms)
 
     def is_exactly_zero(self):
         """True when index pairing forces the value to vanish exactly.
@@ -239,9 +203,6 @@ class Character:
 
     def is_odd(self):
         return self.minus_one_index() != 0
-
-    def conjugate(self):
-        return Character(self.field, self.d, (-self.power) % self.d)
 
 
 def make_character(F, d, power=1):

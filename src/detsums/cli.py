@@ -57,6 +57,7 @@ def _collect_primes(args):
 
     Each --p value is tested once.  A prime sifted from --p-range needs no
     test, but 2 still raises, so `--p-range 1:100` exits 2 with "got 2".
+    A range with LO > HI is empty and skips the sieve.
     """
     ps = []
     for p in _parse_int_list("--p", args.p):
@@ -69,13 +70,18 @@ def _collect_primes(args):
         except ValueError:
             raise ValidationError("--p-range wants LO:HI, got %r" % args.p_range)
         _check_capped("--p-range HI", hi, "p")  # before the sieve allocates HI + 1 bytes
-        sieved = {int(q) for q in sifter.primes_upto(hi) if q >= lo}
+        sieved = {int(q) for q in sifter.primes_upto(hi) if q >= lo} if lo <= hi else set()
     return [p if p in sieved and p != 2 else check_odd_prime(p) for p in sorted(sieved.union(ps))]
 
 
 @functools.lru_cache(maxsize=8)
 def _field(p):
     return make_field(p)
+
+
+@functools.lru_cache(maxsize=1)  # _build_tasks groups sums tasks by p: one index table per (p, d)
+def _character(p, d):
+    return make_character(_field(p), d)
 
 
 def _rng(*seed_parts):
@@ -120,7 +126,7 @@ def _run_task(task):
     kind = task[0]
     if kind in SUM_KINDS:
         _, p, d, params, seed = task
-        call, n_col = _sum_call(kind, make_character(_field(p), d), params, seed)
+        call, n_col = _sum_call(kind, _character(p, d), params, seed)
         t0 = time.perf_counter()
         val = complex(call())
         ms = (time.perf_counter() - t0) * 1000.0
@@ -174,7 +180,9 @@ def _build_tasks(args):
 
     ps = _collect_primes(args)
     if not ps:
-        raise ValidationError("kind %s needs --p or --p-range" % kind)
+        raise ValidationError(
+            "--p-range %s holds no odd prime" % args.p_range if args.p_range else "kind %s needs --p or --p-range" % kind
+        )
     if kind == "census":
         return [("census", p, args.census_bound) for p in ps], "census"
     if kind == "nonresidue":
@@ -201,8 +209,7 @@ def _build_tasks(args):
     tasks = []
     for p in ps:
         for N in n_grid:
-            if not 1 <= N < p:
-                raise ValidationError("need 1 <= N < p, got N=%d with p=%d" % (N, p))
+            sums._check_length(N, p)
             if kind == "t_n" and N**3 >= p:
                 raise ValidationError("t_n needs N^3 < p, got N=%d with p=%d" % (N, p))
             tasks.append((kind, p, d, N, args.seed))
@@ -236,10 +243,11 @@ def _cmd_scan(args):
     tasks, schema = _build_tasks(args)
     _check_out("--out", args.out)  # before any task runs, so a long scan cannot fail at the end
     t0 = time.perf_counter()
-    if args.workers > 1:
+    workers = min(args.workers, len(tasks))  # a pool starts every worker it is given at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: a serial scan needs no pool
 
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             chunks = list(ex.map(_run_task, tasks))
     else:
         chunks = [_run_task(t) for t in tasks]

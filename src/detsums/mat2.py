@@ -31,10 +31,6 @@ class Mat2(NamedTuple):
     d: int
 
 
-def identity():
-    return Mat2(1, 0, 0, 1)
-
-
 def reduce_mat(A, F):
     p = F.p
     return Mat2(A[0] % p, A[1] % p, A[2] % p, A[3] % p)

@@ -40,10 +40,6 @@ class DeltaProfile:
             return int(self.counts[i])
         return 0
 
-    def deltas(self):
-        top = self.N * self.N - 1
-        return range(-top, top + 1)
-
     def total(self):
         return int(self.counts.sum())
 
@@ -239,9 +235,6 @@ class BinTable:
     def __init__(self, p, counts):
         self.p = p
         self.counts = counts  # int64, length p, indexed by residue
-
-    def count(self, lam):
-        return int(self.counts[lam])
 
     def total(self):
         return int(self.counts.sum())

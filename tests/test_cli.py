@@ -1,5 +1,6 @@
 """CLI wiring: schemas, exit codes, determinism, worker independence."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from detsums import cli, sifter, sums
+from detsums import characters, cli, sifter, sums
 from detsums.sifter import calibration_text, read_calibration
 
 
@@ -83,6 +84,7 @@ def test_validation_errors():
         (["scan", "--kind", "nonresidue", "--p", "101"], {"DETSUM_MAX_TABLE": "50"}),
         (["scan", "--kind", "census", "--p-range", "3:4294967296"], {}),
         (["scan", "--kind", "sift", "--n-grid", "10000000000"], {}),
+        (["scan", "--kind", "s", "--p-range", "100:50", "--n-grid", "5"], {}),
     ],
 )
 def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeypatch):
@@ -176,6 +178,51 @@ def test_import_leaves_worker_pool_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
+    """--workers K starts min(K, tasks) workers and no pool for one task; the pool is a fake, no process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for ps, workers in (("31", 500), ("3,5,7", 8), ("3,5,7", 2)):
+        assert run_cli(["scan", "--kind", "census", "--p", ps, "--workers", str(workers), "--out", str(tmp_path / "c.csv")]) == 0
+    assert sizes == [3, 2]
+
+
+def test_sums_scan_builds_one_index_table_per_prime(monkeypatch, tmp_path):
+    builds = []
+    index_table = characters.Character.index_table
+
+    def spy(chi):
+        if chi._ktab is None:
+            builds.append((chi.field.p, chi.d))
+        return index_table(chi)
+
+    monkeypatch.setattr(characters.Character, "index_table", spy)
+    cli._character.cache_clear()  # a character cached by an earlier scan would hide the build
+    argv = ["scan", "--kind", "s", "--p", "1009,1013", "--n-grid", "5,6,7", "--out", str(tmp_path / "s.csv")]
+    assert run_cli(argv) == 0
+    assert builds == [(1009, 2), (1013, 2)]
+
+
+@pytest.mark.parametrize("span", ["24:28", "100:50"])
+def test_p_range_without_prime_named(span, capsys):
+    assert run_cli(["scan", "--kind", "s", "--p-range", span, "--n-grid", "5"]) == 2
+    assert capsys.readouterr().err == "error: --p-range %s holds no odd prime\n" % span
+
+
 def test_p_range_from_1_names_the_first_non_odd_prime(capsys):
     assert run_cli(["scan", "--kind", "nonresidue", "--p-range", "1:100"]) == 2
     assert "got 2" in capsys.readouterr().err
@@ -191,13 +238,13 @@ def test_delta_profile_scan(tmp_path):
 
 
 def test_delta_profile_rows_match_per_lag(tmp_path):
-    """The CSV is byte-identical to one row per nonzero lag read by DeltaProfile.count."""
+    """The CSV is byte-identical to one row per nonzero lag Delta in (-N^2, N^2) read by DeltaProfile.count."""
     out = tmp_path / "delta.csv"
     assert run_cli(["scan", "--kind", "delta_profile", "--n-grid", "1,2,7,30", "--out", str(out)]) == 0
     lines = ["N,delta,count"]
     for N in (1, 2, 7, 30):
         prof = sums.delta_profile(N)
-        lines += ["%d,%d,%d" % (N, delta, prof.count(delta)) for delta in prof.deltas() if prof.count(delta)]
+        lines += ["%d,%d,%d" % (N, delta, prof.count(delta)) for delta in range(1 - N * N, N * N) if prof.count(delta)]
     assert out.read_text().split("\n") == lines + [""]  # a list diff stays fast if they differ
 
 

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detsums import (
+    CharSumAccumulator,
     DomainTooLarge,
     InternalInvariantViolation,
     Overflow,
@@ -59,7 +60,7 @@ def test_delta_profile_matches_bruteforce():
     for N in (1, 2, 3, 5, 8):
         prof = delta_profile(N)
         oracle = quadruple_profile_oracle(N)
-        for delta in prof.deltas():
+        for delta in range(1 - N * N, N * N):
             assert prof.count(delta) == oracle.get(delta, 0)
         assert prof.count(N * N) == 0  # out of the profile's range entirely
 
@@ -198,8 +199,7 @@ def test_s_sum_pinned_p10009():
 
 def test_s_sum_n1_is_zero_term():
     chi = make_character(field(7), 2)
-    acc = s_sum_direct(chi, 1)
-    assert acc.total_terms() == 1 and acc.zero_terms == 1
+    assert s_sum_direct(chi, 1) == CharSumAccumulator(2, [0, 0], 1)
 
 
 def test_s_sum_fixture_mod5():
@@ -257,8 +257,8 @@ def test_binned_equals_direct_property(pdn, data):
     chi = make_character(field(p), d)
     assert s_sum_binned(chi, N) == s_sum_direct(chi, N)
     signs = st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=N, max_size=N)
-    alpha = WeightSeq.from_values(data.draw(signs))
-    beta = WeightSeq.from_values(data.draw(signs))
+    alpha = WeightSeq(enumerate(data.draw(signs), 1))
+    beta = WeightSeq(enumerate(data.draw(signs), 1))
     assert u_sum(chi, alpha, beta, N) == u_sum_direct(chi, alpha, beta, N)
 
 
@@ -280,7 +280,7 @@ def test_u_sum_ones_specializes_to_s():
 
 def test_u_sum_fixture_mod5():
     chi = make_character(field(5), 2)
-    alpha = WeightSeq.from_values([1.0, -1.0])
+    alpha = WeightSeq({1: 1.0, 2: -1.0})
     ones = WeightSeq.ones((1, 2))
     got = u_sum(chi, alpha, ones, 2)
     # direct weighted quadruple loop
@@ -313,7 +313,7 @@ def test_u_sum_conjugate_symmetry(rng):
     alpha = WeightSeq.signs(range(1, 6), rng)
     beta = WeightSeq.signs(range(1, 6), rng)
     a = u_sum(chi, alpha, beta, 5)
-    b = u_sum(chi.conjugate(), alpha, beta, 5)
+    b = u_sum(make_character(field(13), 3, -1), alpha, beta, 5)
     assert abs(a - b.conjugate()) < 1e-9
 
 
@@ -325,14 +325,14 @@ def test_u_sum_weight_validation():
 
 def test_ratio_bins_trivial():
     table = ratio_bins(field(7), 1, 1, 1)
-    assert table.count(1) == 1
+    assert table.counts[1] == 1
     assert table.total() == 1
 
 
 def test_ratio_bins_eight_triples():
     table = ratio_bins(field(7), 2, 2, 2)
     # I(1) counts ab = c: (1,1,1), (1,2,2), (2,1,2)
-    assert table.count(1) == 3
+    assert table.counts[1] == 3
     assert table.total() == 8
 
 
@@ -343,7 +343,7 @@ def test_ratio_bins_matches_triple_count(rng):
         table = ratio_bins(field(p), A, B, C)
         assert np.array_equal(table.counts, ratio_bins_oracle(p, A, B, C))
         assert table.total() == A * B * C
-        assert table.count(0) == 0
+        assert table.counts[0] == 0
 
 
 def test_ratio_bins_oracle():
@@ -361,7 +361,7 @@ def test_t_abs_single_shift_identity():
         chi = make_character(field(p), 2)
         got = t_abs_sum(chi, A, B, C, {d0}, {d0: 1.0})
         table = ratio_bins(field(p), A, B, C)
-        assert got == A * B * C - table.count(d0)
+        assert got == A * B * C - table.counts[d0]
 
 
 def test_t_abs_binned_equals_direct(rng):
