@@ -74,14 +74,9 @@ def _collect_primes(args):
     return [p if p in sieved and p != 2 else check_odd_prime(p) for p in sorted(sieved.union(ps))]
 
 
-@functools.lru_cache(maxsize=8)
-def _field(p):
-    return make_field(p)
-
-
 @functools.lru_cache(maxsize=1)  # _build_tasks groups sums tasks by p: one index table per (p, d)
 def _character(p, d):
-    return make_character(_field(p), d)
+    return make_character(make_field(p), d)
 
 
 def _rng(*seed_parts):
@@ -115,12 +110,6 @@ def _sum_call(kind, chi, params, seed):
     return (lambda: de_moment(chi, shifts, alpha, nu)), len(shifts)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _run_task(task):
     """Compute one task tuple into CSV rows; must stay picklable for workers."""
     kind = task[0]
@@ -131,26 +120,26 @@ def _run_task(task):
         val = complex(call())
         ms = (time.perf_counter() - t0) * 1000.0
         mag = abs(val)
-        return [[p, d, n_col, kind, _fmt(val.real), _fmt(val.imag), _fmt(mag), _fmt(mag / n_col**4), "%.3f" % ms]]
+        return [[p, d, n_col, kind, val.real, val.imag, mag, mag / n_col**4, "%.3f" % ms]]
     if kind == "delta_profile":
         _, N = task
         counts = sums.delta_profile(N).counts
         nz = np.flatnonzero(counts)
         return [[N, delta, c] for delta, c in zip((nz - (N * N - 1)).tolist(), counts[nz].tolist())]
     if kind == "census":
-        _, p, bound = task
-        cen = mat2.census(_field(p), bound)
-        return [[cen.p, cen.n_total, cen.n_square, cen.n_nonsquare_invertible, _fmt(cen.ratio)]]
+        _, p = task
+        cen = mat2.census(make_field(p))
+        return [[cen.p, cen.n_total, cen.n_square, cen.n_nonsquare_invertible, cen.ratio]]
     if kind == "nonresidue":
         _, p, x_limit = task
         X = x_limit if x_limit > 0 else max(2, math.isqrt(p))
         X = min(X, p - 1)
         rep = residues.nonresidue_report(p, X)  # int path: no field per prime
-        return [[rep.p, rep.z_p, _fmt(rep.kappa_empirical), rep.X, rep.count, _fmt(rep.count / rep.X)]]
+        return [[rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X]]
     if kind == "sift":
         _, N, x, y, multiplicity = task
         prof = sifter.sift(N, x, y, multiplicity)
-        return [[prof.N, _fmt(prof.x), _fmt(prof.y), r, size] for r, size in enumerate(prof.sizes)]
+        return [[prof.N, prof.x, prof.y, r, size] for r, size in enumerate(prof.sizes)]
     raise ValidationError("unknown kind %r" % (kind,))
 
 
@@ -184,7 +173,7 @@ def _build_tasks(args):
             "--p-range %s holds no odd prime" % args.p_range if args.p_range else "kind %s needs --p or --p-range" % kind
         )
     if kind == "census":
-        return [("census", p, args.census_bound) for p in ps], "census"
+        return [("census", p) for p in ps], "census"
     if kind == "nonresidue":
         return [("nonresidue", p, args.x_limit) for p in ps], "nonresidue"
 
@@ -223,11 +212,20 @@ def default_calibration_path():
 
 
 def _check_out(flag, path):
-    """ValidationError unless a file (and its manifest) can be written at `path`."""
+    """ValidationError unless `path` can be written.
+
+    An existing non-regular file (a device such as /dev/null) must be
+    writable itself; any other path needs a writable directory to create
+    the file, and a scan's manifest, in.
+    """
     if path == "-":
         return
-    parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+    if os.path.exists(path) and not os.path.isfile(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(os.path.abspath(path))
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
         raise ValidationError("%s %r is not a writable file path" % (flag, path))
 
 
@@ -271,10 +269,10 @@ def _cmd_scan(args):
         "wall_s": round(wall, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    if args.out == "-":
-        sys.stderr.write(json.dumps(manifest) + "\n")
-    else:
+    if args.out != "-" and os.path.isfile(args.out):  # beside a regular file, never beside a device
         _write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    else:
+        sys.stderr.write(json.dumps(manifest) + "\n")
     return 0
 
 
@@ -323,7 +321,6 @@ def build_parser():
     sc.add_argument("--out", default="-", help="CSV path, - for stdout")
     sc.add_argument("--seed", default="detsums", help="seed string for randomized weights")
     sc.add_argument("--x-limit", type=int, default=0, help="nonresidue count limit X (0: isqrt(p))")
-    sc.add_argument("--census-bound", type=int, default=mat2.DEFAULT_CENSUS_BOUND)
     sc.add_argument("--sift-x", type=float, default=2.0)
     sc.add_argument("--sift-y", type=float, default=0.0, help="0 picks isqrt(N)")
     sc.add_argument("--distinct", action="store_true", help="count distinct window primes instead of multiplicity")

@@ -7,9 +7,9 @@ matrices u*I fall outside that derivation (t can be 0) and get their own
 fallback; every witness the procedure returns is re-verified by an
 actual matrix product, so an incomplete candidate list can only produce
 a wrong "not found", and the tests pin that down on every matrix for
-small p.  The census decides all conjugacy classes at once by an
-eigenvalue rule on their characteristic polynomials, in blocked numpy;
-the tests check the rule against `has_square_root` on every class and
+small p.  The census counts the conjugacy classes of each kind in closed
+form, from an eigenvalue rule on their characteristic polynomials; the
+tests check those counts against `has_square_root` on every class and
 the census against squaring all p^4 matrices.
 """
 
@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import InternalInvariantViolation, TooLarge
 
-DEFAULT_CENSUS_BOUND = 4001
-CENSUS_BLOCK_CELLS = 2048
 PAIR_CENSUS_BOUND = 10_000
 
 
@@ -120,65 +118,46 @@ def _class_size(p, disc_symbol):
     return p * p - 1
 
 
-def _square_classes(F, t):
-    """The eigenvalue rule on the classes x^2 - t*x + n, n = 0..p-1, for a column t of traces.
-
-    Returns (symbol, square), each of shape (len(t), p): the Legendre
-    symbol of the discriminant t^2 - 4n and whether the class is a
-    square.  A square root of a non-scalar A commutes with A, so it lies
-    in F_p[A]: a split class is a square iff both eigenvalues
-    (t +- sqrt(disc))/2 are squares, 0 included; a non-split one iff its
-    norm n is a square; a repeated one iff t/2 is a nonzero square.
-    """
-    p = F.p
-    R = F.root_table()  # R[x] >= 0 on the squares, 0 included; sign(R[x]) is (x/p)
-    half = (p + 1) // 2  # 1/2 mod p
-    n = np.arange(p, dtype=np.int64)
-    r = R[(t * t - 4 * n) % p]  # sqrt(disc), -1 off the squares, read only where symbol == 1
-    symbol = np.sign(r)
-    both_square = (R[(t + r) * half % p] >= 0) & (R[(t - r) * half % p] >= 0)
-    square = np.where(symbol == 1, both_square, np.where(symbol == -1, R > 0, R[t * half % p] > 0))
-    return symbol, square
-
-
 def _class_tally(F):
     """Count the p^2 non-scalar classes by (discriminant symbol, square, singular).
 
     Returns an int64 array C of shape (3, 2, 2) with C[symbol + 1, square,
     n == 0] the number of characteristic polynomials x^2 - t*x + n of that
-    kind.  The (t, n) grid is decided in blocks of t rows of at most
-    CENSUS_BLOCK_CELLS cells, so memory stays flat in p.
+    kind.  A square root of a non-scalar A commutes with A, so it lies in
+    F_p[A]: a split class is a square iff both eigenvalues are squares, 0
+    included; a non-split one iff its norm n is a square; a repeated one
+    iff its eigenvalue t/2 is a nonzero square.  Each count then depends
+    only on how many values are squares: h = (p-1)/2 nonzero ones.
     """
     p = F.p
-    rows = max(1, CENSUS_BLOCK_CELLS // p)
-    singular = np.arange(p) == 0  # the n = 0 column
-    tally = np.zeros(12, dtype=np.int64)
-    for lo in range(0, p, rows):
-        symbol, square = _square_classes(F, np.arange(lo, min(lo + rows, p), dtype=np.int64)[:, None])
-        tally += np.bincount(((symbol + 1) * 4 + square * 2 + singular).ravel(), minlength=12)
-    return tally.reshape(3, 2, 2)
+    h = (p - 1) // 2
+    pairs = h * (h - 1) // 2  # split classes {lam, mu} of two distinct nonzero squares
+    return np.array(
+        [
+            [[h * (p + 1) // 2, 0], [h * h, 0]],  # non-split: (p-1)/2 classes per square norm, (p+1)/2 per non-square
+            [[h, 1], [h, 0]],  # repeated: t/2 a non-square, or 0, or a nonzero square
+            [[p * (p - 1) // 2 - pairs - 2 * h, h], [pairs, h]],  # split: {0, mu} is a square iff mu is
+        ],
+        dtype=np.int64,
+    )
 
 
-def census(F, bound=DEFAULT_CENSUS_BOUND):
+def census(F):
     """Exact census of squares in M_2(F_p), counted by conjugacy classes.
 
     Squaring commutes with conjugation, so being a square is a property
     of the class.  The p scalar classes u*I (size 1) are all squares: a
     non-square u is the square of the companion matrix of x^2 - u.  The
     p^2 non-scalar classes, one per characteristic polynomial, are
-    decided by the eigenvalue rule (`_square_classes`) in blocked numpy
-    and weighted by their class sizes, which gives the counts over all
-    p^4 matrices in O(p^2) vectorized work and flat memory.  `bound`
-    (default 4001) limits time: on a 2-CPU VM p = 1009 takes about
-    0.06 s, p = 4001 about 0.9 s and p = 10007 about 6 s.
+    counted in closed form by the eigenvalue rule (`_class_tally`) and
+    weighted by their class sizes, which gives the counts over all p^4
+    matrices in O(1) work for every p.
 
     Two certificates run on every call and raise InternalInvariantViolation
     if they fail: the class sizes sum to p^4, and the singular classes
     (det 0) sum to p^4 - |GL_2(F_p)| = p^4 - (p^2 - 1)(p^2 - p).
     """
     p = F.p
-    if p > bound:
-        raise TooLarge("census needs p <= %d, got %d" % (bound, p))
     n_total = p**4
     n_counted = n_square = p  # the scalar classes
     n_singular = 1  # 0*I

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from detsums import characters, cli, sifter, sums
+from detsums import characters, cli, make_character, make_field, sifter, sums
 from detsums.sifter import calibration_text, read_calibration
 
 
@@ -39,6 +39,21 @@ def test_census_scan(tmp_path):
     assert manifest["rows"] == 5 and manifest["kind"] == "census"
 
 
+def test_census_scan_at_p_10007(capsys):
+    assert run_cli(["scan", "--kind", "census", "--p", "10007"]) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert row["p"] == "10007" and row["n_total"] == str(10007**4)
+
+
+def test_device_out_gets_no_manifest_file(monkeypatch, capsys):
+    """--out /dev/null: the CSV goes to the device, the manifest line to stderr, no file is written beside it."""
+    writes = []
+    monkeypatch.setattr(cli, "_write", lambda path, text: writes.append(path))  # writes nothing
+    assert run_cli(["scan", "--kind", "census", "--p", "3", "--out", os.devnull]) == 0
+    assert writes == [os.devnull]
+    assert json.loads(capsys.readouterr().err)["rows"] == 1
+
+
 def test_sums_scan_schema(tmp_path):
     out = tmp_path / "s.csv"
     assert run_cli(["scan", "--kind", "s", "--p", "101", "--order", "2", "--n-grid", "5,10,20", "--out", str(out)]) == 0
@@ -48,6 +63,19 @@ def test_sums_scan_schema(tmp_path):
         n = int(r["N"])
         assert math.isclose(float(r["normalized"]), float(r["abs_value"]) / n**4)
         assert r["sum_kind"] == "s"
+
+
+def test_t_n_scan_rows_match_t_n_sum(tmp_path):
+    out = tmp_path / "t_n.csv"
+    assert run_cli(["scan", "--kind", "t_n", "--p", "1009", "--n-grid", "3,5", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    chi = make_character(make_field(1009), 2)
+    assert [(r["N"], r["sum_kind"]) for r in rows] == [("3", "t_n"), ("5", "t_n")]
+    for r in rows:
+        N = int(r["N"])
+        val = complex(sums.t_n_sum(chi, N))
+        assert (float(r["re_value"]), float(r["im_value"]), float(r["abs_value"])) == (val.real, val.imag, abs(val))
+        assert float(r["normalized"]) == abs(val) / N**4
 
 
 def test_invalid_order_exit_2(capsys):
@@ -85,6 +113,11 @@ def test_validation_errors():
         (["scan", "--kind", "census", "--p-range", "3:4294967296"], {}),
         (["scan", "--kind", "sift", "--n-grid", "10000000000"], {}),
         (["scan", "--kind", "s", "--p-range", "100:50", "--n-grid", "5"], {}),
+        (["scan", "--kind", "s", "--p-range", "5", "--n-grid", "3"], {}),
+        (["scan", "--kind", "delta_profile"], {}),
+        (["scan", "--kind", "t_abs", "--p", "101", "--abc", "2,2"], {}),
+        (["scan", "--kind", "t_abs", "--p", "101", "--abc", "5,5,5"], {}),
+        (["scan", "--kind", "u", "--p", "101"], {}),
     ],
 )
 def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeypatch):
@@ -99,7 +132,6 @@ def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(sifter, "primes_upto", no_sieve)  # the HI check must come before the sieve
     monkeypatch.setattr(sifter.np, "zeros", no_tally)  # the N check must come before the tally
-    cli._field.cache_clear()  # a cached field would skip the DETSUM_MAX_TABLE lookup
     (tmp_path / "bad.txt").write_text("a0_C 1 2\n")  # a malformed calibration line
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
@@ -144,11 +176,9 @@ def test_order_4_scan_is_exact(capsys):
 
 def test_table_cap_env_exit_2(tmp_path, monkeypatch):
     monkeypatch.setenv("DETSUM_MAX_TABLE", "50")
-    cli._field.cache_clear()
     out = tmp_path / "s.csv"
     assert run_cli(["scan", "--kind", "s", "--p", "101", "--n-grid", "5", "--out", str(out)]) == 2
     monkeypatch.delenv("DETSUM_MAX_TABLE")
-    cli._field.cache_clear()
 
 
 def test_determinism_and_seed(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from detsums import InternalInvariantViolation, Mat2, TooLarge, census, has_square_root, mul, pair_image_census
+from detsums import InternalInvariantViolation, Mat2, census, has_square_root, make_field, mul, pair_image_census
 from detsums import mat2
 from detsums.mat2 import det, trace
 from detsums.sifter import primes_upto
@@ -142,11 +142,6 @@ def test_census_against_decision():
         assert (cen.n_square, cen.n_nonsquare_invertible) == (n_sq, n_nsi)
 
 
-def test_census_bound():
-    with pytest.raises(TooLarge):
-        census(field(11), bound=7)
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 61])
 def test_census_matches_enumeration(p):
     """Every Census field, ratio included, equals the p^4 enumeration's."""
@@ -176,27 +171,27 @@ def test_census_singular_certificate(monkeypatch):
 
 @pytest.mark.parametrize("p", [int(q) for q in primes_upto(61)[1:]])
 def test_square_rule_matches_decision(p):
-    """The eigenvalue rule agrees with `has_square_root` on every class representative."""
+    """Every cell of the closed-form tally equals a count of `has_square_root` over the class representatives."""
     F = field(p)
-    symbol, square = mat2._square_classes(F, np.arange(p, dtype=np.int64)[:, None])
+    tally = np.zeros((3, 2, 2), dtype=np.int64)
     n_scalar = 0
-    for rep, n, size in conjugacy_classes(F):
+    for rep, n, _ in conjugacy_classes(F):
         found = has_square_root(rep, F).found
-        if rep.c == 0:  # the scalar classes u*I, all squares by the rule
+        if rep.c == 0:  # the scalar classes u*I, all squares
             n_scalar += 1
             assert found, rep
         else:
             t = rep.d
-            assert size == mat2._class_size(p, int(symbol[t, n]))
-            assert bool(square[t, n]) == found, (p, t, n)
+            tally[F.legendre((t * t - 4 * n) % p) + 1, int(found), int(n == 0)] += 1
     assert n_scalar == p
+    assert mat2._class_tally(F).tolist() == tally.tolist()
 
 
 # Up to a second per example, so no shrinking: a failing prime is reported as drawn.
 @settings(max_examples=8, phases=(Phase.explicit, Phase.generate))
 @given(st.sampled_from([int(q) for q in primes_upto(400)[1:]]))
 def test_census_matches_class_decisions(p):
-    """The blocked rule gives the same Census as one decision per class."""
+    """The closed-form tally gives the same Census as one decision per class."""
     F = field(p)
     assert census(F) == census_by_classes(F)
 
@@ -211,6 +206,15 @@ def test_census_p257():
 def test_census_p1009():
     p = 1009
     cen = census(field(p))
+    assert cen.n_singular == p**4 - (p * p - 1) * (p * p - p)
+    assert abs(cen.ratio - 5 / 8) <= 5 / p
+
+
+def test_census_p1999993():
+    """Near the table cap: census runs both certificates on every call, so a return means they passed."""
+    p = 1999993
+    cen = census(make_field(p))
+    assert cen.n_total == p**4
     assert cen.n_singular == p**4 - (p * p - 1) * (p * p - p)
     assert abs(cen.ratio - 5 / 8) <= 5 / p
 
