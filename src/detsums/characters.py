@@ -163,9 +163,10 @@ class Character:
         """
         if self._ktab is None:
             p, d = self.field.p, self.d
+            walk = self.field.powers()  # held to the table cap before the table is allocated
             tab = np.full(p, -1, dtype=np.int32)
             pattern = (np.arange(d, dtype=np.int64) * self.power % d).astype(np.int32)
-            tab[self.field.powers()] = np.tile(pattern, (p - 1) // d)
+            tab[walk] = np.tile(pattern, (p - 1) // d)
             missed = int(np.count_nonzero(tab[1:] < 0))
             if missed:
                 raise InternalInvariantViolation(
@@ -191,8 +192,7 @@ class Character:
 
     def eval(self, x):
         """CharValue of chi(x) for a residue 0 <= x < p, read from index_table()."""
-        if not 0 <= x < self.field.p:
-            raise ValueError("residue out of range: %r" % (x,))
+        self.field._check_residue(x)
         k = int(self.index_table()[x])
         return CHAR_ZERO if k < 0 else CharValue(False, k)
 

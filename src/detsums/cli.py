@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, mat2, residues, sifter, sums
 from .characters import WeightSeq, de_moment, make_character
 from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
-from .fp_arith import _check_table_size, check_odd_prime, make_field
+from .fp_arith import _check_hard_cap, _check_table_size, check_odd_prime, make_field
 
 SUM_KINDS = ("s", "u", "t_abs", "t_n", "de_moment")
 ALL_KINDS = SUM_KINDS + ("delta_profile", "census", "nonresidue", "sift")
@@ -44,10 +44,10 @@ def _parse_int_list(flag, text):
         raise ValidationError("%s wants comma-separated integers, got %r" % (flag, text)) from None
 
 
-def _check_capped(flag, n, name):
-    """ValidationError naming `flag` unless a dense table of length n fits the table cap."""
+def _check_capped(flag, n, name, check=_check_table_size):
+    """ValidationError naming `flag` unless n passes `check`, by default the table cap on a table of length n."""
     try:
-        _check_table_size(n, name)
+        check(n, name)
     except TooLarge as exc:
         raise ValidationError("%s: %s" % (flag, exc)) from None
 
@@ -55,13 +55,14 @@ def _check_capped(flag, n, name):
 def _collect_primes(args):
     """Sorted distinct primes from --p and --p-range; NotPrime for one that is not an odd prime.
 
-    Each --p value is tested once.  A prime sifted from --p-range needs no
-    test, but 2 still raises, so `--p-range 1:100` exits 2 with "got 2".
-    A range with LO > HI is empty and skips the sieve.
+    Each --p value is tested once and held, before any task runs, to the
+    table cap (a census prime, which builds no table, to the hard cap).  A
+    prime sifted from --p-range needs no test, but 2 still raises, so
+    `--p-range 1:100` exits 2 with "got 2"; a range with LO > HI is empty.
     """
     ps = []
     for p in _parse_int_list("--p", args.p):
-        _check_capped("--p", p, "p")  # every prime, before any task runs
+        _check_capped("--p", p, "p", _check_hard_cap if args.kind == "census" else _check_table_size)
         ps.append(p)
     sieved = set()
     if args.p_range:

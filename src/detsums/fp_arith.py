@@ -5,11 +5,11 @@ the O(sqrt p) factorization of p - 1.  Dense per-residue tables are built
 on demand: every power of g by one blocked walk (`PrimeField.powers`,
 which a character's index table scatters), and the square-root table
 `root_table`, the one table of squares, whose sign is the Legendre
-symbol, by one vectorized scatter.  The field and its tables
-are held to one modulus cap (default 2*10^6, override with the
-DETSUM_MAX_TABLE environment variable).  `factorize` is the package's one
-trial-division factorization: the primitive-root check and `sifter.tau`
-take their primes from it.
+symbol, by one vectorized scatter.  A field is held only to the hard cap
+2^31 (its factorization, int64 products); each table is held where it is
+built to the table cap (default 2*10^6, env DETSUM_MAX_TABLE).
+`factorize` is the package's one trial-division factorization: the
+primitive-root check and `sifter.tau` take their primes from it.
 """
 
 import math
@@ -99,7 +99,7 @@ class PrimeField:
     """Immutable arithmetic context for a fixed odd prime p.
 
     Do not construct directly; use make_field, which validates p, checks
-    the table cap and finds the primitive root g.  Nothing is tabulated
+    the hard cap and finds the primitive root g.  Nothing is tabulated
     up front: the square-root table is built on first use.
     """
 
@@ -158,6 +158,7 @@ class PrimeField:
         unit to appear must check it (a character's index table does).
         """
         p, g = self.p, self.g
+        _check_table_size(p)
         B = math.isqrt(p - 2) + 1
         rows = np.array([pow(g, i * B, p) for i in range(-(-(p - 1) // B))], dtype=np.int64)
         walk = np.multiply.outer(rows, np.array([pow(g, j, p) for j in range(B)], dtype=np.int64))
@@ -165,18 +166,23 @@ class PrimeField:
         return walk.ravel()[: p - 1]
 
 
+def _check_hard_cap(n, name="p"):
+    """TooLarge if n exceeds the hard cap 2^31; `name` labels n in the message."""
+    if n > HARD_CAP:
+        raise TooLarge("%s=%d exceeds the hard cap 2^31" % (name, n))
+
+
 def _check_table_size(n, name="p"):
     """TooLarge unless a dense table of length n fits the cap: DETSUM_MAX_TABLE, else the default.
 
-    `name` labels n in the message (p for a field, N or M for a sieve range).
+    `name` labels n in the message (p for a residue table, N or M for a sieve range).
     """
     raw = os.environ.get("DETSUM_MAX_TABLE", str(DEFAULT_MAX_TABLE))
     try:
         cap = int(raw)
     except ValueError:
         raise ValidationError("DETSUM_MAX_TABLE must be an integer, got %r" % raw) from None
-    if n > HARD_CAP:
-        raise TooLarge("%s=%d exceeds the hard cap 2^31" % (name, n))
+    _check_hard_cap(n, name)
     if n > cap:
         raise TooLarge("%s=%d exceeds the table cap %d (DETSUM_MAX_TABLE)" % (name, n, cap))
 
@@ -187,7 +193,7 @@ def root_table(p):
     The package's one table of squares.  Each nonzero square has exactly
     one root in [1, (p-1)/2], so the one r*r scatter writes every square
     once, and sign(R[x]) is the Legendre symbol (x/p).  O(p) time and
-    memory, so it is held to the field's table cap.
+    memory, so it is held to the table cap.
     """
     _check_table_size(p)
     r = np.arange((p + 1) // 2, dtype=np.int64)
@@ -199,11 +205,10 @@ def root_table(p):
 def make_field(p):
     """Build a PrimeField for an odd prime p: validate p, find its primitive root.
 
-    Raises NotPrime for composite or even input, TooLarge above the
-    table cap (the cap of the per-residue tables a field can build).
-    Construction is O(sqrt p), the factorization of p - 1; the result is
-    immutable and safe to share across workers.
+    Raises NotPrime for composite or even input, TooLarge above the hard cap
+    2^31 (each table is held to the table cap where it is built).  O(sqrt p),
+    the factorization of p - 1; immutable and safe to share across workers.
     """
     p = check_odd_prime(p)
-    _check_table_size(p)
+    _check_hard_cap(p)
     return PrimeField(p, find_primitive_root(p))

@@ -10,16 +10,15 @@ a wrong "not found", and the tests pin that down on every matrix for
 small p.  The census counts the conjugacy classes of each kind in closed
 form, from an eigenvalue rule on their characteristic polynomials; the
 tests check those counts against `has_square_root` on every class and
-the census against squaring all p^4 matrices.
+the census against squaring all p^4 matrices.  The pair census is a
+closed form too, so only the decision reads a table (through sqrt_roots).
 """
 
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InternalInvariantViolation, TooLarge
-
-PAIR_CENSUS_BOUND = 10_000
+from .errors import InternalInvariantViolation
 
 
 class Mat2(NamedTuple):
@@ -188,33 +187,22 @@ class PairImageCensus(NamedTuple):
 
 
 def pair_image_census(F):
-    """Classify pairs (s, q) with q a square and count the image of (s,q) -> (s^2, q-2s).
+    """Count the pairs (s, q), q a square, by type, and the image of (s, q) -> (s^2, q - 2s); O(1).
 
-    Type A pairs satisfy 4s = q - w^2 for some nonzero w, i.e. q - 4s is
-    a nonzero square; the rest are type B.  The image count is asserted
-    against typeA/2 + typeB (they agree up to O(p) boundary pairs).
+    Type A pairs have q - 4s a nonzero square (4s = q - w^2, w != 0), the rest are
+    type B.  For each of the (p+1)/2 squares q, 0 included, s -> q - 4s is a
+    bijection, so typeA = (p+1)/2 * (p-1)/2 = (p^2 - 1)/4 and typeB = p(p+1)/2 - typeA
+    = (p+1)^2/4.  In the image, s = 0 gives (p+1)/2 points and each of the (p-1)/2
+    classes {s, -s} the set (Sq - 2s) u (Sq + 2s), Sq the squares, of size
+    p + 1 - (p + 1 + chi(s) + chi(-s))/4 by sum_x chi(x) chi(x - c) = -1 for c != 0.
+    The chi terms cancel over the classes: image = (p+1)(3p+1)/8 = typeA/2 + typeB.
+    Certificates on every call (InternalInvariantViolation naming p if one fails):
+    typeA + typeB = p(p+1)/2 and 2 image = typeA + 2 typeB.
     """
     p = F.p
-    if p > PAIR_CENSUS_BOUND:
-        raise TooLarge("pair census needs p <= %d, got %d" % (PAIR_CENSUS_BOUND, p))
-    R = F.root_table()  # sign(R[x]) is (x/p)
-    squares = np.flatnonzero(R >= 0)  # the (p+1)/2 squares, 0 included, increasing
-
-    type_a = 0
-    uniques = []
-    slab = max(1, 2_000_000 // len(squares))
-    for lo in range(0, p, slab):
-        s = np.arange(lo, min(lo + slab, p), dtype=np.int64).reshape(-1, 1)
-        disc = (squares - 4 * s) % p
-        type_a += int(np.count_nonzero(R[disc] > 0))
-        codes = ((s * s) % p) * p + (squares - 2 * s) % p
-        uniques.append(np.unique(codes))
-    image = int(np.unique(np.concatenate(uniques)).size)
-
-    n_pairs = p * (p + 1) // 2
-    type_b = n_pairs - type_a
-    if abs(image - (type_a / 2 + type_b)) > p:
-        raise InternalInvariantViolation(
-            "pair image %d deviates from typeA/2 + typeB = %g beyond p" % (image, type_a / 2 + type_b)
-        )
+    type_a = (p * p - 1) // 4
+    type_b = (p + 1) ** 2 // 4
+    image = (p + 1) * (3 * p + 1) // 8
+    if type_a + type_b != p * (p + 1) // 2 or 2 * image != type_a + 2 * type_b:
+        raise InternalInvariantViolation("pair census %r fails its certificates (p=%d)" % ((type_a, type_b, image), p))
     return PairImageCensus(type_a, type_b, image)

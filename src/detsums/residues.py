@@ -5,7 +5,7 @@ over many primes (say every p up to 10^6) needs no field per prime and
 so no primitive-root search.  Both paths find the least non-residue by
 the Euler criterion and count non-residues from the one table of
 squares, `root_table(p)` (cached on a field), whose sign is the Legendre
-symbol; it is held to the field's table cap.  An int p is checked for
+symbol; it is held to the table cap.  An int p is checked for
 primality once per report, however many operations the report runs.
 """
 

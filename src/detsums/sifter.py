@@ -179,9 +179,7 @@ def prime_tail(x, P):
 def _prime_tail(qs, x):
     """Sum of 1/q^2 over the primes q >= x in the prime array `qs`."""
     qs = qs[qs >= x]
-    if qs.size == 0:
-        return 0.0
-    return float(np.sum(1.0 / (qs.astype(np.float64) ** 2)))
+    return float(np.sum(1.0 / (qs.astype(np.float64) ** 2)))  # 0.0 when no prime is left
 
 
 # Fixed calibration grids.  The measured constants get pinned into the

@@ -21,6 +21,7 @@ import numpy as np
 
 from .characters import CharSumAccumulator, as_weights, check_shifts, contract, de_moment, shifted_sums
 from .errors import DomainTooLarge, InternalInvariantViolation, Overflow, ValidationError
+from .fp_arith import _check_table_size
 
 _DIRECT_CHUNK = 4_000_000  # cap on scratch entries per block in direct sums
 
@@ -245,12 +246,13 @@ def ratio_bins(F, A, B, C):
 
     The A*B products are binned by residue once, then each occupied
     product class is scattered through the C inverses:
-    O(AB + p + C*min(AB, p)).
+    O(AB + p + C*min(AB, p)), its length-p arrays held to the table cap.
     """
     p = F.p
     A, B, C = int(A), int(B), int(C)
     if not (1 <= A < p and 1 <= B < p and 1 <= C < p):
         raise ValidationError("need 1 <= A, B, C < p, got %d, %d, %d with p=%d" % (A, B, C, p))
+    _check_table_size(p)
     table = np.bincount(_products(A, B) % p, minlength=p)
     support = np.flatnonzero(table)
     mass = table[support]

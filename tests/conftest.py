@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from detsums import InternalInvariantViolation, Overflow, make_field
 from detsums.characters import contract
-from detsums.mat2 import Census, Mat2, _class_size, has_square_root
+from detsums.mat2 import Census, Mat2, PairImageCensus, _class_size, has_square_root
 from detsums.sums import _products
 
 # One profile for every property test: reproducible examples, no example database on disk.
@@ -182,3 +182,28 @@ def census_by_classes(F):
             "singular classes sum to %d, not p^4 - |GL_2| = %d (p=%d)" % (n_singular, n_total - n_gl2, p)
         )
     return Census(p, n_total, n_singular, n_square, n_nonsq_inv, n_nonsq_inv / n_total)
+
+
+def pair_image_by_enumeration(F):
+    """Pair census by enumerating all p(p+1)/2 pairs (s, q), q a square, in slabs of s.
+
+    Counts the type A pairs (q - 4s a nonzero square) from the root
+    table's sign and the image of (s, q) -> (s^2, q - 2s) by `np.unique`
+    over the codes s^2 * p + (q - 2s): O(p^2) time, the oracle for the
+    closed form in `mat2.pair_image_census`.
+    """
+    p = F.p
+    R = F.root_table()  # sign(R[x]) is (x/p)
+    squares = np.flatnonzero(R >= 0)  # the (p+1)/2 squares, 0 included, increasing
+
+    type_a = 0
+    uniques = []
+    slab = max(1, 2_000_000 // len(squares))
+    for lo in range(0, p, slab):
+        s = np.arange(lo, min(lo + slab, p), dtype=np.int64).reshape(-1, 1)
+        disc = (squares - 4 * s) % p
+        type_a += int(np.count_nonzero(R[disc] > 0))
+        codes = ((s * s) % p) * p + (squares - 2 * s) % p
+        uniques.append(np.unique(codes))
+    image = int(np.unique(np.concatenate(uniques)).size)
+    return PairImageCensus(type_a, p * (p + 1) // 2 - type_a, image)

@@ -149,6 +149,12 @@ def test_only_characters_reads_the_index_table():
     assert sorted(f.name for f in src.glob("*.py") if "index_table" in f.read_text()) == ["characters.py"]
 
 
+def test_only_fp_arith_and_residues_name_the_root_table():
+    """mat2 counts in closed form and decides through PrimeField.sqrt_roots, so it never names the root table."""
+    src = pathlib.Path(characters.__file__).parent
+    assert sorted(f.name for f in src.glob("*.py") if "root_table" in f.read_text()) == ["fp_arith.py", "residues.py"]
+
+
 def test_roots_of_unity_exact_where_d_divides_12k():
     """Orders 2 and 4 keep their exact roots bit for bit; 3, 6 and 12 have exact rational coordinates."""
     assert roots_of_unity(2).tobytes() == np.array([1.0 + 0.0j, -1.0 + 0.0j]).tobytes()

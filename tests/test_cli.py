@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from detsums import characters, cli, make_character, make_field, sifter, sums
+from detsums import characters, cli, make_character, make_field, mat2, sifter, sums
 from detsums.sifter import calibration_text, read_calibration
 
 
@@ -43,6 +43,22 @@ def test_census_scan_at_p_10007(capsys):
     assert run_cli(["scan", "--kind", "census", "--p", "10007"]) == 0
     (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
     assert row["p"] == "10007" and row["n_total"] == str(10007**4)
+
+
+def test_census_scan_above_table_cap(capsys):
+    """The census builds no table, so a prime above the table cap scans, with the library's row."""
+    assert run_cli(["scan", "--kind", "census", "--p", "3000017"]) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    cen = mat2.census(make_field(3000017))
+    assert row == {k: str(getattr(cen, k)) for k in ("p", "n_total", "n_square", "n_nonsquare_invertible", "ratio")}
+
+
+def test_census_p_above_hard_cap_named_before_tasks_run(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", "census", "--p", "2147483659"]) == 2
+    assert capsys.readouterr().err == "error: --p: p=2147483659 exceeds the hard cap 2^31\n"
+    assert ran == []
 
 
 def test_device_out_gets_no_manifest_file(monkeypatch, capsys):

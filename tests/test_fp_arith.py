@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from detsums import NotPrime, TooLarge, ZeroInverse, make_character, make_field
 from detsums.fp_arith import factorize, find_primitive_root, is_prime
+from detsums.sums import ratio_bins
 
 from conftest import dlog_by_loop, field, legendre_oracle
 
@@ -55,11 +56,21 @@ def test_generator_enumerates_units():
 
 
 def test_table_cap_env(monkeypatch):
+    """The cap holds the tables, not the field: each p-sized table raises where it is built."""
     monkeypatch.setenv("DETSUM_MAX_TABLE", "5")
-    with pytest.raises(TooLarge):
-        make_field(7)
+    F = make_field(7)
+    for build in (F.powers, make_character(F, 2).index_table, F.root_table, lambda: ratio_bins(F, 1, 1, 1)):
+        with pytest.raises(TooLarge, match="p=7 exceeds the table cap 5"):
+            build()
     monkeypatch.delenv("DETSUM_MAX_TABLE")
-    make_field(7)
+    assert F.root_table().size == 7
+
+
+def test_field_held_to_hard_cap_only():
+    F = make_field(2147483647)
+    assert (F.p, F.g) == (2147483647, 7)
+    with pytest.raises(TooLarge, match="p=2147483659 exceeds the hard cap 2"):
+        make_field(2147483659)
 
 
 def test_legendre_examples():

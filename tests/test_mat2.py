@@ -1,6 +1,7 @@
 """Matrix products, the square-root decision, and the exact censuses."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from detsums import mat2
 from detsums.mat2 import det, trace
 from detsums.sifter import primes_upto
 
-from conftest import census_by_classes, census_by_enumeration, conjugacy_classes, field
+from conftest import census_by_classes, census_by_enumeration, conjugacy_classes, field, pair_image_by_enumeration
 
 # Census numbers frozen from this package's own full-enumeration runs.
 CENSUS_FIXTURES = {
@@ -223,6 +224,33 @@ def test_pair_image_fixtures():
     # Frozen from this package's own enumeration runs.
     assert pair_image_census(field(11)) == (30, 36, 51)
     assert pair_image_census(field(31)) == (240, 256, 376)
+
+
+@pytest.mark.parametrize("p", [int(q) for q in primes_upto(200)[1:]])
+def test_pair_image_matches_enumeration(p):
+    """The closed form equals the O(p^2) slab enumeration on every odd prime below 200."""
+    F = field(p)
+    assert pair_image_census(F) == pair_image_by_enumeration(F)
+
+
+def test_pair_image_at_hard_cap():
+    """At p = 2^31 - 1 the counts are the three formulas, taken in Python ints."""
+    p = 2147483647
+    assert pair_image_census(make_field(p)) == ((p * p - 1) // 4, (p + 1) ** 2 // 4, (p + 1) * (3 * p + 1) // 8)
+
+
+def test_pair_image_certificate_names_p():
+    """The formulas are exact only for odd p; at p = 4 their floors break the first certificate."""
+    with pytest.raises(InternalInvariantViolation, match=r"fails its certificates \(p=4\)"):
+        pair_image_census(SimpleNamespace(p=4))
+
+
+def test_census_above_table_cap():
+    """The closed-form census builds no table, so it runs at p above the default table cap."""
+    p = 3000017
+    cen = census(make_field(p))
+    assert cen.n_singular == p**4 - (p * p - 1) * (p * p - p)
+    assert abs(cen.ratio - 5 / 8) <= 5 / p
 
 
 def test_pair_image_domain_and_range():
