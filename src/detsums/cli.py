@@ -56,13 +56,13 @@ def _collect_primes(args):
     """Sorted distinct primes from --p and --p-range; NotPrime for one that is not an odd prime.
 
     Each --p value is tested once and held, before any task runs, to the
-    table cap (a census prime, which builds no table, to the hard cap).  A
+    table cap for a sums kind (its tasks build p-entry tables), else to the hard cap.  A
     prime sifted from --p-range needs no test, but 2 still raises, so
     `--p-range 1:100` exits 2 with "got 2"; a range with LO > HI is empty.
     """
     ps = []
     for p in _parse_int_list("--p", args.p):
-        _check_capped("--p", p, "p", _check_hard_cap if args.kind == "census" else _check_table_size)
+        _check_capped("--p", p, "p", _check_table_size if args.kind in SUM_KINDS else _check_hard_cap)
         ps.append(p)
     sieved = set()
     if args.p_range:
@@ -176,6 +176,7 @@ def _build_tasks(args):
     if kind == "census":
         return [("census", p) for p in ps], "census"
     if kind == "nonresidue":
+        _check_capped("--x-limit", args.x_limit, "X")  # the count's arrays have X entries
         return [("nonresidue", p, args.x_limit) for p in ps], "nonresidue"
 
     d = args.order

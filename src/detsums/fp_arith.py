@@ -1,18 +1,16 @@
 """Exact arithmetic in F_p: primality, factorization, inverses, Legendre symbol, square roots.
 
 A PrimeField holds only p and a primitive root g, so building one costs
-the O(sqrt p) factorization of p - 1.  Dense per-residue tables are built
-on demand: every power of g by one blocked walk (`PrimeField.powers`,
-which a character's index table scatters), and the square-root table
-`root_table`, the one table of squares, whose sign is the Legendre
-symbol, by one vectorized scatter.  A field is held only to the hard cap
-2^31 (its factorization, int64 products); each table is held where it is
-built to the table cap (default 2*10^6, env DETSUM_MAX_TABLE).
-`factorize` is the package's one trial-division factorization: the
-primitive-root check and `sifter.tau` take their primes from it.
+the factorization of p - 1 by `factorize`, the package's one trial
+division (`sifter.tau` takes its primes from it too).  Legendre symbols
+are Euler's criterion, by `pow` or by `pow_mod` over an int64 array, and
+square roots Tonelli-Shanks with g as the known non-residue.  p is held to
+the hard cap 2^31; a table or array of length n, such as the power walk
+`PrimeField.powers`, to the table cap (default 2*10^6, env DETSUM_MAX_TABLE).
 """
 
 import math
+import operator
 import os
 
 import numpy as np
@@ -65,7 +63,7 @@ def factorize(n):
     """Prime factorization of n >= 1 as [(q, e), ...], primes increasing, by trial division.
 
     The one trial-division loop in the package: O(sqrt n) steps, fine at
-    desk scale (p - 1 for p below the table cap, single tau values).
+    desk scale (p - 1 for p below the hard cap 2^31, single tau values).
     """
     n = int(n)
     if n < 1:
@@ -99,16 +97,13 @@ class PrimeField:
     """Immutable arithmetic context for a fixed odd prime p.
 
     Do not construct directly; use make_field, which validates p, checks
-    the hard cap and finds the primitive root g.  Nothing is tabulated
-    up front: the square-root table is built on first use.
+    the hard cap and finds the primitive root g.  Nothing is tabulated.
     """
 
-    __slots__ = ("p", "g", "_roots")
+    __slots__ = ("p", "g")
 
     def __init__(self, p, g):
-        self.p = p
-        self.g = g
-        self._roots = None
+        self.p, self.g = p, g
 
     def __repr__(self):
         return "PrimeField(p=%d, g=%d)" % (self.p, self.g)
@@ -122,8 +117,7 @@ class PrimeField:
         self._check_residue(x)
         if x == 0:
             return 0
-        r = pow(x, (self.p - 1) // 2, self.p)
-        return 1 if r == 1 else -1
+        return 1 if pow(x, (self.p - 1) // 2, self.p) == 1 else -1
 
     def inv(self, x):
         """Multiplicative inverse of x mod p."""
@@ -133,20 +127,28 @@ class PrimeField:
         return pow(x, self.p - 2, self.p)
 
     def sqrt_roots(self, x):
-        """All square roots of x mod p: (), (0,), or a pair (r, p-r) with r <= (p-1)/2."""
-        self._check_residue(x)
-        r = int(self.root_table()[x])
-        if r < 0:
-            return ()
-        if r == 0:
-            return (0,)
-        return (r, self.p - r)
+        """All square roots of x mod p: (), (0,), or a pair (r, p-r) with r <= (p-1)/2.
 
-    def root_table(self):
-        """root_table(p), built once per field."""
-        if self._roots is None:
-            self._roots = root_table(self.p)
-        return self._roots
+        Tonelli-Shanks with p - 1 = q 2^e, q odd, reading the Euler symbol off t = x^q.  g is
+        primitive, so a non-residue, and g^q generates the 2-Sylow subgroup: no search, O(log^2 p).
+        """
+        self._check_residue(x)
+        if x == 0:
+            return (0,)
+        x, p = operator.index(x), self.p  # a numpy integer would wrap in x * w * w
+        e = ((p - 1) & (1 - p)).bit_length() - 1  # 2^e exactly divides p - 1
+        w = pow(x, (p - 1) >> (e + 1), p)  # x^((q-1)/2)
+        r, t = x * w % p, x * w * w % p  # x^((q+1)/2), x^q
+        if pow(t, 1 << (e - 1), p) != 1:  # t^(2^(e-1)) = x^((p-1)/2)
+            return ()
+        c, m = pow(self.g, (p - 1) >> e, p), e
+        while t != 1:  # invariant: r^2 = x t, c of order 2^m, t of order below 2^m
+            i, u = 0, t
+            while u != 1:  # the least i with t^(2^i) = 1
+                u, i = u * u % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            r, t, c, m = r * b % p, t * b * b % p, b * b % p, i
+        return (min(r, p - r), max(r, p - r))
 
     def powers(self):
         """int64 array W with W[k] = g^k mod p for k = 0, ..., p-2, by a blocked walk.
@@ -175,7 +177,7 @@ def _check_hard_cap(n, name="p"):
 def _check_table_size(n, name="p"):
     """TooLarge unless a dense table of length n fits the cap: DETSUM_MAX_TABLE, else the default.
 
-    `name` labels n in the message (p for a residue table, N or M for a sieve range).
+    `name` labels n in the message (p for a residue table, X for a count, N or M for a sieve range).
     """
     raw = os.environ.get("DETSUM_MAX_TABLE", str(DEFAULT_MAX_TABLE))
     try:
@@ -187,27 +189,25 @@ def _check_table_size(n, name="p"):
         raise TooLarge("%s=%d exceeds the table cap %d (DETSUM_MAX_TABLE)" % (name, n, cap))
 
 
-def root_table(p):
-    """int32 array R for an odd prime p: R[x] is the square root of x in [0, (p-1)/2], -1 off the squares.
-
-    The package's one table of squares.  Each nonzero square has exactly
-    one root in [1, (p-1)/2], so the one r*r scatter writes every square
-    once, and sign(R[x]) is the Legendre symbol (x/p).  O(p) time and
-    memory, so it is held to the table cap.
-    """
-    _check_table_size(p)
-    r = np.arange((p + 1) // 2, dtype=np.int64)
-    roots = np.full(p, -1, dtype=np.int32)
-    roots[r * r % p] = r
-    return roots
+def pow_mod(xs, e, p):
+    """int64 array of x^e mod p for each x in xs, e >= 0, by square-and-multiply; p < 2^31 keeps products below 2^62."""
+    _check_hard_cap(p)
+    base = np.asarray(xs, dtype=np.int64) % p
+    out = base.copy() if e else np.ones_like(base)
+    for bit in bin(e)[3:]:  # below e's top bit: out = x^(the bits of e read so far), in place
+        out *= out
+        out %= p
+        if bit == "1":
+            out *= base
+            out %= p
+    return out
 
 
 def make_field(p):
     """Build a PrimeField for an odd prime p: validate p, find its primitive root.
 
     Raises NotPrime for composite or even input, TooLarge above the hard cap
-    2^31 (each table is held to the table cap where it is built).  O(sqrt p),
-    the factorization of p - 1; immutable and safe to share across workers.
+    2^31.  O(sqrt p), factoring p - 1; immutable and safe to share across workers.
     """
     p = check_odd_prime(p)
     _check_hard_cap(p)

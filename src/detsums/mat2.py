@@ -11,7 +11,7 @@ small p.  The census counts the conjugacy classes of each kind in closed
 form, from an eigenvalue rule on their characteristic polynomials; the
 tests check those counts against `has_square_root` on every class and
 the census against squaring all p^4 matrices.  The pair census is a
-closed form too, so only the decision reads a table (through sqrt_roots).
+closed form too, and the decision's roots are Tonelli-Shanks: no tables.
 """
 
 from typing import NamedTuple, Optional

@@ -2,11 +2,10 @@
 
 Operations accept either a PrimeField or a plain int modulus, so a scan
 over many primes (say every p up to 10^6) needs no field per prime and
-so no primitive-root search.  Both paths find the least non-residue by
-the Euler criterion and count non-residues from the one table of
-squares, `root_table(p)` (cached on a field), whose sign is the Legendre
-symbol; it is held to the table cap.  An int p is checked for
-primality once per report, however many operations the report runs.
+so no primitive-root search.  Both paths take every Legendre symbol
+from the Euler criterion: the least non-residue by scalar `pow`, the
+count by one `pow_mod` over 1..X.  An int p is checked for primality
+once per report, however many operations the report runs.
 """
 
 import functools
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import mat2
 from .errors import InternalInvariantViolation, ValidationError
-from .fp_arith import PrimeField, check_odd_prime, root_table
+from .fp_arith import PrimeField, _check_table_size, check_odd_prime, pow_mod
 
 
 @functools.lru_cache(maxsize=1)
@@ -42,12 +41,12 @@ def least_nonresidue(F):
 
 
 def count_nonresidues(F, X):
-    """Exact #{1 <= n <= X : (n/p) = -1} from the squares table; X must stay below p."""
+    """Exact #{1 <= n <= X : (n/p) = -1} by the Euler criterion; 1 <= X < p, X held to the table cap."""
     p = _as_modulus(F)
     if not 1 <= X < p:
         raise ValidationError("need 1 <= X < p, got X=%d with p=%d" % (X, p))
-    table = F.root_table() if isinstance(F, PrimeField) else root_table(p)
-    return int(np.count_nonzero(table[1 : X + 1] < 0))  # sign(R[n]) = (n/p), and n != 0 here
+    _check_table_size(X, "X")
+    return int(np.count_nonzero(pow_mod(np.arange(1, X + 1), (p - 1) // 2, p) != 1))
 
 
 class NonResidueReport(NamedTuple):

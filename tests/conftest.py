@@ -145,8 +145,7 @@ def conjugacy_classes(F):
     The p scalar classes u*I have size 1; the p^2 non-scalar classes are
     one per characteristic polynomial x^2 - t*x + n, represented by the
     companion matrix [[0, -n], [1, t]].  Class sizes take the symbol of
-    the discriminant from the Euler criterion, not from the root table
-    the census reads.
+    the discriminant from `F.legendre`, the Euler criterion.
     """
     p = F.p
     for u in range(p):
@@ -187,13 +186,15 @@ def census_by_classes(F):
 def pair_image_by_enumeration(F):
     """Pair census by enumerating all p(p+1)/2 pairs (s, q), q a square, in slabs of s.
 
-    Counts the type A pairs (q - 4s a nonzero square) from the root
-    table's sign and the image of (s, q) -> (s^2, q - 2s) by `np.unique`
+    Counts the type A pairs (q - 4s a nonzero square) from a square
+    marking and the image of (s, q) -> (s^2, q - 2s) by `np.unique`
     over the codes s^2 * p + (q - 2s): O(p^2) time, the oracle for the
     closed form in `mat2.pair_image_census`.
     """
     p = F.p
-    R = F.root_table()  # sign(R[x]) is (x/p)
+    r = np.arange((p + 1) // 2, dtype=np.int64)
+    R = np.full(p, -1, dtype=np.int64)
+    R[r * r % p] = r  # each square has one root in [0, (p-1)/2], so sign(R[x]) is (x/p)
     squares = np.flatnonzero(R >= 0)  # the (p+1)/2 squares, 0 included, increasing
 
     type_a = 0

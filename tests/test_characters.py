@@ -149,10 +149,10 @@ def test_only_characters_reads_the_index_table():
     assert sorted(f.name for f in src.glob("*.py") if "index_table" in f.read_text()) == ["characters.py"]
 
 
-def test_only_fp_arith_and_residues_name_the_root_table():
-    """mat2 counts in closed form and decides through PrimeField.sqrt_roots, so it never names the root table."""
+def test_no_module_names_the_root_table():
+    """Legendre symbols come from the Euler criterion and roots from Tonelli-Shanks, so no table of squares exists."""
     src = pathlib.Path(characters.__file__).parent
-    assert sorted(f.name for f in src.glob("*.py") if "root_table" in f.read_text()) == ["fp_arith.py", "residues.py"]
+    assert [f.name for f in src.glob("*.py") if "root_table" in f.read_text()] == []
 
 
 def test_roots_of_unity_exact_where_d_divides_12k():

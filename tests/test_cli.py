@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from detsums import characters, cli, make_character, make_field, mat2, sifter, sums
+from detsums import characters, cli, make_character, make_field, mat2, residues, sifter, sums
 from detsums.sifter import calibration_text, read_calibration
 
 
@@ -125,7 +125,7 @@ def test_validation_errors():
         (["calibrate", "--calibration-file", "/nonexistent/x.txt"], {}),
         (["calibrate", "--calibration-file", "{tmp}"], {}),
         (["calibrate", "--calibration-file", "{tmp}/bad.txt"], {}),
-        (["scan", "--kind", "nonresidue", "--p", "101"], {"DETSUM_MAX_TABLE": "50"}),
+        (["scan", "--kind", "nonresidue", "--p-range", "3:101"], {"DETSUM_MAX_TABLE": "50"}),
         (["scan", "--kind", "census", "--p-range", "3:4294967296"], {}),
         (["scan", "--kind", "sift", "--n-grid", "10000000000"], {}),
         (["scan", "--kind", "s", "--p-range", "100:50", "--n-grid", "5"], {}),
@@ -134,6 +134,7 @@ def test_validation_errors():
         (["scan", "--kind", "t_abs", "--p", "101", "--abc", "2,2"], {}),
         (["scan", "--kind", "t_abs", "--p", "101", "--abc", "5,5,5"], {}),
         (["scan", "--kind", "u", "--p", "101"], {}),
+        (["scan", "--kind", "nonresidue", "--p", "101", "--x-limit", "3000000"], {}),
     ],
 )
 def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeypatch):
@@ -152,6 +153,21 @@ def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeyp
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_nonresidue_prime_held_to_hard_cap_only(capsys, monkeypatch):
+    """A nonresidue scan builds no p-entry table; only --x-limit, its arrays' length, meets the table cap."""
+    monkeypatch.setenv("DETSUM_MAX_TABLE", "50")
+    assert run_cli(["scan", "--kind", "nonresidue", "--p", "101"]) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    rep = residues.nonresidue_report(101, 10)
+    want = [rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X]
+    assert row == {k: str(v) for k, v in zip(cli.HEADERS["nonresidue"], want)}
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", "nonresidue", "--p", "101", "--x-limit", "51"]) == 2
+    assert capsys.readouterr().err == "error: --x-limit: X=51 exceeds the table cap 50 (DETSUM_MAX_TABLE)\n"
+    assert ran == []
 
 
 def test_sift_n_cap_names_flag(capsys, monkeypatch):

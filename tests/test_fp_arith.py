@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detsums import NotPrime, TooLarge, ZeroInverse, make_character, make_field
-from detsums.fp_arith import factorize, find_primitive_root, is_prime
+from detsums import NotPrime, TooLarge, ZeroInverse, count_nonresidues, make_character, make_field
+from detsums.fp_arith import factorize, find_primitive_root, is_prime, pow_mod
 from detsums.sums import ratio_bins
 
 from conftest import dlog_by_loop, field, legendre_oracle
@@ -56,14 +56,19 @@ def test_generator_enumerates_units():
 
 
 def test_table_cap_env(monkeypatch):
-    """The cap holds the tables, not the field: each p-sized table raises where it is built."""
+    """The cap holds the tables, not the field: each p-sized table raises where it is built.
+
+    Square roots and a short non-residue count build no p-sized table, so they run under the cap.
+    """
     monkeypatch.setenv("DETSUM_MAX_TABLE", "5")
     F = make_field(7)
-    for build in (F.powers, make_character(F, 2).index_table, F.root_table, lambda: ratio_bins(F, 1, 1, 1)):
+    for build in (F.powers, make_character(F, 2).index_table, lambda: ratio_bins(F, 1, 1, 1)):
         with pytest.raises(TooLarge, match="p=7 exceeds the table cap 5"):
             build()
+    assert F.sqrt_roots(2) == (3, 4)
+    assert count_nonresidues(F, 3) == 1  # only n = 3
     monkeypatch.delenv("DETSUM_MAX_TABLE")
-    assert F.root_table().size == 7
+    assert F.powers().size == 6
 
 
 def test_field_held_to_hard_cap_only():
@@ -110,12 +115,12 @@ def test_legendre_sums_to_zero():
 
 
 def test_dlog_parity_crosscheck():
-    """Three-way Legendre agreement: Euler pow, order-2 index parity, square marking.
+    """Three-way Legendre agreement: scalar Euler pow, order-2 index parity, vectorized Euler.
 
     The parity of the order-2 index table equals that of the dlog oracle,
-    and both it and the square-marking table are swept in full for every
-    prime below 10^4; the per-residue Euler criterion is swept in full
-    below 500 and sampled above (it is the slow scalar route).
+    and both it and the Euler criterion by `pow_mod` are swept in full for
+    every prime below 10^4; the scalar `legendre` is swept in full below
+    500 and sampled above (it is the slow scalar route).
     """
     from detsums.sifter import primes_upto
 
@@ -126,8 +131,8 @@ def test_dlog_parity_crosscheck():
         ktab = make_character(F, 2).index_table()[1:]
         assert np.array_equal(ktab, dlog_by_loop(p, F.g)[1:] & 1)
         parity = np.where(ktab & 1, -1, 1)
-        table = np.sign(F.root_table())[1:]  # square marking
-        assert np.array_equal(parity, table.astype(parity.dtype))
+        euler = np.where(pow_mod(np.arange(1, p), (p - 1) // 2, p) == 1, 1, -1)
+        assert np.array_equal(parity, euler)
         xs = range(1, p) if p < 500 else [rng.randrange(1, p) for _ in range(20)]
         for x in xs:
             assert F.legendre(x) == (1 if parity[x - 1] == 1 else -1)
@@ -153,7 +158,7 @@ def test_sqrt_roots_range_check():
 
 
 def test_sqrt_roots_brute_force():
-    """The root table against squaring every residue, for every x and every odd p < 200."""
+    """Tonelli-Shanks against squaring every residue, for every x and every odd p < 200."""
     from detsums.sifter import primes_upto
 
     for p in primes_upto(200)[1:]:
@@ -162,11 +167,33 @@ def test_sqrt_roots_brute_force():
         roots = {x: [] for x in range(p)}
         for r in range(p):
             roots[r * r % p].append(r)
-        table = F.root_table()
-        assert table is F.root_table() and table.dtype == np.int32
         for x in range(p):
-            assert sorted(F.sqrt_roots(x)) == roots[x]
-            assert table[x] == (min(roots[x]) if roots[x] else -1)
+            assert F.sqrt_roots(x) == tuple(roots[x])  # increasing, so the smaller root first
+
+
+@pytest.mark.parametrize("p", [65537, 7340033, 998244353, 2013265921, 2147483647])
+def test_sqrt_roots_sampled_where_tonelli_shanks_branches(p):
+    """Sampled residues at primes with 2^16, 2^20, 2^23, 2^27 and 2^1 exactly dividing p - 1."""
+    F = make_field(p)
+    rng = random.Random(p)
+    for x in [rng.randrange(1, p) for _ in range(300)] + [pow(rng.randrange(1, p), 2, p) for _ in range(300)]:
+        roots = F.sqrt_roots(x)
+        assert (roots == ()) == (F.legendre(x) == -1)
+        if roots:
+            r = roots[0]
+            assert r * r % p == x and r <= (p - 1) // 2 and roots == (r, p - r)
+
+
+def test_pow_mod_matches_pow():
+    """Random x (negative, >= p and multiples of p included) and the exponents Euler and inverses use."""
+    rng = random.Random("pow_mod")
+    for p in (3, 7, 10007, 998244353, 2147398009, 2147483647):
+        xs = [rng.randrange(-5 * p, 5 * p) for _ in range(200)] + [0, p, -p, 3 * p, p - 1, -1]
+        for e in (0, 1, 2, (p - 1) // 2, p - 2, rng.randrange(p), rng.getrandbits(40)):
+            got = pow_mod(np.array(xs), e, p)
+            assert got.dtype == np.int64 and got.tolist() == [pow(x, e, p) for x in xs]
+    with pytest.raises(TooLarge, match="p=2147483659 exceeds the hard cap"):
+        count_nonresidues(2147483659, 10)  # int64 products would wrap above 2^31
 
 
 def test_sqrt_roots():
@@ -175,6 +202,7 @@ def test_sqrt_roots():
         assert F.sqrt_roots(0) == (0,)
         for x in range(1, p):
             roots = F.sqrt_roots(x)
+            assert F.sqrt_roots(np.int64(x)) == roots
             if F.legendre(x) == 1:
                 assert len(roots) == 2 and roots[0] != roots[1]
                 for r in roots:

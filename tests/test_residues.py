@@ -8,6 +8,7 @@ import pytest
 from detsums import cli, fp_arith, residues
 from detsums import (
     NotPrime,
+    SmallNonSquareMatrix,
     construct_nonsquare,
     count_nonresidues,
     has_square_root,
@@ -16,7 +17,7 @@ from detsums import (
 )
 from detsums.mat2 import reduce_mat
 from detsums.sifter import primes_upto
-from detsums.fp_arith import is_prime
+from detsums.fp_arith import is_prime, make_field
 
 from conftest import field
 
@@ -136,8 +137,6 @@ def test_construct_fixtures():
 
 
 def test_construct_invariants():
-    from detsums import make_field
-
     for p in primes_upto(2000)[1:]:
         F = make_field(int(p))
         m = construct_nonsquare(F)
@@ -150,3 +149,17 @@ def test_construct_invariants():
         assert 1 <= min(m.a, m.b, m.c, m.d)
         assert max(m.a, m.b, m.c, m.d) <= bound + 1
         assert not has_square_root(reduce_mat((m.a, m.b, m.c, m.d), F), F).found
+
+
+def test_worst_prime_near_2_31(capsys):
+    """The worst prime of the window below 2^31, least non-residue 23: its scan row and its small non-square."""
+    assert cli.main(["scan", "--kind", "nonresidue", "--p", "2147398009"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()[1:]
+    p, z, _, X, count, _ = line.split(",")
+    assert (p, z, X, count) == ("2147398009", "23", "46340", "21174")
+    assert construct_nonsquare(make_field(2147398009)) == SmallNonSquareMatrix(5, 2, 1, 5, 23)
+
+
+def test_construct_above_table_cap():
+    """The square-root decision builds no table, so the construction runs above the 2*10^6 table cap."""
+    assert construct_nonsquare(make_field(3000017)).det_value == least_nonresidue(3000017)
