@@ -7,6 +7,12 @@ One kind per run, one CSV schema per kind:
   nonresidue                  -> p,z_p,kappa_empirical,X,count,density
   sift                        -> N,x,y,r,size
 Exit codes: 0 success, 2 validation problem, 3 internal invariant violation.
+
+Only the numpy-free `errors`, `fp_arith` and `mat2` are imported up front; the other layers,
+and numpy through them, in the branches that use them.  So a census scan, --help and a
+validation failure found before the --p-range sieve or the first task start without numpy.
+Each layer is called as `module.function` (`sums.de_moment`, `mat2.census`), the names
+benchmark/trace_child.py wraps.
 """
 
 import argparse
@@ -18,12 +24,9 @@ import random
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, mat2, residues, sifter, sums
-from .characters import WeightSeq, de_moment, make_character
+from . import __version__, mat2
 from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
-from .fp_arith import _check_hard_cap, _check_table_size, check_odd_prime, make_field
+from .fp_arith import _check_hard_cap, _check_length, _check_table_size, check_odd_prime, make_field
 
 SUM_KINDS = ("s", "u", "t_abs", "t_n", "de_moment")
 ALL_KINDS = SUM_KINDS + ("delta_profile", "census", "nonresidue", "sift")
@@ -71,13 +74,16 @@ def _collect_primes(args):
         except ValueError:
             raise ValidationError("--p-range wants LO:HI, got %r" % args.p_range)
         _check_capped("--p-range HI", hi, "p")  # before the sieve allocates HI + 1 bytes
-        sieved = {int(q) for q in sifter.primes_upto(hi) if q >= lo} if lo <= hi else set()
+        if lo <= hi:
+            from . import sifter
+            sieved = {int(q) for q in sifter.primes_upto(hi) if q >= lo}
     return [p if p in sieved and p != 2 else check_odd_prime(p) for p in sorted(sieved.union(ps))]
 
 
 @functools.lru_cache(maxsize=1)  # _build_tasks groups sums tasks by p: one index table per (p, d)
 def _character(p, d):
-    return make_character(make_field(p), d)
+    from . import characters
+    return characters.make_character(make_field(p), d)
 
 
 def _rng(*seed_parts):
@@ -86,12 +92,15 @@ def _rng(*seed_parts):
 
 def _signed_shifts(p, n_shifts, seed, tag, key):
     """Seeded random shift set of size n_shifts in [1, p-1] and +-1 weights on it."""
+    from .characters import WeightSeq
     shifts = sorted(_rng(seed, tag + "-shifts", *key).sample(range(1, p), min(n_shifts, p - 1)))
     return shifts, WeightSeq.signs(shifts, _rng(seed, tag + "-alpha", *key))
 
 
 def _sum_call(kind, chi, params, seed):
     """(zero-argument call returning the sum, value of the N column) for one sums task."""
+    from . import sums
+    from .characters import WeightSeq
     p, d = chi.field.p, chi.d
     if kind == "s":
         return (lambda: sums.s_sum_binned(chi, params).value()), params
@@ -108,7 +117,7 @@ def _sum_call(kind, chi, params, seed):
         return (lambda: sums.t_abs_sum(chi, A, B, C, shifts, alpha)), A * B * C
     n_shifts, nu = params
     shifts, alpha = _signed_shifts(p, n_shifts, seed, "dm", (p, d, n_shifts, nu))
-    return (lambda: de_moment(chi, shifts, alpha, nu)), len(shifts)
+    return (lambda: sums.de_moment(chi, shifts, alpha, nu)), len(shifts)
 
 
 def _run_task(task):
@@ -123,21 +132,24 @@ def _run_task(task):
         mag = abs(val)
         return [[p, d, n_col, kind, val.real, val.imag, mag, mag / n_col**4, "%.3f" % ms]]
     if kind == "delta_profile":
+        from . import sums
         _, N = task
         counts = sums.delta_profile(N).counts
-        nz = np.flatnonzero(counts)
+        nz = counts.nonzero()[0]
         return [[N, delta, c] for delta, c in zip((nz - (N * N - 1)).tolist(), counts[nz].tolist())]
     if kind == "census":
         _, p = task
         cen = mat2.census(make_field(p))
         return [[cen.p, cen.n_total, cen.n_square, cen.n_nonsquare_invertible, cen.ratio]]
     if kind == "nonresidue":
+        from . import residues
         _, p, x_limit = task
         X = x_limit if x_limit > 0 else max(2, math.isqrt(p))
         X = min(X, p - 1)
         rep = residues.nonresidue_report(p, X)  # int path: no field per prime
         return [[rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X]]
     if kind == "sift":
+        from . import sifter
         _, N, x, y, multiplicity = task
         prof = sifter.sift(N, x, y, multiplicity)
         return [[prof.N, prof.x, prof.y, r, size] for r, size in enumerate(prof.sizes)]
@@ -200,7 +212,7 @@ def _build_tasks(args):
     tasks = []
     for p in ps:
         for N in n_grid:
-            sums._check_length(N, p)
+            _check_length(N, p)
             if kind == "t_n" and N**3 >= p:
                 raise ValidationError("t_n needs N^3 < p, got N=%d with p=%d" % (N, p))
             tasks.append((kind, p, d, N, args.seed))
@@ -281,6 +293,7 @@ def _cmd_scan(args):
 def _cmd_calibrate(args):
     path = args.calibration_file or default_calibration_path()
     _check_out("--calibration-file", path)  # before the constants are measured
+    from . import sifter
     try:
         old = sifter.read_calibration(path)
     except FileNotFoundError:

@@ -13,8 +13,6 @@ import math
 import operator
 import os
 
-import numpy as np
-
 from .errors import NotPrime, TooLarge, ValidationError, ZeroInverse
 
 DEFAULT_MAX_TABLE = 2_000_000
@@ -159,6 +157,7 @@ class PrimeField:
         Nothing here checks that g is primitive: a caller that needs every
         unit to appear must check it (a character's index table does).
         """
+        import numpy as np  # imported here, as in pow_mod: a census or a prime check needs no array
         p, g = self.p, self.g
         _check_table_size(p)
         B = math.isqrt(p - 2) + 1
@@ -172,6 +171,14 @@ def _check_hard_cap(n, name="p"):
     """TooLarge if n exceeds the hard cap 2^31; `name` labels n in the message."""
     if n > HARD_CAP:
         raise TooLarge("%s=%d exceeds the hard cap 2^31" % (name, n))
+
+
+def _check_length(N, p):
+    """N as an int; ValidationError unless 1 <= N < p (a box side of a sum mod p)."""
+    N = int(N)
+    if not 1 <= N < p:
+        raise ValidationError("need 1 <= N < p, got N=%d with p=%d" % (N, p))
+    return N
 
 
 def _check_table_size(n, name="p"):
@@ -191,6 +198,7 @@ def _check_table_size(n, name="p"):
 
 def pow_mod(xs, e, p):
     """int64 array of x^e mod p for each x in xs, e >= 0, by square-and-multiply; p < 2^31 keeps products below 2^62."""
+    import numpy as np
     _check_hard_cap(p)
     base = np.asarray(xs, dtype=np.int64) % p
     out = base.copy() if e else np.ones_like(base)

@@ -16,8 +16,6 @@ closed form too, and the decision's roots are Tonelli-Shanks: no tables.
 
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .errors import InternalInvariantViolation
 
 
@@ -120,25 +118,23 @@ def _class_size(p, disc_symbol):
 def _class_tally(F):
     """Count the p^2 non-scalar classes by (discriminant symbol, square, singular).
 
-    Returns an int64 array C of shape (3, 2, 2) with C[symbol + 1, square,
-    n == 0] the number of characteristic polynomials x^2 - t*x + n of that
-    kind.  A square root of a non-scalar A commutes with A, so it lies in
-    F_p[A]: a split class is a square iff both eigenvalues are squares, 0
-    included; a non-split one iff its norm n is a square; a repeated one
-    iff its eigenvalue t/2 is a nonzero square.  Each count then depends
-    only on how many values are squares: h = (p-1)/2 nonzero ones.
+    Returns nested lists C of Python ints, exact at every p, with
+    C[symbol + 1][square][n == 0] the number of characteristic polynomials
+    x^2 - t*x + n of that kind.  A square root of a non-scalar A commutes
+    with A, so it lies in F_p[A]: a split class is a square iff both
+    eigenvalues are squares, 0 included; a non-split one iff its norm n is
+    a square; a repeated one iff its eigenvalue t/2 is a nonzero square.
+    Each count then depends only on how many values are squares: h =
+    (p-1)/2 nonzero ones.
     """
     p = F.p
     h = (p - 1) // 2
     pairs = h * (h - 1) // 2  # split classes {lam, mu} of two distinct nonzero squares
-    return np.array(
-        [
-            [[h * (p + 1) // 2, 0], [h * h, 0]],  # non-split: (p-1)/2 classes per square norm, (p+1)/2 per non-square
-            [[h, 1], [h, 0]],  # repeated: t/2 a non-square, or 0, or a nonzero square
-            [[p * (p - 1) // 2 - pairs - 2 * h, h], [pairs, h]],  # split: {0, mu} is a square iff mu is
-        ],
-        dtype=np.int64,
-    )
+    return [
+        [[h * (p + 1) // 2, 0], [h * h, 0]],  # non-split: (p-1)/2 classes per square norm, (p+1)/2 per non-square
+        [[h, 1], [h, 0]],  # repeated: t/2 a non-square, or 0, or a nonzero square
+        [[p * (p - 1) // 2 - pairs - 2 * h, h], [pairs, h]],  # split: {0, mu} is a square iff mu is
+    ]
 
 
 def census(F):
@@ -164,7 +160,7 @@ def census(F):
     tally = _class_tally(F)
     for s in (-1, 0, 1):
         size = _class_size(p, s)
-        (nonsq_inv, nonsq_sing), (sq_inv, sq_sing) = tally[s + 1].tolist()
+        (nonsq_inv, nonsq_sing), (sq_inv, sq_sing) = tally[s + 1]
         n_counted += (nonsq_inv + nonsq_sing + sq_inv + sq_sing) * size
         n_singular += (nonsq_sing + sq_sing) * size
         n_square += (sq_inv + sq_sing) * size

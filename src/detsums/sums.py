@@ -21,7 +21,7 @@ import numpy as np
 
 from .characters import CharSumAccumulator, as_weights, check_shifts, contract, de_moment, shifted_sums
 from .errors import DomainTooLarge, InternalInvariantViolation, Overflow, ValidationError
-from .fp_arith import _check_table_size
+from .fp_arith import _check_length, _check_table_size
 
 _DIRECT_CHUNK = 4_000_000  # cap on scratch entries per block in direct sums
 
@@ -48,14 +48,6 @@ class DeltaProfile:
 def _products(A, B):
     """Flat int64 array of a*b over (a, b) in [1,A]x[1,B], entry (a-1)*B + (b-1)."""
     return np.outer(np.arange(1, A + 1, dtype=np.int64), np.arange(1, B + 1, dtype=np.int64)).ravel()
-
-
-def _check_length(N, p):
-    """N as an int; ValidationError unless 1 <= N < p."""
-    N = int(N)
-    if not 1 <= N < p:
-        raise ValidationError("need 1 <= N < p, got N=%d with p=%d" % (N, p))
-    return N
 
 
 # Largest |x - rint(x)| an integral-weight correlation may show before it is

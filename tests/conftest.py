@@ -2,6 +2,7 @@
 
 import functools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,15 +161,18 @@ def census_by_classes(F):
 
     p + p^2 Python decisions weighted by the class sizes, with both
     certificates: the oracle for the eigenvalue rule in `mat2.census`.
+    The decisions ask `sqrt_roots` about p^2 times on only p arguments, so
+    they see F with its `sqrt_roots` memoized; each decision still runs.
     """
     p = F.p
+    memo = SimpleNamespace(p=p, inv=F.inv, sqrt_roots=functools.cache(F.sqrt_roots))
     n_total = p**4
     n_counted = n_singular = n_square = n_nonsq_inv = 0
     for rep, n, size in conjugacy_classes(F):
         n_counted += size
         if n == 0:
             n_singular += size
-        if has_square_root(rep, F).found:
+        if has_square_root(rep, memo).found:
             n_square += size
         elif n != 0:
             n_nonsq_inv += size

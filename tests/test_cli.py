@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import importlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+import detsums
 from detsums import characters, cli, make_character, make_field, mat2, residues, sifter, sums
 from detsums.sifter import calibration_text, read_calibration
 
@@ -231,13 +233,73 @@ def test_worker_count_independence(tmp_path):
     assert strip_wall(read_rows(one)) == strip_wall(read_rows(two))
 
 
-def test_import_leaves_worker_pool_unloaded():
-    """Importing the CLI in a fresh interpreter loads neither concurrent.futures nor multiprocessing."""
+def fresh_python(code):
+    """The stdout lines of `code` run in a fresh interpreter that imports detsums from this source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, detsums.cli; print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.splitlines()
+
+
+def test_import_leaves_worker_pool_unloaded():
+    """Importing the CLI in a fresh interpreter loads neither concurrent.futures nor multiprocessing."""
+    code = "import sys, detsums.cli; print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    assert fresh_python(code) == ["[]"]
+
+
+def main_exit(*argv):
+    """Code for fresh_python: run cli.main(argv) and print its exit code, SystemExit's for --help."""
+    return "from detsums import cli\ntry:\n    code = cli.main(%r)\nexcept SystemExit as exc:\n    code = exc.code\nprint(code)" % (
+        list(argv),
+    )
+
+
+@pytest.mark.parametrize(
+    "code, printed",
+    [
+        ("import detsums", None),
+        ("import detsums.cli", None),
+        (main_exit("scan", "--kind", "census", "--p", "31,61", "--out", "-"), "0"),
+        (main_exit("scan", "--kind", "s", "--p", "15"), "2"),  # not prime
+        (main_exit("scan", "--kind", "s", "--p", "7", "--n-grid", "9"), "2"),  # N >= p
+        (main_exit("scan", "--kind", "s", "--p-range", "100:50", "--n-grid", "5"), "2"),  # empty range, no sieve
+        (main_exit("--help"), "0"),
+        ("import detsums\nprint(detsums.mat2.census is detsums.census)", "True"),
+    ],
+    ids=["import", "import-cli", "census", "not-prime", "N-at-least-p", "empty-range", "help", "submodule"],
+)
+def test_start_without_numpy(code, printed):
+    """The package, the CLI, a census scan, --help and a validation exit before any task run without numpy."""
+    lines = fresh_python(code + "\nimport sys\nprint('numpy' in sys.modules)")
+    assert lines[-1] == "False"
+    if printed is not None:
+        assert lines[-2] == printed
+
+
+# The names `detsums` exported by eager imports, each from its submodule.
+EXPORTS = {
+    "characters": "CharSumAccumulator CharValue Character WeightSeq de_moment interval_sum make_character",
+    "errors": "BadOrder BadWindow DetsumsError DomainTooLarge InternalInvariantViolation NotPrime Overflow TooLarge "
+    "ValidationError WeightOutOfRange ZeroInverse",
+    "fp_arith": "PrimeField is_prime make_field",
+    "mat2": "Census Mat2 SquareWitness census has_square_root mul pair_image_census",
+    "residues": "NonResidueReport SmallNonSquareMatrix construct_nonsquare count_nonresidues least_nonresidue "
+    "nonresidue_report",
+    "sifter": "SiftProfile a0_bound_check prime_tail sift tau tau_square_average",
+    "sums": "BinTable DeltaProfile delta_profile holder_chain ratio_bins s_sum_binned s_sum_direct t_abs_sum "
+    "t_abs_sum_direct t_n_sum u_sum u_sum_direct",
+}
+
+
+def test_package_exports_resolve_to_submodules():
+    """Each of the 52 exported names is its submodule's object; __all__ lists them; an unknown name raises."""
+    names = [(module, name) for module, text in EXPORTS.items() for name in text.split()]
+    assert len(names) == 52
+    for module, name in names:
+        assert getattr(detsums, name) is getattr(importlib.import_module("detsums." + module), name), name
+    assert sorted(detsums.__all__) == sorted(name for _, name in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        detsums.no_such_name
 
 
 def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):

@@ -3,7 +3,6 @@
 import random
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -162,7 +161,8 @@ def test_census_singular_certificate(monkeypatch):
 
     def singular_class_relabelled(F):
         tally = real_tally(F)
-        tally[2, 1] += (1, -1)  # one split square class with n = 0 counted as invertible
+        tally[2][1][0] += 1  # one split square class with n = 0 counted as invertible
+        tally[2][1][1] -= 1
         return tally
 
     monkeypatch.setattr(mat2, "_class_tally", singular_class_relabelled)
@@ -174,7 +174,7 @@ def test_census_singular_certificate(monkeypatch):
 def test_square_rule_matches_decision(p):
     """Every cell of the closed-form tally equals a count of `has_square_root` over the class representatives."""
     F = field(p)
-    tally = np.zeros((3, 2, 2), dtype=np.int64)
+    tally = [[[0, 0], [0, 0]] for _ in range(3)]
     n_scalar = 0
     for rep, n, _ in conjugacy_classes(F):
         found = has_square_root(rep, F).found
@@ -183,9 +183,9 @@ def test_square_rule_matches_decision(p):
             assert found, rep
         else:
             t = rep.d
-            tally[F.legendre((t * t - 4 * n) % p) + 1, int(found), int(n == 0)] += 1
+            tally[F.legendre((t * t - 4 * n) % p) + 1][int(found)][int(n == 0)] += 1
     assert n_scalar == p
-    assert mat2._class_tally(F).tolist() == tally.tolist()
+    assert mat2._class_tally(F) == tally
 
 
 # Up to a second per example, so no shrinking: a failing prime is reported as drawn.
@@ -218,6 +218,20 @@ def test_census_p1999993():
     assert cen.n_total == p**4
     assert cen.n_singular == p**4 - (p * p - 1) * (p * p - p)
     assert abs(cen.ratio - 5 / 8) <= 5 / p
+
+
+def test_census_at_hard_cap():
+    """The census row at p = 2147483629, pinned: the class tally is Python ints, exact at any p below 2^31."""
+    F = make_field(2147483629)
+    assert all(type(c) is int for cells in mat2._class_tally(F) for pair in cells for c in pair)
+    assert census(F) == (
+        2147483629,
+        21267647179891120069861562821178948881,
+        9903520056028627409232193201,
+        7975367691221230020347429115993834091,
+        13292279483718130019193977032157513370,
+        0.624999999825377,
+    )
 
 
 def test_pair_image_fixtures():
