@@ -8,15 +8,16 @@ One kind per run, one CSV schema per kind:
   sift                        -> N,x,y,r,size
 Exit codes: 0 success, 2 validation problem, 3 internal invariant violation.
 
-Only the numpy-free `errors`, `fp_arith` and `mat2` are imported up front; the other layers,
-and numpy through them, in the branches that use them.  So a census scan, --help and a
-validation failure found before the --p-range sieve or the first task start without numpy.
-Each layer is called as `module.function` (`sums.de_moment`, `mat2.census`), the names
-benchmark/trace_child.py wraps.
+Only the numpy-free `errors`, `fp_arith` and `mat2` are imported up front; the other layers
+in the branches that use them.  numpy comes in only with `sums`, `characters` and `sifter`,
+so a census or nonresidue scan (--p-range sieve included), --help and a validation failure
+found before the first task start without it.  Each layer is called as `module.function`
+(`sums.de_moment`, `mat2.census`), the names benchmark/trace_child.py wraps.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,8 @@ import time
 
 from . import __version__, mat2
 from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
-from .fp_arith import _check_hard_cap, _check_length, _check_table_size, check_odd_prime, make_field
+from .fp_arith import _check_hard_cap, _check_length, _check_table_size, _OddPrime, check_odd_prime
+from .fp_arith import make_field, prime_flags
 
 SUM_KINDS = ("s", "u", "t_abs", "t_n", "de_moment")
 ALL_KINDS = SUM_KINDS + ("delta_profile", "census", "nonresidue", "sift")
@@ -61,7 +63,8 @@ def _collect_primes(args):
     Each --p value is tested once and held, before any task runs, to the
     table cap for a sums kind (its tasks build p-entry tables), else to the hard cap.  A
     prime sifted from --p-range needs no test, but 2 still raises, so
-    `--p-range 1:100` exits 2 with "got 2"; a range with LO > HI is empty.
+    `--p-range 1:100` exits 2 with "got 2"; a range with LO > HI is empty.  Every prime
+    returned is a checked `_OddPrime`, which no later layer tests again.
     """
     ps = []
     for p in _parse_int_list("--p", args.p):
@@ -75,9 +78,8 @@ def _collect_primes(args):
             raise ValidationError("--p-range wants LO:HI, got %r" % args.p_range)
         _check_capped("--p-range HI", hi, "p")  # before the sieve allocates HI + 1 bytes
         if lo <= hi:
-            from . import sifter
-            sieved = {int(q) for q in sifter.primes_upto(hi) if q >= lo}
-    return [p if p in sieved and p != 2 else check_odd_prime(p) for p in sorted(sieved.union(ps))]
+            sieved = {q for q in itertools.compress(range(hi + 1), prime_flags(hi)) if q >= lo}
+    return [_OddPrime(p) if p in sieved and p != 2 else check_odd_prime(p) for p in sorted(sieved.union(ps))]
 
 
 @functools.lru_cache(maxsize=1)  # _build_tasks groups sums tasks by p: one index table per (p, d)
@@ -188,7 +190,7 @@ def _build_tasks(args):
     if kind == "census":
         return [("census", p) for p in ps], "census"
     if kind == "nonresidue":
-        _check_capped("--x-limit", args.x_limit, "X")  # the count's arrays have X entries
+        _check_capped("--x-limit", args.x_limit, "X")  # the count holds X + 1 parity bytes
         return [("nonresidue", p, args.x_limit) for p in ps], "nonresidue"
 
     d = args.order

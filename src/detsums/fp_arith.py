@@ -1,12 +1,15 @@
-"""Exact arithmetic in F_p: primality, factorization, inverses, Legendre symbol, square roots.
+"""Exact arithmetic in F_p: primality, sieve, factorization, inverses, Legendre symbol, square roots.
 
 A PrimeField holds only p and a primitive root g, so building one costs
 the factorization of p - 1 by `factorize`, the package's one trial
-division (`sifter.tau` takes its primes from it too).  Legendre symbols
-are Euler's criterion, by `pow` or by `pow_mod` over an int64 array, and
-square roots Tonelli-Shanks with g as the known non-residue.  p is held to
-the hard cap 2^31; a table or array of length n, such as the power walk
-`PrimeField.powers`, to the table cap (default 2*10^6, env DETSUM_MAX_TABLE).
+division (`sifter.tau` takes its primes from it too).  `prime_flags` is
+the one sieve, a bytearray, and `_prime_powers` the one walk over prime
+powers that `sifter` and `residues.count_nonresidues` share.  Legendre
+symbols are Euler's criterion by `pow`, and square roots Tonelli-Shanks
+with g as the known non-residue; `pow_mod` is the same criterion over an
+int64 array.  p is held to the hard cap 2^31; a table or array of length
+n, such as the power walk `PrimeField.powers`, to the table cap (default
+2*10^6, env DETSUM_MAX_TABLE).  Only `powers` and `pow_mod` import numpy.
 """
 
 import math
@@ -49,12 +52,46 @@ def is_prime(n):
     return True
 
 
+class _OddPrime(int):
+    """An int known to be an odd prime, so `check_odd_prime` passes it through untested."""
+
+    __slots__ = ()
+
+
 def check_odd_prime(p):
-    """p as an int; NotPrime unless it is an odd prime."""
+    """p as an int known to be an odd prime; NotPrime unless it is one.
+
+    The result is an `_OddPrime`, so checking it again runs no primality
+    test: a prime is tested once, however many calls it passes through.
+    """
+    if type(p) is _OddPrime:
+        return p
     p = int(p)
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotPrime("p must be an odd prime, got %d" % p)
-    return p
+    return _OddPrime(p)
+
+
+def prime_flags(n):
+    """bytearray of n + 1 bytes, 1 at the primes k <= n and 0 elsewhere (empty for n < 0); plain sieve."""
+    n = int(n)
+    flags = bytearray(b"\x01") * (n + 1)
+    flags[:2] = bytes(len(flags[:2]))  # 0 and 1 are not prime
+    flags[4::2] = bytes(len(range(4, n + 1, 2)))
+    for q in range(3, math.isqrt(max(n, 0)) + 1, 2):
+        if flags[q]:  # strike the odd multiples of q from q^2 on; the even ones are struck already
+            flags[q * q :: 2 * q] = bytes(len(range(q * q, n + 1, 2 * q)))
+    return flags
+
+
+def _prime_powers(primes, N):
+    """Yield (q, e, q^e) for each prime q in `primes` and each e >= 1 with q^e <= N."""
+    for q in primes:
+        q = int(q)
+        e, qe = 1, q
+        while qe <= N:
+            yield q, e, qe
+            e, qe = e + 1, qe * q
 
 
 def factorize(n):
@@ -217,6 +254,6 @@ def make_field(p):
     Raises NotPrime for composite or even input, TooLarge above the hard cap
     2^31.  O(sqrt p), factoring p - 1; immutable and safe to share across workers.
     """
-    p = check_odd_prime(p)
+    p = int(check_odd_prime(p))  # an exact int: numpy reads an int subclass as int64, not as a Python int
     _check_hard_cap(p)
     return PrimeField(p, find_primitive_root(p))

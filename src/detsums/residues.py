@@ -2,32 +2,30 @@
 
 Operations accept either a PrimeField or a plain int modulus, so a scan
 over many primes (say every p up to 10^6) needs no field per prime and
-so no primitive-root search.  Both paths take every Legendre symbol
-from the Euler criterion: the least non-residue by scalar `pow`, the
-count by one `pow_mod` over 1..X.  An int p is checked for primality
-once per report, however many operations the report runs.
+so no primitive-root search.  Every Legendre symbol is Euler's criterion
+by scalar `pow`: the least non-residue tries n = 2, 3, ... in turn, and
+the count up to X takes it only at the primes q <= X and extends it to
+1..X by the prime-power walk, in a bytearray of X + 1 parity bytes.  No
+numpy.  An int p is tested for primality once per report, and not at all
+when it arrives checked (`fp_arith.check_odd_prime`), as a `--p-range`
+prime sifted by the CLI does.
 """
 
-import functools
 import math
+from itertools import compress
 from typing import NamedTuple
-
-import numpy as np
 
 from . import mat2
 from .errors import InternalInvariantViolation, ValidationError
-from .fp_arith import PrimeField, _check_table_size, check_odd_prime, pow_mod
+from .fp_arith import PrimeField, _check_hard_cap, _check_table_size, _prime_powers, check_odd_prime, prime_flags
 
-
-@functools.lru_cache(maxsize=1)
-def _checked_prime(p):
-    """check_odd_prime(p), remembered for the last p (a NotPrime is never cached)."""
-    return check_odd_prime(p)
+# Swaps the bytes 0 and 1: a parity flip of every byte of a slice in one C call.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _as_modulus(F):
-    """p from a PrimeField or a validated int prime."""
-    return F.p if isinstance(F, PrimeField) else _checked_prime(F)
+    """p from a PrimeField, or F checked to be an odd prime (a checked prime passes untested)."""
+    return F.p if isinstance(F, PrimeField) else check_odd_prime(F)
 
 
 def least_nonresidue(F):
@@ -41,12 +39,27 @@ def least_nonresidue(F):
 
 
 def count_nonresidues(F, X):
-    """Exact #{1 <= n <= X : (n/p) = -1} by the Euler criterion; 1 <= X < p, X held to the table cap."""
+    """Exact #{1 <= n <= X : (n/p) = -1}; 1 <= X < p, p held to the hard cap and X to the table cap.
+
+    The Legendre symbol is completely multiplicative, so n is a
+    non-residue exactly when it has an odd number of prime factors q with
+    (q/p) = -1, counted with multiplicity.  Euler's criterion by `pow`
+    runs at the primes q <= X only (X < p, so none is p); each power q^e
+    of a non-residue prime flips the parity byte of every multiple of q^e,
+    one strided bytearray slice per power.  O(X log log X) byte flips plus
+    about X / ln X `pow`s.
+    """
     p = _as_modulus(F)
+    _check_hard_cap(p)
     if not 1 <= X < p:
         raise ValidationError("need 1 <= X < p, got X=%d with p=%d" % (X, p))
     _check_table_size(X, "X")
-    return int(np.count_nonzero(pow_mod(np.arange(1, X + 1), (p - 1) // 2, p) != 1))
+    e = (p - 1) // 2
+    flipping = (q for q in compress(range(X + 1), prime_flags(X)) if pow(q, e, p) != 1)
+    odd = bytearray(X + 1)
+    for _, _, qe in _prime_powers(flipping, X):
+        odd[qe::qe] = odd[qe::qe].translate(_FLIP)
+    return odd.count(1)
 
 
 class NonResidueReport(NamedTuple):
@@ -59,7 +72,8 @@ class NonResidueReport(NamedTuple):
 
 def nonresidue_report(F, X):
     """Report: least non-residue, its log_p size, and the count up to X."""
-    p = _as_modulus(F)
+    F = F if isinstance(F, PrimeField) else check_odd_prime(F)  # tested here at most once
+    p = int(_as_modulus(F))  # the report holds a plain int
     z = least_nonresidue(F)
     return NonResidueReport(p, z, X, count_nonresidues(F, X), math.log(z) / math.log(p))
 

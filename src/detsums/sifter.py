@@ -3,8 +3,8 @@
 A_r(N; x, y) partitions [1, N] by the number r of prime divisors inside
 the window (x, y], counted with multiplicity by default (a flag switches
 to distinct primes).  The strata and the table of tau_s(m) for m <= M
-come from one walk over prime powers q^e (`_prime_powers`) of the primes
-q <= sqrt(N), each a strided numpy slice update.  A prime q > sqrt(N)
+come from one walk over prime powers q^e (`fp_arith._prime_powers`) of the
+primes q <= sqrt(N), each a strided numpy slice update.  A prime q > sqrt(N)
 divides each n <= N at most once, so its only update is at e = 1; the
 multiples of all such primes are built together and applied in blocks of
 about 2^18 indices (`_large_prime_multiples`).  A single tau value comes
@@ -19,30 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadWindow, Overflow, ValidationError
-from .fp_arith import _check_table_size, factorize
+from .fp_arith import _check_table_size, _prime_powers, factorize, prime_flags
 
 
 def primes_upto(n):
-    """All primes <= n as an int64 array (plain sieve)."""
-    n = int(n)
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, math.isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return np.flatnonzero(sieve).astype(np.int64)
-
-
-def _prime_powers(primes, N):
-    """Yield (q, e, q^e) for each prime q in `primes` and each e >= 1 with q^e <= N."""
-    for q in primes:
-        q = int(q)
-        e, qe = 1, q
-        while qe <= N:
-            yield q, e, qe
-            e, qe = e + 1, qe * q
+    """All primes <= n as an int64 array, read off the sieve `fp_arith.prime_flags`."""
+    return np.flatnonzero(np.frombuffer(prime_flags(n), dtype=bool)).astype(np.int64)  # each flag byte is 0 or 1
 
 
 # Indices per block of the large-prime pass: its temporaries stay at a few MB.

@@ -149,7 +149,7 @@ def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeyp
     def no_tally(*args, **kwargs):
         raise AssertionError("a bad input reached the sift tally")
 
-    monkeypatch.setattr(sifter, "primes_upto", no_sieve)  # the HI check must come before the sieve
+    monkeypatch.setattr(cli, "prime_flags", no_sieve)  # the HI check must come before the sieve
     monkeypatch.setattr(sifter.np, "zeros", no_tally)  # the N check must come before the tally
     (tmp_path / "bad.txt").write_text("a0_C 1 2\n")  # a malformed calibration line
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
@@ -265,11 +265,24 @@ def main_exit(*argv):
         (main_exit("scan", "--kind", "s", "--p-range", "100:50", "--n-grid", "5"), "2"),  # empty range, no sieve
         (main_exit("--help"), "0"),
         ("import detsums\nprint(detsums.mat2.census is detsums.census)", "True"),
+        (main_exit("scan", "--kind", "nonresidue", "--p-range", "3:200", "--out", "-"), "0"),
+        (main_exit("scan", "--kind", "nonresidue", "--p", "2147398009", "--out", "-"), "0"),
     ],
-    ids=["import", "import-cli", "census", "not-prime", "N-at-least-p", "empty-range", "help", "submodule"],
+    ids=[
+        "import",
+        "import-cli",
+        "census",
+        "not-prime",
+        "N-at-least-p",
+        "empty-range",
+        "help",
+        "submodule",
+        "nonresidue-range",
+        "nonresidue-near-2^31",
+    ],
 )
 def test_start_without_numpy(code, printed):
-    """The package, the CLI, a census scan, --help and a validation exit before any task run without numpy."""
+    """The package, the CLI, census and nonresidue scans, --help and an early validation exit run without numpy."""
     lines = fresh_python(code + "\nimport sys\nprint('numpy' in sys.modules)")
     assert lines[-1] == "False"
     if printed is not None:
@@ -341,9 +354,9 @@ def test_sums_scan_builds_one_index_table_per_prime(monkeypatch, tmp_path):
     assert builds == [(1009, 2), (1013, 2)]
 
 
-@pytest.mark.parametrize("span", ["24:28", "100:50"])
+@pytest.mark.parametrize("span", ["24:28", "100:50", "-5:-1", "0:1"])
 def test_p_range_without_prime_named(span, capsys):
-    assert run_cli(["scan", "--kind", "s", "--p-range", span, "--n-grid", "5"]) == 2
+    assert run_cli(["scan", "--kind", "s", "--p-range=" + span, "--n-grid", "5"]) == 2
     assert capsys.readouterr().err == "error: --p-range %s holds no odd prime\n" % span
 
 

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detsums import NotPrime, TooLarge, ZeroInverse, count_nonresidues, make_character, make_field
-from detsums.fp_arith import factorize, find_primitive_root, is_prime, pow_mod
+from detsums import fp_arith
+from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, pow_mod, prime_flags
 from detsums.sums import ratio_bins
 
 from conftest import dlog_by_loop, field, legendre_oracle
@@ -217,6 +218,24 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2_147_483_647)  # 2^31 - 1
     assert not is_prime(2_147_483_647 * 3)
+
+
+def test_prime_flags_match_is_prime():
+    """The sieve flags exactly the n <= 10^4 that is_prime accepts, at its shortest lengths too; empty below 0."""
+    assert list(prime_flags(10_000)) == [int(is_prime(n)) for n in range(10_001)]
+    for n in (0, 1, 2, 3):
+        assert list(prime_flags(n)) == [int(is_prime(k)) for k in range(n + 1)]
+    assert prime_flags(-1) == prime_flags(-5) == bytearray()
+
+
+def test_checked_prime_is_tested_once(monkeypatch):
+    tested = []
+    monkeypatch.setattr(fp_arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    p = check_odd_prime(101)
+    assert p == 101 and check_odd_prime(p) is p and tested == [101]
+    F = make_field(p)
+    assert tested == [101]
+    assert type(F.p) is int  # numpy would read an int subclass as int64, not as a weak Python int
 
 
 def test_is_prime_beyond_bases_2_to_37():

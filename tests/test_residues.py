@@ -1,11 +1,13 @@
 """Least non-residue scans and the small non-square construction."""
 
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 
-from detsums import cli, fp_arith, residues
+from detsums import cli, fp_arith
 from detsums import (
     NotPrime,
     SmallNonSquareMatrix,
@@ -52,7 +54,7 @@ def test_int_path_validates():
 
 @pytest.fixture
 def prime_checks(monkeypatch):
-    """Counter of fp_arith.is_prime calls by argument, starting from an empty check cache."""
+    """Counter of fp_arith.is_prime calls by argument."""
     calls = Counter()
     real = fp_arith.is_prime
 
@@ -61,28 +63,37 @@ def prime_checks(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(fp_arith, "is_prime", spy)
-    residues._checked_prime.cache_clear()
     return calls
 
 
 def test_report_checks_an_int_prime_once(prime_checks):
-    for p in (10007, 101, 10007):  # one remembered prime: 10007 is checked again after 101
+    for p in (10007, 101, 10007):  # no memory across reports: 10007 is checked again after 101
         prime_checks.clear()
         nonresidue_report(p, 10)
         assert prime_checks == {p: 1}
+    prime_checks.clear()
+    nonresidue_report(fp_arith.check_odd_prime(211), 10)
+    assert prime_checks == {211: 1}  # by check_odd_prime; the report does not test a checked prime again
 
 
 def test_scan_checks_each_prime_at_most_twice(prime_checks, capsys):
+    """A sieved --p-range prime is never tested: the sieve has already decided it."""
     assert cli.main(["scan", "--kind", "nonresidue", "--p-range", "3:200", "--out", "-"]) == 0
-    primes = [int(q) for q in primes_upto(200)[1:]]
-    assert set(prime_checks) == set(primes)
-    assert max(prime_checks.values()) <= 2
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(primes_upto(200)[1:])
+    assert prime_checks == {}
 
 
 def test_scan_checks_range_primes_only_in_reports(prime_checks):
-    """A sieved --p-range prime is tested once, by its report; a --p value once more by the CLI."""
+    """A sieved --p-range prime is tested by no layer; a --p value once, by the CLI."""
     assert cli.main(["scan", "--kind", "nonresidue", "--p-range", "3:200", "--p", "211", "--out", "-"]) == 0
-    assert prime_checks == {int(q): 1 for q in primes_upto(200)[1:]} | {211: 2}
+    assert prime_checks == {211: 1}
+
+
+def test_census_scan_checks_each_prime_once(prime_checks, capsys):
+    """make_field does not test again a prime the CLI has sifted or checked."""
+    assert cli.main(["scan", "--kind", "census", "--p-range", "3:50", "--p", "211", "--out", "-"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(primes_upto(50)[1:]) + 1
+    assert prime_checks == {211: 1}
 
 
 def test_not_prime_is_never_cached():
@@ -96,6 +107,34 @@ def test_not_prime_is_never_cached():
 def test_least_is_prime_sample():
     for p in primes_upto(20_000)[1:]:
         assert is_prime(least_nonresidue(int(p)))
+
+
+def euler_counts(p, X):
+    """[#{1 <= n <= x : n^((p-1)/2) != 1 mod p} for x = 0, ..., X], by scalar Euler's criterion."""
+    e = (p - 1) // 2
+    return list(itertools.accumulate((pow(n, e, p) != 1 for n in range(1, X + 1)), initial=0))
+
+
+def test_count_matches_euler_every_X():
+    """The parity walk equals the scalar Euler count at every X in [1, p - 1], every odd p < 300."""
+    for p in primes_upto(300)[1:]:
+        p = fp_arith.check_odd_prime(p)
+        assert [count_nonresidues(p, X) for X in range(1, p)] == euler_counts(p, p - 1)[1:], p
+
+
+@pytest.mark.parametrize("p, top", [(1000003, 60000), (2147398009, 46340)])
+def test_count_matches_euler_sampled(p, top):
+    """Sampled X, each prime power q^e <= top of a small q and q^e - 1 among them, against the scalar count."""
+    want = euler_counts(p, top)
+    rng = random.Random(p)
+    xs = {1, 2, top} | {rng.randrange(1, top + 1) for _ in range(8)}
+    for q in (2, 3, 23, 211):
+        qe = q
+        while qe <= top:
+            xs |= {qe, qe - 1}
+            qe *= q
+    p = fp_arith.check_odd_prime(p)
+    assert {X: count_nonresidues(p, X) for X in xs} == {X: want[X] for X in xs}
 
 
 def test_count_full_range():
@@ -157,6 +196,7 @@ def test_worst_prime_near_2_31(capsys):
     (line,) = capsys.readouterr().out.splitlines()[1:]
     p, z, _, X, count, _ = line.split(",")
     assert (p, z, X, count) == ("2147398009", "23", "46340", "21174")
+    assert count_nonresidues(2147398009, 46340) == 21174
     assert construct_nonsquare(make_field(2147398009)) == SmallNonSquareMatrix(5, 2, 1, 5, 23)
 
 

@@ -42,6 +42,8 @@ def window_count_oracle(n, x, y, multiplicity):
 def test_primes_upto():
     assert primes_upto(1).size == 0
     assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for n in (-1, 1, 30, 10_000):
+        assert primes_upto(n).dtype == np.int64
 
 
 def test_sift_fixture_30():
