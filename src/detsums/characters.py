@@ -4,7 +4,8 @@ A character value is either Zero (argument divisible by p) or an index
 k in [0, d-1] standing for e(k/d) = exp(2*pi*i*k/d).  All sums are
 tallied as integer counts per index and only converted to complex at
 readout, so every identity that holds in exact arithmetic can be tested
-exactly; order-2 sums never leave integer arithmetic.
+exactly; order-2 sums never leave integer arithmetic.  `pow_mod` is
+x^e mod p over an int64 array.
 """
 
 import math
@@ -13,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadOrder, InternalInvariantViolation, ValidationError, WeightOutOfRange
+from .fp_arith import _check_hard_cap, _check_table_size
 
 
 class CharValue(NamedTuple):
@@ -156,22 +158,27 @@ class Character:
     def index_table(self):
         """int32 array T with T[x] = index of chi(x), and T[0] = -1.
 
-        Scatters (k mod d) * power mod d, a pattern of period d, onto
-        g^k for k < p - 1 from the field's blocked power walk.  The
-        certificate that g is primitive is that every unit gets written;
-        InternalInvariantViolation otherwise.
+        p is held to the table cap first.  With B = ceil(sqrt(p-1)), about
+        2 sqrt(p) pows give g^(iB) and g^j for j < B; their outer product
+        mod p (below p^2 < 2^62) lists g^k for k < p - 1, onto which the
+        period-d pattern (k mod d) * power mod d is scattered.  g is
+        certified primitive by every unit getting written, else InternalInvariantViolation.
         """
         if self._ktab is None:
-            p, d = self.field.p, self.d
-            walk = self.field.powers()  # held to the table cap before the table is allocated
+            p, g, d = self.field.p, self.field.g, self.d
+            _check_table_size(p)
+            B = math.isqrt(p - 2) + 1
+            rows = np.array([pow(g, i * B, p) for i in range(-(-(p - 1) // B))], dtype=np.int64)
+            walk = np.multiply.outer(rows, np.array([pow(g, j, p) for j in range(B)], dtype=np.int64))
+            walk %= p
             tab = np.full(p, -1, dtype=np.int32)
             pattern = (np.arange(d, dtype=np.int64) * self.power % d).astype(np.int32)
-            tab[walk] = np.tile(pattern, (p - 1) // d)
+            tab[walk.ravel()[: p - 1]] = np.tile(pattern, (p - 1) // d)
             missed = int(np.count_nonzero(tab[1:] < 0))
             if missed:
                 raise InternalInvariantViolation(
                     "index table certificate failed at p=%d: g=%d leaves %d units unwritten, so it is not primitive"
-                    % (p, self.field.g, missed)
+                    % (p, g, missed)
                 )
             self._ktab = tab
         return self._ktab
@@ -220,14 +227,29 @@ def make_character(F, d, power=1):
     return Character(F, d, power)
 
 
+def pow_mod(xs, e, p):
+    """int64 array of x^e mod p for each x in xs, e >= 0, by square-and-multiply; p < 2^31 keeps products below 2^62."""
+    _check_hard_cap(p)
+    base = np.asarray(xs, dtype=np.int64) % p
+    out = base.copy() if e else np.ones_like(base)
+    for bit in bin(e)[3:]:  # below e's top bit: out = x^(the bits of e read so far), in place
+        out *= out
+        out %= p
+        if bit == "1":
+            out *= base
+            out %= p
+    return out
+
+
 def interval_sum(chi, M, N):
     """Exact accumulator of chi(n) for n in [M, M+N], arguments reduced mod p.
 
     M may be any integer (it is reduced mod p first).  N = 0 is allowed and
-    gives the single term chi(M mod p).
+    gives the single term chi(M mod p).  N is held to the table cap.
     """
     if N < 0:
         raise ValidationError("interval length N must be >= 0, got %d" % N)
+    _check_table_size(N, "N")
     counts, zero_terms = chi.tally(M % chi.field.p + np.arange(N + 1, dtype=np.int64))
     return CharSumAccumulator(chi.d, counts, zero_terms)
 

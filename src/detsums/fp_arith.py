@@ -6,10 +6,9 @@ division (`sifter.tau` takes its primes from it too).  `prime_flags` is
 the one sieve, a bytearray, and `_prime_powers` the one walk over prime
 powers that `sifter` and `residues.count_nonresidues` share.  Legendre
 symbols are Euler's criterion by `pow`, and square roots Tonelli-Shanks
-with g as the known non-residue; `pow_mod` is the same criterion over an
-int64 array.  p is held to the hard cap 2^31; a table or array of length
-n, such as the power walk `PrimeField.powers`, to the table cap (default
-2*10^6, env DETSUM_MAX_TABLE).  Only `powers` and `pow_mod` import numpy.
+with g as the known non-residue.  p is held to the hard cap 2^31; a
+table or array of length n to the table cap (default 2*10^6, env
+DETSUM_MAX_TABLE).  Scalar only: no numpy.
 """
 
 import math
@@ -72,9 +71,10 @@ def check_odd_prime(p):
     return _OddPrime(p)
 
 
-def prime_flags(n):
-    """bytearray of n + 1 bytes, 1 at the primes k <= n and 0 elsewhere (empty for n < 0); plain sieve."""
+def prime_flags(n, name="n"):
+    """bytearray of n + 1 bytes, 1 at the primes k <= n and 0 elsewhere (empty for n < 0); n capped first as `name`."""
     n = int(n)
+    _check_table_size(n, name)
     flags = bytearray(b"\x01") * (n + 1)
     flags[:2] = bytes(len(flags[:2]))  # 0 and 1 are not prime
     flags[4::2] = bytes(len(range(4, n + 1, 2)))
@@ -185,24 +185,6 @@ class PrimeField:
             r, t, c, m = r * b % p, t * b * b % p, b * b % p, i
         return (min(r, p - r), max(r, p - r))
 
-    def powers(self):
-        """int64 array W with W[k] = g^k mod p for k = 0, ..., p-2, by a blocked walk.
-
-        With B = ceil(sqrt(p-1)), two Python loops of about sqrt(p) pows
-        give g^(iB) per row i and g^j for j < B; their outer product mod p
-        (products below p^2 < 2^62) gives all p - 1 powers in order.
-        Nothing here checks that g is primitive: a caller that needs every
-        unit to appear must check it (a character's index table does).
-        """
-        import numpy as np  # imported here, as in pow_mod: a census or a prime check needs no array
-        p, g = self.p, self.g
-        _check_table_size(p)
-        B = math.isqrt(p - 2) + 1
-        rows = np.array([pow(g, i * B, p) for i in range(-(-(p - 1) // B))], dtype=np.int64)
-        walk = np.multiply.outer(rows, np.array([pow(g, j, p) for j in range(B)], dtype=np.int64))
-        walk %= p
-        return walk.ravel()[: p - 1]
-
 
 def _check_hard_cap(n, name="p"):
     """TooLarge if n exceeds the hard cap 2^31; `name` labels n in the message."""
@@ -210,11 +192,11 @@ def _check_hard_cap(n, name="p"):
         raise TooLarge("%s=%d exceeds the hard cap 2^31" % (name, n))
 
 
-def _check_length(N, p):
-    """N as an int; ValidationError unless 1 <= N < p (a box side of a sum mod p)."""
+def _check_length(N, p, name="N"):
+    """N as an int; ValidationError unless 1 <= N < p (a box side of a sum, a count's X), labelled `name`."""
     N = int(N)
     if not 1 <= N < p:
-        raise ValidationError("need 1 <= N < p, got N=%d with p=%d" % (N, p))
+        raise ValidationError("need 1 <= %s < p, got %s=%d with p=%d" % (name, name, N, p))
     return N
 
 
@@ -231,21 +213,6 @@ def _check_table_size(n, name="p"):
     _check_hard_cap(n, name)
     if n > cap:
         raise TooLarge("%s=%d exceeds the table cap %d (DETSUM_MAX_TABLE)" % (name, n, cap))
-
-
-def pow_mod(xs, e, p):
-    """int64 array of x^e mod p for each x in xs, e >= 0, by square-and-multiply; p < 2^31 keeps products below 2^62."""
-    import numpy as np
-    _check_hard_cap(p)
-    base = np.asarray(xs, dtype=np.int64) % p
-    out = base.copy() if e else np.ones_like(base)
-    for bit in bin(e)[3:]:  # below e's top bit: out = x^(the bits of e read so far), in place
-        out *= out
-        out %= p
-        if bit == "1":
-            out *= base
-            out %= p
-    return out
 
 
 def make_field(p):

@@ -16,8 +16,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from . import mat2
-from .errors import InternalInvariantViolation, ValidationError
-from .fp_arith import PrimeField, _check_hard_cap, _check_table_size, _prime_powers, check_odd_prime, prime_flags
+from .errors import InternalInvariantViolation
+from .fp_arith import PrimeField, _check_hard_cap, _check_length, _prime_powers, check_odd_prime, prime_flags
 
 # Swaps the bytes 0 and 1: a parity flip of every byte of a slice in one C call.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -51,11 +51,10 @@ def count_nonresidues(F, X):
     """
     p = _as_modulus(F)
     _check_hard_cap(p)
-    if not 1 <= X < p:
-        raise ValidationError("need 1 <= X < p, got X=%d with p=%d" % (X, p))
-    _check_table_size(X, "X")
+    X = _check_length(X, p, "X")
+    flags = prime_flags(X, "X")  # held to the table cap before either bytearray is allocated
     e = (p - 1) // 2
-    flipping = (q for q in compress(range(X + 1), prime_flags(X)) if pow(q, e, p) != 1)
+    flipping = (q for q in compress(range(X + 1), flags) if pow(q, e, p) != 1)
     odd = bytearray(X + 1)
     for _, _, qe in _prime_powers(flipping, X):
         odd[qe::qe] = odd[qe::qe].translate(_FLIP)

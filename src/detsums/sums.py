@@ -238,13 +238,14 @@ def ratio_bins(F, A, B, C):
 
     The A*B products are binned by residue once, then each occupied
     product class is scattered through the C inverses:
-    O(AB + p + C*min(AB, p)), its length-p arrays held to the table cap.
+    O(AB + p + C*min(AB, p)), its length-p arrays and A*B products capped.
     """
     p = F.p
     A, B, C = int(A), int(B), int(C)
     if not (1 <= A < p and 1 <= B < p and 1 <= C < p):
         raise ValidationError("need 1 <= A, B, C < p, got %d, %d, %d with p=%d" % (A, B, C, p))
     _check_table_size(p)
+    _check_table_size(A * B, "A*B")
     table = np.bincount(_products(A, B) % p, minlength=p)
     support = np.flatnonzero(table)
     mass = table[support]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from detsums import (
     BadOrder,
     InternalInvariantViolation,
+    TooLarge,
     WeightOutOfRange,
     WeightSeq,
     de_moment,
@@ -234,6 +235,15 @@ def test_interval_sum_full_period():
         else:
             assert abs(acc.value()) < 1e-9
         assert acc.zero_terms == 1  # the residue 0 shows up once per period
+
+
+def test_interval_sum_caps_N(monkeypatch):
+    """The N + 1 arguments are an array of their own, held to the table cap even when p is under it."""
+    chi = make_character(field(101), 2)
+    monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
+    with pytest.raises(TooLarge, match="N=5000 exceeds the table cap 1000"):
+        interval_sum(chi, 0, 5000)
+    assert interval_sum(chi, 0, 1000).zero_terms == 10  # 0, 101, ..., 909
 
 
 def eval_tally(chi, M, N):

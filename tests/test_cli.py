@@ -1,11 +1,13 @@
 """CLI wiring: schemas, exit codes, determinism, worker independence."""
 
+import ast
 import concurrent.futures
 import csv
 import importlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -287,6 +289,15 @@ def test_start_without_numpy(code, printed):
     assert lines[-1] == "False"
     if printed is not None:
         assert lines[-2] == printed
+
+
+@pytest.mark.parametrize("module", ["errors", "fp_arith", "mat2", "residues"])
+def test_scalar_modules_import_no_numpy(module):
+    """The scalar layers import numpy nowhere, not even inside a function: only characters, sums and sifter do."""
+    tree = ast.parse(pathlib.Path(detsums.__file__).with_name(module + ".py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 # The names `detsums` exported by eager imports, each from its submodule.

@@ -1,4 +1,4 @@
-"""Field construction, Legendre symbol, inverses, square roots, the power walk against the dlog oracle."""
+"""Field construction, Legendre symbol, inverses, square roots, the index table and pow_mod against their oracles."""
 
 import math
 import random
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from detsums import NotPrime, TooLarge, ZeroInverse, count_nonresidues, make_character, make_field
 from detsums import fp_arith
-from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, pow_mod, prime_flags
+from detsums.characters import pow_mod
+from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, prime_flags
 from detsums.sums import ratio_bins
 
 from conftest import dlog_by_loop, field, legendre_oracle
@@ -38,15 +39,12 @@ def test_p3_has_generator_two():
 
 
 def test_dlog_defining_property():
-    """The dlog oracle inverts g^k, the walk lists g^k, and the order p-1 index table is the dlog."""
+    """The dlog oracle inverts g^k, and the order p-1 index table, which pins the whole power walk, is the dlog."""
     for p in (7, 101):
         F = field(p)
         dlog = dlog_by_loop(p, F.g)
-        walk = F.powers()
-        assert len(walk) == p - 1
         for k in range(p - 1):
             assert dlog[pow(F.g, k, p)] == k
-            assert walk[k] == pow(F.g, k, p)
         assert np.array_equal(make_character(F, p - 1).index_table(), dlog)
 
 
@@ -63,13 +61,13 @@ def test_table_cap_env(monkeypatch):
     """
     monkeypatch.setenv("DETSUM_MAX_TABLE", "5")
     F = make_field(7)
-    for build in (F.powers, make_character(F, 2).index_table, lambda: ratio_bins(F, 1, 1, 1)):
+    for build in (make_character(F, 2).index_table, lambda: ratio_bins(F, 1, 1, 1)):
         with pytest.raises(TooLarge, match="p=7 exceeds the table cap 5"):
             build()
     assert F.sqrt_roots(2) == (3, 4)
     assert count_nonresidues(F, 3) == 1  # only n = 3
     monkeypatch.delenv("DETSUM_MAX_TABLE")
-    assert F.powers().size == 6
+    assert make_character(F, 2).index_table().size == 7
 
 
 def test_field_held_to_hard_cap_only():
@@ -193,8 +191,6 @@ def test_pow_mod_matches_pow():
         for e in (0, 1, 2, (p - 1) // 2, p - 2, rng.randrange(p), rng.getrandbits(40)):
             got = pow_mod(np.array(xs), e, p)
             assert got.dtype == np.int64 and got.tolist() == [pow(x, e, p) for x in xs]
-    with pytest.raises(TooLarge, match="p=2147483659 exceeds the hard cap"):
-        count_nonresidues(2147483659, 10)  # int64 products would wrap above 2^31
 
 
 def test_sqrt_roots():
@@ -226,6 +222,16 @@ def test_prime_flags_match_is_prime():
     for n in (0, 1, 2, 3):
         assert list(prime_flags(n)) == [int(is_prime(k)) for k in range(n + 1)]
     assert prime_flags(-1) == prime_flags(-5) == bytearray()
+
+
+def test_prime_flags_capped(monkeypatch):
+    """The sieve is held to the table cap before it allocates, naming n as its caller labels it."""
+    monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
+    with pytest.raises(TooLarge, match="n=5000 exceeds the table cap 1000"):
+        prime_flags(5000)
+    with pytest.raises(TooLarge, match="X=5000 exceeds the table cap 1000"):
+        prime_flags(5000, "X")
+    assert len(prime_flags(1000)) == 1001
 
 
 def test_checked_prime_is_tested_once(monkeypatch):

@@ -11,6 +11,7 @@ from detsums import cli, fp_arith
 from detsums import (
     NotPrime,
     SmallNonSquareMatrix,
+    TooLarge,
     construct_nonsquare,
     count_nonresidues,
     has_square_root,
@@ -50,6 +51,8 @@ def test_int_path_validates():
         least_nonresidue(15)
     with pytest.raises(NotPrime):
         least_nonresidue(2)
+    with pytest.raises(TooLarge, match="p=2147483659 exceeds the hard cap"):
+        count_nonresidues(2147483659, 10)  # the documented hard cap p <= 2^31, though the count is scalar
 
 
 @pytest.fixture

@@ -91,17 +91,17 @@ def test_sift_split_at_root_matches_oracle():
 
 
 def test_large_prime_multiples_blocks():
-    """Every multiple of every prime, once per copy of the prime, in blocks of at most _BLOCK."""
+    """Every multiple of every prime above sqrt(N), each index once, in blocks of at most _BLOCK."""
     N = 3 * sifter._BLOCK
     qs = primes_upto(N)
     qs = qs[qs > math.isqrt(N)]
-    qs = np.concatenate([qs, qs[-1:]])  # the largest prime twice
     blocks = list(sifter._large_prime_multiples(qs, N))
     assert len(blocks) > 1
     assert all(b.size <= sifter._BLOCK for b in blocks)
     got = np.concatenate(blocks)
     want = np.concatenate([np.arange(q, N + 1, q) for q in qs.tolist()])
     assert np.array_equal(got, want)
+    assert np.unique(got).size == got.size  # the primes' multiples are pairwise distinct
 
 
 def test_sift_memory_stays_blocked():
@@ -239,6 +239,14 @@ def test_sift_and_tau_caps_before_allocation(monkeypatch):
         sift(1001, 2, 100)
     with pytest.raises(TooLarge, match="M=1001"):
         tau_square_average(1001, 2)
+
+
+def test_prime_tail_caps_P(monkeypatch):
+    """The tail's sieve takes P + 1 bytes, so P is held to the table cap like sift's N."""
+    monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
+    with pytest.raises(TooLarge, match="P=5000 exceeds the table cap 1000"):
+        prime_tail(2, 5000)
+    assert prime_tail(2, 1000) == prime_tail(2, 997)
 
 
 def test_tau_square_average_overflow(monkeypatch):

@@ -15,6 +15,7 @@ from detsums import (
     DomainTooLarge,
     InternalInvariantViolation,
     Overflow,
+    TooLarge,
     WeightOutOfRange,
     WeightSeq,
     delta_profile,
@@ -349,6 +350,15 @@ def test_ratio_bins_matches_triple_count(rng):
 def test_ratio_bins_oracle():
     got = ratio_bins(field(11), 3, 4, 5)
     assert got.counts.tolist() == ratio_bins_oracle(11, 3, 4, 5).tolist()
+
+
+def test_ratio_bins_caps_products(monkeypatch):
+    """The A*B products are an array of their own, held to the table cap even when p is under it."""
+    monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
+    F = field(101)
+    with pytest.raises(TooLarge, match=r"A\*B=10000 exceeds the table cap 1000"):
+        ratio_bins(F, 100, 100, 1)
+    assert ratio_bins(F, 10, 100, 1).total() == 1000
 
 
 def test_t_abs_zero_weights():
