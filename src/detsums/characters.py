@@ -24,6 +24,8 @@ class CharValue(NamedTuple):
 
 CHAR_ZERO = CharValue(True, 0)
 
+_WALK_BLOCK = 1 << 16  # g^k walk entries per block of Character.index_table
+
 
 _H = math.sqrt(3) / 2  # correctly rounded: the one irrational coordinate of a twelfth root
 # e(m/12) for m = 0, ..., 11; every coordinate 0, +-1/2 or +-1 is exact
@@ -159,21 +161,35 @@ class Character:
         """int32 array T with T[x] = index of chi(x), and T[0] = -1.
 
         p is held to the table cap first.  With B = ceil(sqrt(p-1)), about
-        2 sqrt(p) pows give g^(iB) and g^j for j < B; their outer product
-        mod p (below p^2 < 2^62) lists g^k for k < p - 1, onto which the
-        period-d pattern (k mod d) * power mod d is scattered.  g is
-        certified primitive by every unit getting written, else InternalInvariantViolation.
+        2 sqrt(p) pows give g^(iB) and g^j for j < B.  The walk g^k for
+        k < p - 1 is taken in blocks of rows, about _WALK_BLOCK entries
+        each: one outer product mod p (below p^2 < 2^62) per block, onto
+        which the period-d pattern (k mod d) * power mod d is scattered.
+        A block holds a multiple of d / gcd(B, d) rows, so it starts at
+        k = 0 mod d and reads one pre-tiled slice of the pattern; the tile
+        is capped at p - 1 entries, so a large d walks in one block.
+        Beyond the table, memory is one block of int64 walk, its int32
+        tile and a bool per residue for the certificate: g is certified
+        primitive by every unit getting written, else InternalInvariantViolation.
         """
         if self._ktab is None:
             p, g, d = self.field.p, self.field.g, self.d
             _check_table_size(p)
+            n = p - 1
             B = math.isqrt(p - 2) + 1
-            rows = np.array([pow(g, i * B, p) for i in range(-(-(p - 1) // B))], dtype=np.int64)
-            walk = np.multiply.outer(rows, np.array([pow(g, j, p) for j in range(B)], dtype=np.int64))
-            walk %= p
-            tab = np.full(p, -1, dtype=np.int32)
+            rows = [pow(g, i * B, p) for i in range(-(-n // B))]
+            cols = np.array([pow(g, j, p) for j in range(B)], dtype=np.int64)
+            period = d // math.gcd(B, d)  # rows per whole number of pattern periods
+            step = max(1, _WALK_BLOCK // (B * period)) * period
             pattern = (np.arange(d, dtype=np.int64) * self.power % d).astype(np.int32)
-            tab[walk.ravel()[: p - 1]] = np.tile(pattern, (p - 1) // d)
+            tile = np.tile(pattern, min(step * B, n) // d)
+            del pattern  # a one-period tile is a copy
+            tab = np.full(p, -1, dtype=np.int32)
+            for lo in range(0, len(rows), step):
+                walk = np.multiply.outer(np.array(rows[lo : lo + step], dtype=np.int64), cols)
+                walk %= p
+                size = min(walk.size, n - lo * B)
+                tab[walk.ravel()[:size]] = tile[:size]
             missed = int(np.count_nonzero(tab[1:] < 0))
             if missed:
                 raise InternalInvariantViolation(
@@ -274,18 +290,19 @@ def shifted_sums(chi, lams, terms):
     the single contraction, shift by shift, each row adding w where
     chi(lam + s) has its index: the same addends in the same order as a
     scatter-add.  A +-1 weight adds or subtracts the bool row in place;
-    any other weight adds w or a signed zero per cell.  The tally is int32
-    when d = 2 and every nonzero weight is +-1: the contraction is then an
-    integer difference, and a count is at most len(terms) < 2^31 in
-    absolute value (p - 1 for distinct shifts), so it is exact.  Otherwise
-    it is float64, since at d > 2 an int32 tally would be cast whole for
-    the contraction; its sums of +-1 are exact integers too.
+    any other weight adds w or a signed zero per cell.  The tally is int16
+    when d = 2, every nonzero weight is +-1 and there are fewer than 2^15
+    terms: each term adds to at most one row per lam, so a count and the
+    contracted difference are at most len(terms) < 2^15 in absolute value
+    and exact.  Otherwise it is float64, since at d > 2 an integer tally
+    would be cast whole for the contraction; its sums of +-1 are exact
+    integers too.
     """
     p, d = chi.field.p, chi.d
     ktab = chi.index_table()
     terms = [(s % p, w) for s, w in terms if w != 0.0]
-    int_tally = d == 2 and len(terms) < 2**31 and all(abs(w) == 1.0 for _, w in terms)
-    per_index = np.zeros((d, p - 1 if lams is None else len(lams)), dtype=np.int32 if int_tally else np.float64)
+    int_tally = d == 2 and len(terms) < 2**15 and all(abs(w) == 1.0 for _, w in terms)
+    per_index = np.zeros((d, p - 1 if lams is None else len(lams)), dtype=np.int16 if int_tally else np.float64)
     hots = [ktab == j for j in range(d)] if lams is None else None
     for s, w in terms:
         if lams is None:
@@ -313,9 +330,9 @@ def de_moment(chi, D_set, alpha, nu):
     """Shifted-product moment sum_{lam=1}^{p-1} |sum_{d in D} alpha_d chi(lam+d)|^(2 nu).
 
     The inner sums come from shifted_sums over the full range: an exact
-    int32 tally for +-1 weights at order 2, float64 otherwise.  The
-    readout squares them into one float64 row and applies the power in
-    place.
+    int16 tally for fewer than 2^15 +-1 weights at order 2, float64
+    otherwise.  The readout squares them into one float64 row and applies
+    the power in place.
     """
     alpha = as_weights(alpha)
     p = chi.field.p

@@ -236,9 +236,11 @@ class BinTable:
 def ratio_bins(F, A, B, C):
     """I(lam) = #{(a,b,c) in [1,A]x[1,B]x[1,C] : a*b/c = lam mod p}, exactly.
 
-    The A*B products are binned by residue once, then each occupied
-    product class is scattered through the C inverses:
-    O(AB + p + C*min(AB, p)), its length-p arrays and A*B products capped.
+    The A*B products are binned by residue once, into at most
+    min(AB + 1, p) entries (up to the largest product residue), then each
+    occupied product class is scattered through the C inverses into the
+    one length-p table: O(AB + p + C*min(AB, p)), p and the A*B products
+    capped.
     """
     p = F.p
     A, B, C = int(A), int(B), int(C)
@@ -246,7 +248,7 @@ def ratio_bins(F, A, B, C):
         raise ValidationError("need 1 <= A, B, C < p, got %d, %d, %d with p=%d" % (A, B, C, p))
     _check_table_size(p)
     _check_table_size(A * B, "A*B")
-    table = np.bincount(_products(A, B) % p, minlength=p)
+    table = np.bincount(_products(A, B) % p)
     support = np.flatnonzero(table)
     mass = table[support]
     bins = np.zeros(p, dtype=np.int64)
@@ -308,7 +310,7 @@ class HolderChain(NamedTuple):
     lhs: float  # t_abs_sum ** (2 nu)
     sigma1: float  # shifted-product moment
     sigma2: float  # (ABC) ** (2 nu - 2)
-    sigma3: float  # sum of I(lam)^2
+    sigma3: float  # sum of I(lam)^2, taken in int64 over the occupied bins
 
 
 def holder_chain(chi, A, B, C, D_set, alpha, nu):
@@ -316,5 +318,6 @@ def holder_chain(chi, A, B, C, D_set, alpha, nu):
     t, table = _t_abs_with_bins(chi, A, B, C, D_set, alpha)
     sigma1 = de_moment(chi, D_set, alpha, nu)
     sigma2 = float(int(A) * int(B) * int(C)) ** (2 * nu - 2)
-    sigma3 = float(np.sum(table.counts.astype(np.float64) ** 2))
+    occupied = table.counts[np.flatnonzero(table.counts)]
+    sigma3 = float(np.sum(occupied * occupied))
     return HolderChain(t ** (2 * nu), sigma1, sigma2, sigma3)

@@ -76,21 +76,44 @@ def test_index_is_multiplicative():
             assert kxy == (chi.eval(x).k + chi.eval(y).k) % 4
 
 
+# (p, d) with gcd(B, d) > 1 for B = ceil(sqrt(p - 1)), and d * B above the smaller walk blocks
+SHARED_FACTOR_ORDERS = ((37, 4), (37, 18), (101, 20), (101, 50), (4801, 20), (4817, 56))
+
+
 @given(st.data())
 def test_index_table_matches_dlog_oracle(data):
-    """index_table() is (dlog * power) mod d, and eval(x) reads it, for drawn p, d | p-1, power."""
-    p = data.draw(st.sampled_from(ODD_PRIMES_BELOW_5000))
-    d = data.draw(st.sampled_from([q for q in range(2, p) if (p - 1) % q == 0]))
+    """index_table() is (dlog * power) mod d, and eval(x) reads it, for drawn p, d | p-1, power
+    and walk block.  Every p < 5000 fits one real block; blocks of 1, 5 and 64 entries run
+    several, on orders that share a factor with B among them."""
+    block = data.draw(st.sampled_from((1, 5, 64, characters._WALK_BLOCK)))
+    if data.draw(st.booleans()):
+        p, d = data.draw(st.sampled_from(SHARED_FACTOR_ORDERS))
+        assert math.gcd(math.isqrt(p - 2) + 1, d) > 1
+    else:
+        p = data.draw(st.sampled_from(ODD_PRIMES_BELOW_5000))
+        d = data.draw(st.sampled_from([q for q in range(2, p) if (p - 1) % q == 0]))
     power = data.draw(st.sampled_from([k for k in range(1, d) if math.gcd(k, d) == 1]))
     F = field(p)
     chi = make_character(F, d, power)
     dlog = dlog_by_loop(p, F.g).astype(np.int64)
-    tab = chi.index_table()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "_WALK_BLOCK", block)
+        tab = chi.index_table()
     assert tab.dtype == np.int32
     assert np.array_equal(tab, np.where(dlog < 0, -1, dlog * power % d))
     assert chi.eval(0) == CHAR_ZERO
     for x in range(1, p):
         assert chi.eval(x) == (False, tab[x])
+
+
+def test_index_table_order_two_is_euler_at_a_million():
+    """At the real block size and p = 1000003 (16 blocks), order 2 is Euler's criterion x^((p-1)/2)."""
+    p = 1_000_003
+    tab = make_character(field(p), 2).index_table()
+    euler = characters.pow_mod(np.arange(1, p), (p - 1) // 2, p)
+    assert tab[0] == -1
+    assert np.array_equal(tab[1:], np.where(euler == 1, 0, 1))
+    assert np.all((euler == 1) | (euler == p - 1))
 
 
 def test_index_table_certificate_rejects_non_primitive_root(monkeypatch, capsys):
@@ -104,6 +127,31 @@ def test_index_table_certificate_rejects_non_primitive_root(monkeypatch, capsys)
     finally:
         cli._character.cache_clear()
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", (1, 5, 64))
+@pytest.mark.parametrize("p, d", ((13, 2), (101, 4), (101, 20)))
+def test_index_table_blocked_certificate_rejects_non_primitive_root(monkeypatch, block, p, d):
+    """A square g walks only the squares: in blocks as in one, units stay unwritten and the certificate fires."""
+    monkeypatch.setattr(characters, "_WALK_BLOCK", block)
+    monkeypatch.setattr(fp_arith, "find_primitive_root", lambda p: 4)
+    with pytest.raises(InternalInvariantViolation, match="not primitive"):
+        make_character(fp_arith.make_field(p), d).index_table()
+
+
+@pytest.mark.parametrize("p, bound_mib", [(1_000_003, 7), (1_999_993, 12)])
+def test_index_table_build_peak_memory(p, bound_mib):
+    """The blocked walk holds one block of the g^k walk beside the int32 table (3.8 MiB at
+    p = 1000003, 7.6 MiB at p = 1999993): peaks near 5.4 and 10.2 MiB, where the whole walk
+    as int64 with a full-length tile peaked near 15.3 and 30.5 MiB."""
+    chi = make_character(field(p), 2)
+    tracemalloc.start()
+    try:
+        chi.index_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 @given(st.data())
@@ -197,12 +245,13 @@ def test_shifted_sums_matches_add_at_oracle(p, d, lams_kind, weights, data):
     assert np.array_equal(shifted_sums(chi, asked, terms), shifted_sums_by_add_at(chi, lams, terms))
 
 
-@pytest.mark.parametrize("d, bound_mib", [(2, 24), (6, 78)])
+@pytest.mark.parametrize("d, bound_mib", [(2, 24), (2, 11), (6, 78)])
 def test_de_moment_sign_weights_peak_memory(d, bound_mib):
     """+-1 weights at p = 1000003 and 12 shifts, with the index table built: order 2 tallies
-    one-hot rows in int32 and peaks below 24 MiB, order 6 in float64 in place and peaks below
-    78 MiB (float64 rows with per-shift temporaries peak near 35 and 80 MiB, an int32 tally cast
-    to float64 for the order-6 contraction near 97 MiB)."""
+    one-hot rows in int16 and peaks below 11 MiB (near 9.6 MiB; int32 rows peaked near 13.4),
+    order 6 in float64 in place and peaks below 78 MiB (float64 rows with per-shift temporaries
+    peak near 35 and 80 MiB, an integer tally cast to float64 for the order-6 contraction near
+    97 MiB)."""
     p = 1_000_003
     chi = make_character(field(p), d)
     chi.index_table()
@@ -216,6 +265,31 @@ def test_de_moment_sign_weights_peak_memory(d, bound_mib):
         tracemalloc.stop()
     assert peak < bound_mib * 2**20
     assert value == int(value) > 0
+
+
+def test_shifted_sums_int16_tally_boundary():
+    """One cell of the +-1 order-2 tally reaches 2^15 - 1 in int16 and matches the oracle;
+    at 2^15 terms the float64 route gives the same values.
+
+    At p = 65537 the shifts s = r - lam0, r over the 2^15 quadratic residues and lam0 a
+    non-residue, put every term of the lam0 cell on index 0.  The full-range request agrees
+    with the sparse one at the boundary.
+    """
+    p = 65537
+    chi = make_character(field(p), 2)
+    ktab = chi.index_table()
+    squares = np.flatnonzero(ktab == 0)
+    lam0 = int(np.flatnonzero(ktab == 1)[0])
+    lams = np.array(sorted({1, 2, lam0, p // 2, p - 1}), dtype=np.int64)
+    at = int(np.flatnonzero(lams == lam0)[0])
+    for n, dtype in ((2**15 - 1, np.int16), (2**15, np.float64)):
+        terms = [(int(r) - lam0, 1.0) for r in squares[:n]]
+        got = shifted_sums(chi, lams, terms)
+        assert got.dtype == dtype
+        assert got[at] == n
+        assert np.array_equal(got, shifted_sums_by_add_at(chi, lams, terms))
+        if dtype == np.int16:
+            assert np.array_equal(shifted_sums(chi, None, terms)[lams - 1], got)
 
 
 def test_minus_one_index():

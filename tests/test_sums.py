@@ -352,6 +352,21 @@ def test_ratio_bins_oracle():
     assert got.counts.tolist() == ratio_bins_oracle(11, 3, 4, 5).tolist()
 
 
+def test_ratio_bins_peak_memory():
+    """At p = 1000003 the 3,600 products are histogrammed into their own residue range, not a
+    length-p int64 array beside the bins: a peak near 7.7 MiB, where the p-length histogram
+    peaked near 15.3 MiB."""
+    F = field(1_000_003)
+    tracemalloc.start()
+    try:
+        table = ratio_bins(F, 60, 60, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
+    assert table.total() == 60**3
+
+
 def test_ratio_bins_caps_products(monkeypatch):
     """The A*B products are an array of their own, held to the table cap even when p is under it."""
     monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
@@ -444,3 +459,12 @@ def test_holder_chain_bound(rng):
         for nu in (1, 2):
             hc = holder_chain(chi, A, B, C, shifts, alpha, nu)
             assert hc.lhs <= hc.sigma1 * hc.sigma2 * hc.sigma3 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("p, A, B, C", [(97, 3, 5, 6), (1_000_003, 60, 60, 60)])
+def test_holder_chain_sigma3_is_sum_of_squared_bins(p, A, B, C):
+    """sigma3 is the exact integer sum of I(lam)^2 over the triple-count oracle's bins."""
+    chi = make_character(field(p), 2)
+    shifts = [1, 2, 5]
+    hc = holder_chain(chi, A, B, C, shifts, WeightSeq.ones(shifts), 1)
+    assert hc.sigma3 == float(sum(int(n) ** 2 for n in ratio_bins_oracle(p, A, B, C)))
