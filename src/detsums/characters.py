@@ -166,11 +166,12 @@ class Character:
         each: one outer product mod p (below p^2 < 2^62) per block, onto
         which the period-d pattern (k mod d) * power mod d is scattered.
         A block holds a multiple of d / gcd(B, d) rows, so it starts at
-        k = 0 mod d and reads one pre-tiled slice of the pattern; the tile
-        is capped at p - 1 entries, so a large d walks in one block.
-        Beyond the table, memory is one block of int64 walk, its int32
-        tile and a bool per residue for the certificate: g is certified
-        primitive by every unit getting written, else InternalInvariantViolation.
+        k = 0 mod d and reads one pre-tiled slice of the pattern; a tile
+        capped at p - 1 entries spans the walk, and any block reads its own
+        slice.  Beyond the table, memory is one block of int64 walk, its
+        int32 tile, one int64 period of the pattern and a bool per residue
+        for the certificate: g is certified primitive by every unit getting
+        written, else InternalInvariantViolation.
         """
         if self._ktab is None:
             p, g, d = self.field.p, self.field.g, self.d
@@ -181,15 +182,21 @@ class Character:
             cols = np.array([pow(g, j, p) for j in range(B)], dtype=np.int64)
             period = d // math.gcd(B, d)  # rows per whole number of pattern periods
             step = max(1, _WALK_BLOCK // (B * period)) * period
-            pattern = (np.arange(d, dtype=np.int64) * self.power % d).astype(np.int32)
+            pattern = np.arange(d, dtype=np.int64)  # built in place: one int64 period, then int32
+            pattern *= self.power
+            pattern %= d
+            pattern = pattern.astype(np.int32)
             tile = np.tile(pattern, min(step * B, n) // d)
             del pattern  # a one-period tile is a copy
+            if tile.size == n:
+                step = max(1, _WALK_BLOCK // B)
             tab = np.full(p, -1, dtype=np.int32)
             for lo in range(0, len(rows), step):
                 walk = np.multiply.outer(np.array(rows[lo : lo + step], dtype=np.int64), cols)
                 walk %= p
                 size = min(walk.size, n - lo * B)
-                tab[walk.ravel()[:size]] = tile[:size]
+                k = lo * B % tile.size  # 0 unless the tile spans the whole walk
+                tab[walk.ravel()[:size]] = tile[k : k + size]
             missed = int(np.count_nonzero(tab[1:] < 0))
             if missed:
                 raise InternalInvariantViolation(

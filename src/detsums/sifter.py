@@ -2,62 +2,51 @@
 
 A_r(N; x, y) partitions [1, N] by the number r of prime divisors inside
 the window (x, y], counted with multiplicity by default (a flag switches
-to distinct primes).  The strata and the table of tau_s(m) for m <= M
-come from one walk over prime powers q^e (`fp_arith._prime_powers`) of the
-primes q <= sqrt(N), each a strided numpy slice update.  A prime q > sqrt(N)
-divides each n <= N at most once, so its only update is at e = 1; the
-multiples of all such primes are built together and applied in blocks of
-about 2^18 indices (`_large_prime_multiples`).  A single tau value comes
-from `fp_arith.factorize`.  The module also measures the constants hidden in
+to distinct primes).  `sift` tallies it in a bytearray, without numpy:
+one pass of strided byte copies (`_large_prime_flags`) marks the window
+primes above sqrt(N), sum over k of (N/k - a) = O(N log N) bytes in C
+over O(sqrt N) Python steps, and each power q^e of a smaller window prime
+adds 1 on the multiples of q^e in one `bytes.translate`.  The tau table
+starts from the same pass; a single tau value comes from
+`fp_arith.factorize`.  The module also measures the constants hidden in
 the asymptotic bounds on a fixed grid, so they can be pinned in a
-calibration file and re-asserted by the test suite.
+calibration file and re-asserted by the test suite.  numpy is imported
+only inside `primes_upto`, `tau_square_average` and `_prime_tail`.
 """
 
+import itertools
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import BadWindow, Overflow, ValidationError
 from .fp_arith import _check_table_size, _prime_powers, factorize, prime_flags
 
+# bytes.translate table adding 1 to a count byte
+_INC = bytes(range(1, 256)) + b"\0"
+
 
 def primes_upto(n):
     """All primes <= n as an int64 array, read off the sieve `fp_arith.prime_flags`."""
+    import numpy as np
     return np.flatnonzero(np.frombuffer(prime_flags(n), dtype=bool)).astype(np.int64)  # each flag byte is 0 or 1
 
 
-# Indices per block of the large-prime pass: its temporaries stay at a few MB.
-_BLOCK = 1 << 18
+def _large_prime_flags(window, a, N):
+    """N + 1 bytes: 1 at each n <= N with a prime factor q >= a flagged in `window`, else 0.
 
-
-def _large_prime_multiples(primes, N):
-    """Yield every multiple k*q <= N of each q in `primes`, in blocks of about _BLOCK indices.
-
-    Meant for distinct primes q > isqrt(N), each dividing any n <= N at
-    most once; two of them share no multiple <= N, so a block's indices
-    are distinct.  Callers still apply a block by `np.add.at` /
-    `np.multiply.at`: at N = 2*10^6 (numpy 2.4, 2-CPU VM) it ran about
-    2.5x faster than the plain indexed update `counts[block] += 1`.
+    `window` flags primes only, and a > isqrt(N).  For k = 1, 2, ...
+    window[a : N//k + 1] is copied onto k*a, ..., N in steps of k, so the
+    last write at n, if any, flags n's least divisor m >= a in the window:
+    n's one prime factor above sqrt(N) if that is >= a, else a composite.
+    Sum over k of (N/k - a) = O(N log N) byte copies in O(N/a) steps.
     """
-    counts = N // primes
-    ends = np.cumsum(counts)  # ends[i]: how many multiples primes[:i + 1] have in all
-    lo = 0
-    while lo < primes.size:
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + _BLOCK, side="right")))
-        cnt = counts[lo:hi]
-        block = np.arange(start + 1, int(ends[hi - 1]) + 1, dtype=np.int64)
-        block -= np.repeat(ends[lo:hi] - cnt, cnt)  # k = 1, 2, ... within each prime's run
-        block *= np.repeat(primes[lo:hi], cnt)
-        yield block
-        lo = hi
-
-
-def _split_at_root(primes, N):
-    """(primes q <= isqrt(N), primes q > isqrt(N))."""
-    r = math.isqrt(N)
-    return primes[primes <= r], primes[primes > r]
+    flags = bytearray(N + 1)
+    top = len(window) - 1
+    with memoryview(window) as src:
+        for k in range(1, N // a + 1):
+            hi = min(N // k, top)
+            flags[k * a : k * hi + 1 : k] = src[a : hi + 1]  # empty when top < a
+    return flags
 
 
 class SiftProfile(NamedTuple):
@@ -70,30 +59,34 @@ class SiftProfile(NamedTuple):
 
 
 def sift(N, x, y, multiplicity=True):
-    """Partition [1, N] by window prime-divisor count; O(N log log N).
+    """Partition [1, N] by window prime-divisor count; O(N log N) byte work, no numpy.
 
     Window primes are the q with x < q <= y.  In multiplicity mode the
     count of n is sum of exponents of window primes in n; otherwise the
-    number of distinct window primes dividing n.  Window primes up to
-    sqrt(N) walk their powers; the larger ones add 1 on their multiples
-    in blocks, so the temporaries beside the int64 tally of N + 1 entries
-    stay at a few MB.  N is held to the table cap (TooLarge) before the
-    length-N tally is allocated.
+    number of distinct window primes dividing n.  The counts are a byte
+    per n (below 32, as N <= 2^31), started at `_large_prime_flags` for
+    the window primes above sqrt(N), sum over k of (N/k - a) byte copies
+    in O(sqrt N) Python steps; each power q^e of the others adds 1 on its
+    multiples by `bytes.translate`.  The strata take R + 1 `bytearray.count`
+    passes.  In process this is about 3x slower than a numpy tally at
+    N = 10^6, x = 5, y = 1000, mostly in those passes, but a scan loads no
+    numpy.  N is held to the table cap (TooLarge) before the tally is allocated.
     """
     N = int(N)
     if not N >= y >= x >= 2:
         raise BadWindow("need N >= y >= x >= 2, got N=%s x=%s y=%s" % (N, x, y))
     _check_table_size(N, "N")
-    counts = np.zeros(N + 1, dtype=np.int64)
-    window = primes_upto(math.floor(y))
-    small, large = _split_at_root(window[window > x], N)
-    for _, e, qe in _prime_powers(small, N):
+    window = prime_flags(math.floor(y))
+    root, lo = math.isqrt(N), math.floor(x) + 1  # the window primes are lo <= q <= y
+    counts = _large_prime_flags(window, max(lo, root + 1), N)
+    for _, e, qe in _prime_powers(itertools.compress(range(lo, root + 1), window[lo : root + 1]), N):
         if multiplicity or e == 1:
-            counts[qe::qe] += 1
-    for block in _large_prime_multiples(large, N):
-        np.add.at(counts, block, 1)
-    sizes = np.bincount(counts[1:])
-    return SiftProfile(N, float(x), float(y), multiplicity, tuple(int(v) for v in sizes), len(sizes) - 1)
+            counts[qe::qe] = counts[qe::qe].translate(_INC)
+    sizes, left = [], N
+    while left:
+        sizes.append(counts.count(len(sizes), 1))  # the stratum's size, n = 0 left out
+        left -= sizes[-1]
+    return SiftProfile(N, float(x), float(y), multiplicity, tuple(sizes), len(sizes) - 1)
 
 
 def a0_bound_check(N, x, y, C):
@@ -123,17 +116,18 @@ def tau(m, s):
 
 
 def tau_square_average(M, s):
-    """Exact sum of tau_s(m)^2 over m <= M, as a Python int; O(M log log M).
+    """Exact sum of tau_s(m)^2 over m <= M, as a Python int; O(M log M).
 
-    Builds tau_s(m) for every m <= M in one int64 array by the prime-power
-    walk over q <= sqrt(M): at q^e, each multiple of q^e swaps its factor
-    C(e+s-2, s-1) for C(e+s-1, s-1) (the division is exact).  A prime
-    q > sqrt(M) only has e = 1, where that swap is a factor
-    C(s, s-1) / C(s-1, s-1) = s, applied to its multiples in blocks of a
-    few MB.  The sum of squares is taken in int64 only while
-    max(tau)^2 * M < 2^63; above that it raises Overflow.  M is held to
-    the table cap (TooLarge) before the table is allocated.
+    Builds tau_s(m) for every m <= M in one int64 array, started as
+    mask * (s - 1) + 1 from the byte mask of `_large_prime_flags` (a prime
+    q > sqrt(M) has e = 1, a factor C(s, s-1) = s).  The prime-power walk
+    over q <= sqrt(M) follows: at q^e, each multiple of q^e swaps its
+    factor C(e+s-2, s-1) for C(e+s-1, s-1) (the division is exact).  The
+    sum of squares is taken in int64 only while max(tau)^2 * M < 2^63;
+    above that it raises Overflow.  M is held to the table cap (TooLarge)
+    before the sieve is allocated.
     """
+    import numpy as np
     M = int(M)
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -141,12 +135,10 @@ def tau_square_average(M, s):
     if s not in (2, 3, 4):
         raise ValueError("s must be in {2, 3, 4}")
     _check_table_size(M, "M")
-    t = np.ones(M + 1, dtype=np.int64)
-    small, large = _split_at_root(primes_upto(M), M)
-    for _, e, qe in _prime_powers(small, M):
+    flags, root = prime_flags(M), math.isqrt(M)
+    t = (np.frombuffer(_large_prime_flags(flags, root + 1, M), dtype=np.uint8) * (s - 1) + 1).astype(np.int64)
+    for _, e, qe in _prime_powers(itertools.compress(range(root + 1), flags[: root + 1]), M):
         t[qe::qe] = t[qe::qe] // math.comb(e + s - 2, s - 1) * math.comb(e + s - 1, s - 1)
-    for block in _large_prime_multiples(large, M):
-        np.multiply.at(t, block, s)
     t = t[1:]
     if int(t.max()) ** 2 * M >= 2**63:
         raise Overflow("sum of tau_%d(m)^2 over m <= %d may exceed int64" % (s, M))
@@ -163,6 +155,7 @@ def prime_tail(x, P):
 
 def _prime_tail(qs, x):
     """Sum of 1/q^2 over the primes q >= x in the prime array `qs`."""
+    import numpy as np
     qs = qs[qs >= x]
     return float(np.sum(1.0 / (qs.astype(np.float64) ** 2)))  # 0.0 when no prime is left
 

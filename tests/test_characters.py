@@ -154,6 +154,34 @@ def test_index_table_build_peak_memory(p, bound_mib):
     assert peak < bound_mib * 2**20
 
 
+@pytest.mark.parametrize("block", (1, 5, 64))
+@pytest.mark.parametrize("p, d", ((101, 100), (4999, 4998), (4999, 2499), (4999, 1666)))
+def test_index_table_full_tile_blocks_match_dlog(block, p, d):
+    """A tile capped at p - 1 entries spans the whole walk, so blocks of any row count read
+    their own slices of it, at offsets that are not multiples of d."""
+    F = field(p)
+    dlog = dlog_by_loop(p, F.g).astype(np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "_WALK_BLOCK", block)
+        tab = make_character(F, d).index_table()
+    assert np.array_equal(tab, np.where(dlog < 0, -1, dlog % d))
+
+
+def test_index_table_full_order_build_peak_memory():
+    """At p = 1999993, d = p - 1 the pattern is built in place (one int64 period, then int32)
+    and the p - 1 entry tile lets the walk run in blocks: the build peaks near 23 MiB, where
+    an int64 pattern temporary and the whole walk in one int64 block peaked near 32.5 MiB."""
+    p = 1_999_993
+    chi = make_character(field(p), p - 1)
+    tracemalloc.start()
+    try:
+        chi.index_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20
+
+
 @given(st.data())
 def test_tally_matches_eval(data):
     """tally(xs) and tally(xs, weights) total chi(x mod p) as eval reads it, for drawn p, d | p-1.

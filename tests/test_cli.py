@@ -152,7 +152,7 @@ def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeyp
         raise AssertionError("a bad input reached the sift tally")
 
     monkeypatch.setattr(cli, "prime_flags", no_sieve)  # the HI check must come before the sieve
-    monkeypatch.setattr(sifter.np, "zeros", no_tally)  # the N check must come before the tally
+    monkeypatch.setattr(sifter, "_large_prime_flags", no_tally)  # the N check must come before the tally
     (tmp_path / "bad.txt").write_text("a0_C 1 2\n")  # a malformed calibration line
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
@@ -269,6 +269,7 @@ def main_exit(*argv):
         ("import detsums\nprint(detsums.mat2.census is detsums.census)", "True"),
         (main_exit("scan", "--kind", "nonresidue", "--p-range", "3:200", "--out", "-"), "0"),
         (main_exit("scan", "--kind", "nonresidue", "--p", "2147398009", "--out", "-"), "0"),
+        (main_exit("scan", "--kind", "sift", "--n-grid", "1000", "--out", "-"), "0"),
     ],
     ids=[
         "import",
@@ -281,10 +282,11 @@ def main_exit(*argv):
         "submodule",
         "nonresidue-range",
         "nonresidue-near-2^31",
+        "sift",
     ],
 )
 def test_start_without_numpy(code, printed):
-    """The package, the CLI, census and nonresidue scans, --help and an early validation exit run without numpy."""
+    """The package, the CLI, census, nonresidue and sift scans, --help and an early validation exit run without numpy."""
     lines = fresh_python(code + "\nimport sys\nprint('numpy' in sys.modules)")
     assert lines[-1] == "False"
     if printed is not None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detsums import BadWindow, Overflow, TooLarge, a0_bound_check, prime_tail, sift, sifter, tau, tau_square_average
+from detsums import BadWindow, Overflow, TooLarge, a0_bound_check, fp_arith, prime_tail, sift, sifter, tau, tau_square_average
 from detsums.cli import default_calibration_path
 from detsums.sifter import (
     a0_grid,
@@ -83,29 +83,42 @@ def test_sift_matches_oracle_property(window):
 
 
 def test_sift_split_at_root_matches_oracle():
-    """Windows that straddle sqrt(N) = 97, where the walk hands over to the blocked pass."""
+    """Windows that straddle sqrt(N) = 97, where the walk hands over to the large-prime pass."""
     q = 97
     for N in (q * q - 1, q * q, q * q + 1):
         for x, y in ((2, N), (q - 1, q + 1), (q, N)):
             assert_sift_matches_oracle(N, x, y)
 
 
-def test_large_prime_multiples_blocks():
-    """Every multiple of every prime above sqrt(N), each index once, in blocks of at most _BLOCK."""
-    N = 3 * sifter._BLOCK
-    qs = primes_upto(N)
-    qs = qs[qs > math.isqrt(N)]
-    blocks = list(sifter._large_prime_multiples(qs, N))
-    assert len(blocks) > 1
-    assert all(b.size <= sifter._BLOCK for b in blocks)
-    got = np.concatenate(blocks)
-    want = np.concatenate([np.arange(q, N + 1, q) for q in qs.tolist()])
-    assert np.array_equal(got, want)
-    assert np.unique(got).size == got.size  # the primes' multiples are pairwise distinct
+def large_prime_flags_oracle(N, a, y):
+    """0/1 per n <= N: does a prime q with a <= q <= y divide n?  One prime at a time."""
+    want = [0] * (N + 1)
+    for q in primes_upto(int(y)).tolist():
+        if q >= a:
+            for n in range(q, N + 1, q):
+                want[n] = 1
+    return want
+
+
+def test_large_prime_flags_matches_oracle():
+    """The strided copies flag exactly the multiples of the window primes above sqrt(N) = 97.
+
+    x runs below and above sqrt(N); y runs from x up to N, mostly short of
+    it, so the window flags end before the longest copies would reach them.
+    """
+    q = 97
+    for N in (q * q - 1, q * q, q * q + 1):
+        for x in (2, 50, q - 1, q, q + 1, 200):
+            for y in (x, q + 1, 300, N // 3, N - 1, N):
+                if N >= y >= x:
+                    a = max(math.floor(x), math.isqrt(N)) + 1
+                    got = sifter._large_prime_flags(fp_arith.prime_flags(y), a, N)
+                    assert list(got) == large_prime_flags_oracle(N, a, y), (N, x, y)
 
 
 def test_sift_memory_stays_blocked():
-    """The large-prime pass adds a few MB at the table cap and nothing when no prime passes sqrt(N)."""
+    """The byte tally: a few MB at the table cap, and below the N + 1 count bytes plus one
+    N + 1 byte budget for the window sieve and strided slices when no prime passes sqrt(N)."""
     peaks = []
     for args in ((2_000_000, 2, 2_000_000), (1_000_000, 5, 1000)):
         tracemalloc.start()
@@ -115,8 +128,16 @@ def test_sift_memory_stays_blocked():
         finally:
             tracemalloc.stop()
     assert peaks[0] < 32 * 2**20
-    tally = 8 * (1_000_000 + 1)  # the int64 tally itself
-    assert peaks[1] < tally + 2**19
+    assert peaks[1] < 2 * (1_000_000 + 1) + 2**19
+
+
+def test_sift_highest_stratum_under_the_cap():
+    """3^13 <= 2*10^6 sits alone in stratum 13 of the window (2, 3], the deepest count the
+    table cap allows; every window prime is >= 3, so no count byte nears 255."""
+    prof = sift(3**13, 2, 3)
+    assert prof.R == 13
+    assert prof.sizes[13] == 1
+    assert sum(prof.sizes) == 3**13
 
 
 def test_sift_empty_window():
@@ -228,8 +249,8 @@ def test_sift_and_tau_caps_before_allocation(monkeypatch):
     def no_alloc(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 
-    monkeypatch.setattr(sifter.np, "zeros", no_alloc)
-    monkeypatch.setattr(sifter.np, "ones", no_alloc)
+    monkeypatch.setattr(sifter, "prime_flags", no_alloc)
+    monkeypatch.setattr(sifter, "_large_prime_flags", no_alloc)
     with pytest.raises(TooLarge, match="N=10000000000 exceeds the hard cap"):
         sift(10**10, 2, 100)
     with pytest.raises(TooLarge, match="M=10000000000 exceeds the hard cap"):
@@ -253,9 +274,10 @@ def test_tau_square_average_overflow(monkeypatch):
     """A tau table whose squares could wrap int64 raises instead of summing.
 
     Real tables stay far below the bound at any M that fits in memory, so
-    the walk is fed the prime 2 thirty times: tau(2) becomes 4^30.
+    the walk is fed the prime 2 thirty times: tau(2) becomes 4^31, its
+    large-prime factor 4 included.
     """
-    monkeypatch.setattr(sifter, "primes_upto", lambda n: np.full(30, 2, dtype=np.int64))
+    monkeypatch.setattr(sifter, "_prime_powers", lambda primes, N: [(2, 1, 2)] * 30)
     with pytest.raises(Overflow):
         tau_square_average(3, 4)
 
