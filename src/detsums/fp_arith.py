@@ -3,14 +3,18 @@
 A PrimeField holds only p and a primitive root g, so building one costs
 the factorization of p - 1 by `factorize`, the package's one trial
 division (`sifter.tau` takes its primes from it too).  `prime_flags` is
-the one sieve, a bytearray, and `_prime_powers` the one walk over prime
-powers that `sifter` and `residues.count_nonresidues` share.  Legendre
+the one sieve, a bytearray, and `prime_factor_tally` the one walk over
+prime powers into bytes: a completely additive function on [1, N] of the
+primes flagged in a window, read by `sifter.sift` and
+`residues.count_nonresidues` (`sifter.tau_square_average` walks
+`_prime_powers` in int64 from the same `_large_prime_flags`).  Legendre
 symbols are Euler's criterion by `pow`, and square roots Tonelli-Shanks
 with g as the known non-residue.  p is held to the hard cap 2^31; a
 table or array of length n to the table cap (default 2*10^6, env
 DETSUM_MAX_TABLE).  Scalar only: no numpy.
 """
 
+import itertools
 import math
 import operator
 import os
@@ -92,6 +96,47 @@ def _prime_powers(primes, N):
         while qe <= N:
             yield q, e, qe
             e, qe = e + 1, qe * q
+
+
+def _large_prime_flags(window, N):
+    """N + 1 bytes: at each n <= N, the `window` byte of n's prime factor above sqrt(N), else 0.
+
+    `window` is 0 at every composite above sqrt(N).  With a = isqrt(N) + 1,
+    for k = 1, 2, ... window[a : N//k + 1] is copied onto k*a, ..., N in
+    steps of k, so the last write at n, if any, is the byte of n's least
+    divisor m >= a: n's one prime factor above sqrt(N) if it has one, else
+    a composite.  Sum over k of (N/k - a) = O(N log N) byte copies in C
+    over O(sqrt N) Python steps.
+    """
+    a = math.isqrt(N) + 1
+    flags = bytearray(N + 1)
+    top = len(window) - 1
+    with memoryview(window) as src:
+        for k in range(1, N // a + 1):
+            hi = min(N // k, top)
+            flags[k * a : k * hi + 1 : k] = src[a : hi + 1]  # empty when top < a
+    return flags
+
+
+def prime_factor_tally(window, N, step, distinct=False):
+    """N + 1 bytes: step applied once per prime factor q of n flagged in `window`, for each n <= N.
+
+    The one walk over prime powers into bytes, serving `sifter.sift` (step
+    adds 1) and `residues.count_nonresidues` (step flips 0 and 1).
+    `window` is 1 at the flagged primes and 0 elsewhere; `step` is a
+    `bytes.translate` table that maps 0 to 1.  Factors count with
+    multiplicity unless `distinct`.  n's one prime factor above sqrt(N)
+    starts the tally, through `_large_prime_flags`; then each power q^e
+    (e = 1 only, if `distinct`) of a flagged q <= sqrt(N) applies `step` to
+    every multiple of q^e in one strided slice.  O(N log N) byte copies in
+    C over O(sqrt N) Python steps.
+    """
+    tally = _large_prime_flags(window, N)
+    root = math.isqrt(N)
+    for _, e, qe in _prime_powers(itertools.compress(range(root + 1), window[: root + 1]), N):
+        if e == 1 or not distinct:
+            tally[qe::qe] = tally[qe::qe].translate(step)
+    return tally
 
 
 def factorize(n):

@@ -5,10 +5,11 @@ over many primes (say every p up to 10^6) needs no field per prime and
 so no primitive-root search.  Every Legendre symbol is Euler's criterion
 by scalar `pow`: the least non-residue tries n = 2, 3, ... in turn, and
 the count up to X takes it only at the primes q <= X and extends it to
-1..X by the prime-power walk, in a bytearray of X + 1 parity bytes.  No
-numpy.  An int p is tested for primality once per report, and not at all
-when it arrives checked (`fp_arith.check_odd_prime`), as a `--p-range`
-prime sifted by the CLI does.
+1..X as a parity byte per n, by the one prime-power walk
+`fp_arith.prime_factor_tally`.  No numpy.  An int p is tested for
+primality once per report, and not at all when it arrives checked
+(`fp_arith.check_odd_prime`), as a `--p-range` prime sifted by the CLI
+does.
 """
 
 import math
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 from . import mat2
 from .errors import InternalInvariantViolation
-from .fp_arith import PrimeField, _check_hard_cap, _check_length, _prime_powers, check_odd_prime, prime_flags
+from .fp_arith import PrimeField, _check_hard_cap, _check_length, check_odd_prime, prime_factor_tally, prime_flags
 
 # Swaps the bytes 0 and 1: a parity flip of every byte of a slice in one C call.
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -44,21 +45,19 @@ def count_nonresidues(F, X):
     The Legendre symbol is completely multiplicative, so n is a
     non-residue exactly when it has an odd number of prime factors q with
     (q/p) = -1, counted with multiplicity.  Euler's criterion by `pow`
-    runs at the primes q <= X only (X < p, so none is p); each power q^e
-    of a non-residue prime flips the parity byte of every multiple of q^e,
-    one strided bytearray slice per power.  O(X log log X) byte flips plus
-    about X / ln X `pow`s.
+    runs at the primes q <= X only (X < p, so none is p) and clears the
+    residue primes from the sieve; `fp_arith.prime_factor_tally` then flips
+    a parity byte per non-residue prime factor.  O(X log X) byte copies in
+    C plus about X / ln X `pow`s.
     """
     p = _as_modulus(F)
     _check_hard_cap(p)
     X = _check_length(X, p, "X")
-    flags = prime_flags(X, "X")  # held to the table cap before either bytearray is allocated
+    window = prime_flags(X, "X")  # held to the table cap before any bytearray is allocated
     e = (p - 1) // 2
-    flipping = (q for q in compress(range(X + 1), flags) if pow(q, e, p) != 1)
-    odd = bytearray(X + 1)
-    for _, _, qe in _prime_powers(flipping, X):
-        odd[qe::qe] = odd[qe::qe].translate(_FLIP)
-    return odd.count(1)
+    for q in compress(range(X + 1), window):
+        window[q] = pow(q, e, p) != 1  # only the byte just read changes
+    return prime_factor_tally(window, X, _FLIP).count(1)
 
 
 class NonResidueReport(NamedTuple):

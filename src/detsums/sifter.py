@@ -2,12 +2,10 @@
 
 A_r(N; x, y) partitions [1, N] by the number r of prime divisors inside
 the window (x, y], counted with multiplicity by default (a flag switches
-to distinct primes).  `sift` tallies it in a bytearray, without numpy:
-one pass of strided byte copies (`_large_prime_flags`) marks the window
-primes above sqrt(N), sum over k of (N/k - a) = O(N log N) bytes in C
-over O(sqrt N) Python steps, and each power q^e of a smaller window prime
-adds 1 on the multiples of q^e in one `bytes.translate`.  The tau table
-starts from the same pass; a single tau value comes from
+to distinct primes).  `sift` tallies it in a bytearray, without numpy,
+by the one prime-power walk `fp_arith.prime_factor_tally`, adding 1 per
+window prime.  The tau table starts from the same large-prime pass
+(`fp_arith._large_prime_flags`); a single tau value comes from
 `fp_arith.factorize`.  The module also measures the constants hidden in
 the asymptotic bounds on a fixed grid, so they can be pinned in a
 calibration file and re-asserted by the test suite.  numpy is imported
@@ -19,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .errors import BadWindow, Overflow, ValidationError
-from .fp_arith import _check_table_size, _prime_powers, factorize, prime_flags
+from .fp_arith import _check_table_size, _large_prime_flags, _prime_powers, factorize, prime_factor_tally, prime_flags
 
 # bytes.translate table adding 1 to a count byte
 _INC = bytes(range(1, 256)) + b"\0"
@@ -31,24 +29,6 @@ def primes_upto(n):
     return np.flatnonzero(np.frombuffer(prime_flags(n), dtype=bool)).astype(np.int64)  # each flag byte is 0 or 1
 
 
-def _large_prime_flags(window, a, N):
-    """N + 1 bytes: 1 at each n <= N with a prime factor q >= a flagged in `window`, else 0.
-
-    `window` flags primes only, and a > isqrt(N).  For k = 1, 2, ...
-    window[a : N//k + 1] is copied onto k*a, ..., N in steps of k, so the
-    last write at n, if any, flags n's least divisor m >= a in the window:
-    n's one prime factor above sqrt(N) if that is >= a, else a composite.
-    Sum over k of (N/k - a) = O(N log N) byte copies in O(N/a) steps.
-    """
-    flags = bytearray(N + 1)
-    top = len(window) - 1
-    with memoryview(window) as src:
-        for k in range(1, N // a + 1):
-            hi = min(N // k, top)
-            flags[k * a : k * hi + 1 : k] = src[a : hi + 1]  # empty when top < a
-    return flags
-
-
 class SiftProfile(NamedTuple):
     N: int
     x: float
@@ -58,30 +38,34 @@ class SiftProfile(NamedTuple):
     R: int
 
 
-def sift(N, x, y, multiplicity=True):
-    """Partition [1, N] by window prime-divisor count; O(N log N) byte work, no numpy.
+def _window_counts(N, x, y, multiplicity):
+    """N + 1 bytes: the count of window primes x < q <= y in each n <= N (0 at n = 0).
 
-    Window primes are the q with x < q <= y.  In multiplicity mode the
-    count of n is sum of exponents of window primes in n; otherwise the
-    number of distinct window primes dividing n.  The counts are a byte
-    per n (below 32, as N <= 2^31), started at `_large_prime_flags` for
-    the window primes above sqrt(N), sum over k of (N/k - a) byte copies
-    in O(sqrt N) Python steps; each power q^e of the others adds 1 on its
-    multiples by `bytes.translate`.  The strata take R + 1 `bytearray.count`
-    passes.  In process this is about 3x slower than a numpy tally at
-    N = 10^6, x = 5, y = 1000, mostly in those passes, but a scan loads no
-    numpy.  N is held to the table cap (TooLarge) before the tally is allocated.
+    Checks the window (BadWindow) and holds N to the table cap (TooLarge)
+    before anything is allocated.  Counts stay below 32, as N <= 2^31.
     """
     N = int(N)
     if not N >= y >= x >= 2:
         raise BadWindow("need N >= y >= x >= 2, got N=%s x=%s y=%s" % (N, x, y))
     _check_table_size(N, "N")
     window = prime_flags(math.floor(y))
-    root, lo = math.isqrt(N), math.floor(x) + 1  # the window primes are lo <= q <= y
-    counts = _large_prime_flags(window, max(lo, root + 1), N)
-    for _, e, qe in _prime_powers(itertools.compress(range(lo, root + 1), window[lo : root + 1]), N):
-        if multiplicity or e == 1:
-            counts[qe::qe] = counts[qe::qe].translate(_INC)
+    lo = math.floor(x) + 1
+    window[:lo] = bytes(lo)  # the window primes are lo <= q <= y
+    return prime_factor_tally(window, N, _INC, distinct=not multiplicity)
+
+
+def sift(N, x, y, multiplicity=True):
+    """Partition [1, N] by window prime-divisor count; O(N log N) byte work, no numpy.
+
+    Window primes are the q with x < q <= y.  In multiplicity mode the
+    count of n is sum of exponents of window primes in n; otherwise the
+    number of distinct window primes dividing n.  The counts come from
+    `fp_arith.prime_factor_tally`, and the strata take R + 1
+    `bytearray.count` passes.  N is held to the table cap (TooLarge)
+    before the tally is allocated.
+    """
+    counts = _window_counts(N, x, y, multiplicity)
+    N = len(counts) - 1
     sizes, left = [], N
     while left:
         sizes.append(counts.count(len(sizes), 1))  # the stratum's size, n = 0 left out
@@ -94,10 +78,9 @@ def a0_bound_check(N, x, y, C):
 
     Compared in product form (both sides scaled by log(2y) > 0) so the
     x = y boundary, where the two sides coincide, never flaps on a
-    division rounding.
+    division rounding.  #A_0 is one `bytearray.count` pass.
     """
-    prof = sift(N, x, y)
-    return prof.sizes[0] * math.log(2 * y) <= C * N * math.log(2 * x)
+    return _window_counts(N, x, y, True).count(0, 1) * math.log(2 * y) <= C * N * math.log(2 * x)
 
 
 def tau(m, s):
@@ -119,11 +102,11 @@ def tau_square_average(M, s):
     """Exact sum of tau_s(m)^2 over m <= M, as a Python int; O(M log M).
 
     Builds tau_s(m) for every m <= M in one int64 array, started as
-    mask * (s - 1) + 1 from the byte mask of `_large_prime_flags` (a prime
-    q > sqrt(M) has e = 1, a factor C(s, s-1) = s).  The prime-power walk
-    over q <= sqrt(M) follows: at q^e, each multiple of q^e swaps its
-    factor C(e+s-2, s-1) for C(e+s-1, s-1) (the division is exact).  The
-    sum of squares is taken in int64 only while max(tau)^2 * M < 2^63;
+    mask * (s - 1) + 1 from the byte mask of `fp_arith._large_prime_flags`
+    (a prime q > sqrt(M) has e = 1, a factor C(s, s-1) = s).  The
+    prime-power walk over q <= sqrt(M) follows: at q^e, each multiple of
+    q^e swaps its factor C(e+s-2, s-1) for C(e+s-1, s-1) (the division is
+    exact).  The sum of squares is taken in int64 only while max(tau)^2 * M < 2^63;
     above that it raises Overflow.  M is held to the table cap (TooLarge)
     before the sieve is allocated.
     """
@@ -136,7 +119,7 @@ def tau_square_average(M, s):
         raise ValueError("s must be in {2, 3, 4}")
     _check_table_size(M, "M")
     flags, root = prime_flags(M), math.isqrt(M)
-    t = (np.frombuffer(_large_prime_flags(flags, root + 1, M), dtype=np.uint8) * (s - 1) + 1).astype(np.int64)
+    t = (np.frombuffer(_large_prime_flags(flags, M), dtype=np.uint8) * (s - 1) + 1).astype(np.int64)
     for _, e, qe in _prime_powers(itertools.compress(range(root + 1), flags[: root + 1]), M):
         t[qe::qe] = t[qe::qe] // math.comb(e + s - 2, s - 1) * math.comb(e + s - 1, s - 1)
     t = t[1:]
@@ -193,8 +176,7 @@ def measure_constants():
     out = {}
     best = 0.0
     for N, x, y in a0_grid():
-        prof = sift(N, x, y)
-        best = max(best, prof.sizes[0] * math.log(2 * y) / (N * math.log(2 * x)))
+        best = max(best, _window_counts(N, x, y, True).count(0, 1) * math.log(2 * y) / (N * math.log(2 * x)))
     out["a0_C"] = best
     for s in (2, 3, 4):
         best = 0.0

@@ -1,4 +1,5 @@
-"""Field construction, Legendre symbol, inverses, square roots, the index table and pow_mod against their oracles."""
+"""Field construction, Legendre symbol, inverses, square roots, the index table, pow_mod and the prime-factor tally
+against their oracles."""
 
 import math
 import random
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from detsums import NotPrime, TooLarge, ZeroInverse, count_nonresidues, make_character, make_field
 from detsums import fp_arith
 from detsums.characters import pow_mod
-from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, prime_flags
+from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, prime_factor_tally, prime_flags
+from detsums.residues import _FLIP
+from detsums.sifter import _INC
 from detsums.sums import ratio_bins
 
 from conftest import dlog_by_loop, field, legendre_oracle
@@ -232,6 +235,50 @@ def test_prime_flags_capped(monkeypatch):
     with pytest.raises(TooLarge, match="X=5000 exceeds the table cap 1000"):
         prime_flags(5000, "X")
     assert len(prime_flags(1000)) == 1001
+
+
+def tally_windows(N, rng):
+    """Flagged-prime windows: none, only 2, only the primes above sqrt(N), and random prime sets of random length."""
+    yield bytearray(N + 1)
+    only_two = bytearray(max(N, 2) + 1)
+    only_two[2] = 1
+    yield only_two
+    above = prime_flags(N)
+    above[: math.isqrt(N) + 1] = bytes(math.isqrt(N) + 1)
+    yield above
+    for _ in range(3):
+        window = prime_flags(rng.randint(0, N + 5))
+        for q in range(len(window)):
+            window[q] &= rng.random() < 0.5
+        yield window
+
+
+def assert_tally_matches_factorize(N, rng):
+    """Every byte of the tally equals `step` applied once per flagged prime factor of n, read off `factorize`."""
+    factors = [[]] + [factorize(n) for n in range(1, N + 1)]
+    for window in tally_windows(N, rng):
+        for step in (_INC, _FLIP):
+            for distinct in (False, True):
+                want = [0] * (N + 1)
+                for n in range(1, N + 1):
+                    for q, e in factors[n]:
+                        if q < len(window) and window[q]:
+                            for _ in range(1 if distinct else e):
+                                want[n] = step[want[n]]
+                got = prime_factor_tally(window, N, step, distinct)
+                assert list(got) == want, (N, list(window), step == _INC, distinct)
+
+
+def test_prime_factor_tally_matches_factorize():
+    """N at the small end and around sqrt(N) = 97, where the large-prime pass hands over to the walk."""
+    rng = random.Random(21)
+    for N in (1, 2, 97 * 97 - 1, 97 * 97, 97 * 97 + 1):
+        assert_tally_matches_factorize(N, rng)
+
+
+@given(st.integers(1, 3000), st.randoms(use_true_random=False))
+def test_prime_factor_tally_property(N, rng):
+    assert_tally_matches_factorize(N, rng)
 
 
 def test_checked_prime_is_tested_once(monkeypatch):

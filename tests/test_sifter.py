@@ -111,8 +111,10 @@ def test_large_prime_flags_matches_oracle():
         for x in (2, 50, q - 1, q, q + 1, 200):
             for y in (x, q + 1, 300, N // 3, N - 1, N):
                 if N >= y >= x:
+                    window = fp_arith.prime_flags(y)
+                    window[: math.floor(x) + 1] = bytes(math.floor(x) + 1)
+                    got = fp_arith._large_prime_flags(window, N)
                     a = max(math.floor(x), math.isqrt(N)) + 1
-                    got = sifter._large_prime_flags(fp_arith.prime_flags(y), a, N)
                     assert list(got) == large_prime_flags_oracle(N, a, y), (N, x, y)
 
 
@@ -250,7 +252,8 @@ def test_sift_and_tau_caps_before_allocation(monkeypatch):
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr(sifter, "prime_flags", no_alloc)
-    monkeypatch.setattr(sifter, "_large_prime_flags", no_alloc)
+    monkeypatch.setattr(sifter, "prime_factor_tally", no_alloc)  # sift's tally
+    monkeypatch.setattr(sifter, "_large_prime_flags", no_alloc)  # tau's
     with pytest.raises(TooLarge, match="N=10000000000 exceeds the hard cap"):
         sift(10**10, 2, 100)
     with pytest.raises(TooLarge, match="M=10000000000 exceeds the hard cap"):
