@@ -4,7 +4,9 @@ A character value is either Zero (argument divisible by p) or an index
 k in [0, d-1] standing for e(k/d) = exp(2*pi*i*k/d).  All sums are
 tallied as integer counts per index and only converted to complex at
 readout, so every identity that holds in exact arithmetic can be tested
-exactly; order-2 sums never leave integer arithmetic.  `pow_mod` is
+exactly; order-2 sums never leave integer arithmetic.  An index table
+holds one entry per residue in the narrowest signed type for -1..d-1:
+one byte for d <= 128, two up to 32768, four above.  `pow_mod` is
 x^e mod p over an int64 array.
 """
 
@@ -158,7 +160,10 @@ class Character:
         return "Character(p=%d, d=%d, power=%d)" % (self.field.p, self.d, self.power)
 
     def index_table(self):
-        """int32 array T with T[x] = index of chi(x), and T[0] = -1.
+        """Array T with T[x] = index of chi(x), and T[0] = -1, of dtype np.min_scalar_type(-d).
+
+        That is int8 for d <= 128, int16 up to d = 32768 and int32 above,
+        so at order 2 the table is one byte per residue.
 
         p is held to the table cap first.  With B = ceil(sqrt(p-1)), about
         2 sqrt(p) pows give g^(iB) and g^j for j < B.  The walk g^k for
@@ -169,9 +174,9 @@ class Character:
         k = 0 mod d and reads one pre-tiled slice of the pattern; a tile
         capped at p - 1 entries spans the walk, and any block reads its own
         slice.  Beyond the table, memory is one block of int64 walk, its
-        int32 tile, one int64 period of the pattern and a bool per residue
-        for the certificate: g is certified primitive by every unit getting
-        written, else InternalInvariantViolation.
+        tile in the table's dtype, one int64 period of the pattern and a
+        bool per residue for the certificate: g is certified primitive by
+        every unit getting written, else InternalInvariantViolation.
         """
         if self._ktab is None:
             p, g, d = self.field.p, self.field.g, self.d
@@ -182,15 +187,16 @@ class Character:
             cols = np.array([pow(g, j, p) for j in range(B)], dtype=np.int64)
             period = d // math.gcd(B, d)  # rows per whole number of pattern periods
             step = max(1, _WALK_BLOCK // (B * period)) * period
-            pattern = np.arange(d, dtype=np.int64)  # built in place: one int64 period, then int32
+            dtype = np.min_scalar_type(-d)  # the narrowest signed type holding -1..d-1
+            pattern = np.arange(d, dtype=np.int64)  # built in place: one int64 period, then the table's dtype
             pattern *= self.power
             pattern %= d
-            pattern = pattern.astype(np.int32)
+            pattern = pattern.astype(dtype)
             tile = np.tile(pattern, min(step * B, n) // d)
             del pattern  # a one-period tile is a copy
             if tile.size == n:
                 step = max(1, _WALK_BLOCK // B)
-            tab = np.full(p, -1, dtype=np.int32)
+            tab = np.full(p, -1, dtype=dtype)
             for lo in range(0, len(rows), step):
                 walk = np.multiply.outer(np.array(rows[lo : lo + step], dtype=np.int64), cols)
                 walk %= p
@@ -289,40 +295,80 @@ def check_shifts(D_set, p):
 
 
 def shifted_sums(chi, lams, terms):
-    """Contracted inner sums sum_{(s, w) in terms} w * chi(lam + s), one per lam in lams.
+    """Contracted inner sums sum_{(s, w) in terms} w * chi(lam + s), one per lam in the array lams.
 
-    lams=None asks for the full range lam = 1..p-1 without building it:
-    chi(lam + s) then reads two contiguous slices of the one-hot rows
-    (index table == j).  Weights are tallied per character index before
-    the single contraction, shift by shift, each row adding w where
-    chi(lam + s) has its index: the same addends in the same order as a
-    scatter-add.  A +-1 weight adds or subtracts the bool row in place;
-    any other weight adds w or a signed zero per cell.  The tally is int16
-    when d = 2, every nonzero weight is +-1 and there are fewer than 2^15
-    terms: each term adds to at most one row per lam, so a count and the
-    contracted difference are at most len(terms) < 2^15 in absolute value
-    and exact.  Otherwise it is float64, since at d > 2 an integer tally
-    would be cast whole for the contraction; its sums of +-1 are exact
-    integers too.
+    Weights are tallied per character index before the single contraction,
+    shift by shift, each index adding w where chi(lam + s) has it: the same
+    addends in the same order as a scatter-add.  A +-1 weight adds or
+    subtracts the bool mask in place; any other weight adds w or a signed
+    zero per cell.  The tally is int16 when d = 2, every nonzero weight is
+    +-1 and there are fewer than 2^15 terms: each term adds to at most one
+    row per lam, so a count and the contracted difference are at most
+    len(terms) < 2^15 in absolute value and exact.  Otherwise it is
+    float64, since at d > 2 an integer tally would be cast whole for the
+    contraction; its sums of +-1 are exact integers too.  d*p, the bytes
+    of the one-hot rows of shifted_sum_blocks and a bound on this tally's
+    entries, is held to the hard cap 2^31 before anything is allocated.
     """
+    ktab, terms, dtype = _tally_setup(chi, terms)
     p, d = chi.field.p, chi.d
-    ktab = chi.index_table()
+
+    def pieces(s):
+        idx = ktab[(lams + s) % p]
+        yield slice(None), (idx == j for j in range(d))
+
+    return _tally(d, len(lams), dtype, terms, pieces)
+
+
+def shifted_sum_blocks(chi, terms):
+    """The inner sums of shifted_sums over the full range lam = 1..p-1, as consecutive blocks.
+
+    Each block covers _WALK_BLOCK lams (the last one fewer), tallied and
+    contracted as shifted_sums tallies its lams, so no p-length tally is
+    built.  The d one-hot rows (index table == j) are built once per call,
+    d*p bytes, and chi(lam + s) over a block reads at most two contiguous
+    slices of them, the second where lam + s wraps past p to 0.  At orders
+    2 and 4 the contraction is exact, so the blocks join into the
+    full-range row bit for bit; at other orders the matrix-product readout
+    of a short block may round differently in the last bit.
+    """
+    ktab, terms, dtype = _tally_setup(chi, terms)
+    p, d = chi.field.p, chi.d
+    hots = [ktab == j for j in range(d)]
+    for lo in range(1, p, _WALK_BLOCK):
+        n = min(_WALK_BLOCK, p - lo)
+        yield _tally(d, n, dtype, terms, lambda s: _wrapped(hots, (lo + s) % p, n))
+
+
+def _tally_setup(chi, terms):
+    """(index table, terms with s mod p and no zero weight, tally dtype), d*p held to the hard cap first."""
+    p, d = chi.field.p, chi.d
+    _check_hard_cap(d * p, "tally size at d=%d, p=%d: d*p" % (d, p))
     terms = [(s % p, w) for s, w in terms if w != 0.0]
     int_tally = d == 2 and len(terms) < 2**15 and all(abs(w) == 1.0 for _, w in terms)
-    per_index = np.zeros((d, p - 1 if lams is None else len(lams)), dtype=np.int16 if int_tally else np.float64)
-    hots = [ktab == j for j in range(d)] if lams is None else None
+    return chi.index_table(), terms, np.int16 if int_tally else np.float64
+
+
+def _tally(d, n, dtype, terms, pieces):
+    """The contracted per-index tally of n cells, the one tally of the shifted sums.
+
+    For each term (s, w), pieces(s) yields (cells, masks): a slice of the
+    n cells and, per index j, the bool mask of chi(lam + s) == e(j/d) there.
+    """
+    per_index = np.zeros((d, n), dtype=dtype)
     for s, w in terms:
-        if lams is None:
-            # lam + s for lam = 1..p-1 runs through s+1..p-1, then wraps to 0..s-1
-            cut = p - 1 - s
-            for row, hot in zip(per_index, hots):
-                _add_where(row[:cut], w, hot[s + 1 :])
-                _add_where(row[cut:], w, hot[:s])
-        else:
-            idx = ktab[(lams + s) % p]
-            for j, row in enumerate(per_index):
-                _add_where(row, w, idx == j)
+        for cells, masks in pieces(s):
+            for row, mask in zip(per_index, masks):
+                _add_where(row[cells], w, mask)
     return contract(per_index, d)
+
+
+def _wrapped(hots, start, n):
+    """(cells, masks) pieces of the one-hot rows at residues start, start + 1, ..., n of them, wrapping past p to 0."""
+    head = min(n, len(hots[0]) - start)
+    yield slice(0, head), (hot[start : start + head] for hot in hots)
+    if head < n:
+        yield slice(head, n), (hot[: n - head] for hot in hots)
 
 
 def _add_where(cell, w, mask):
@@ -336,10 +382,16 @@ def _add_where(cell, w, mask):
 def de_moment(chi, D_set, alpha, nu):
     """Shifted-product moment sum_{lam=1}^{p-1} |sum_{d in D} alpha_d chi(lam+d)|^(2 nu).
 
-    The inner sums come from shifted_sums over the full range: an exact
-    int16 tally for fewer than 2^15 +-1 weights at order 2, float64
-    otherwise.  The readout squares them into one float64 row and applies
-    the power in place.
+    The inner sums come from shifted_sum_blocks, an exact int16 tally for
+    fewer than 2^15 +-1 weights at order 2, float64 otherwise.  Each block
+    is squared, powered and summed as it comes, so beyond the d one-hot
+    rows (d*p bytes) memory is one block of d tally rows and its float64
+    readout.  With +-1 weights at orders 2 and 4 every term is an integer,
+    and while the moment stays below 2^53 every partial sum is exact, so
+    the moment is bit-identical however the range is blocked.  Orders 3
+    and 6, and weights other than +-1, read out in floating point: every
+    term is nonnegative, and the moment is within a relative 1e-12 of the
+    sum of |inner|^(2 nu) taken term by term.
     """
     alpha = as_weights(alpha)
     p = chi.field.p
@@ -347,9 +399,11 @@ def de_moment(chi, D_set, alpha, nu):
     nu = int(nu)
     if not 1 <= nu <= 6:
         raise ValidationError("moment index nu must be in [1, 6], got %d" % nu)
-    inner = shifted_sums(chi, None, [(s, alpha[s]) for s in ds])
-    mag2 = np.square(inner.real, dtype=np.float64)
-    if np.iscomplexobj(inner):
-        mag2 += np.square(inner.imag)
-    mag2 **= nu
-    return float(np.sum(mag2))
+    total = 0.0
+    for inner in shifted_sum_blocks(chi, [(s, alpha[s]) for s in ds]):
+        mag2 = np.square(inner.real, dtype=np.float64)
+        if np.iscomplexobj(inner):
+            mag2 += np.square(inner.imag)
+        mag2 **= nu
+        total += float(np.sum(mag2))
+    return total

@@ -227,7 +227,7 @@ class BinTable:
 
     def __init__(self, p, counts):
         self.p = p
-        self.counts = counts  # int64, length p, indexed by residue
+        self.counts = counts  # int32 (int64 when A*B*C >= 2^31), length p, indexed by residue
 
     def total(self):
         return int(self.counts.sum())
@@ -240,7 +240,8 @@ def ratio_bins(F, A, B, C):
     min(AB + 1, p) entries (up to the largest product residue), then each
     occupied product class is scattered through the C inverses into the
     one length-p table: O(AB + p + C*min(AB, p)), p and the A*B products
-    capped.
+    capped.  The table counts in int32 when A*B*C < 2^31, so that every
+    count fits, and in int64 otherwise.
     """
     p = F.p
     A, B, C = int(A), int(B), int(C)
@@ -250,8 +251,9 @@ def ratio_bins(F, A, B, C):
     _check_table_size(A * B, "A*B")
     table = np.bincount(_products(A, B) % p)
     support = np.flatnonzero(table)
-    mass = table[support]
-    bins = np.zeros(p, dtype=np.int64)
+    dtype = np.int32 if A * B * C < 2**31 else np.int64
+    mass = table[support].astype(dtype)
+    bins = np.zeros(p, dtype=dtype)
     for c in range(1, C + 1):
         # multiplication by a unit is injective, so the targets are distinct
         bins[support * F.inv(c) % p] += mass
@@ -318,6 +320,6 @@ def holder_chain(chi, A, B, C, D_set, alpha, nu):
     t, table = _t_abs_with_bins(chi, A, B, C, D_set, alpha)
     sigma1 = de_moment(chi, D_set, alpha, nu)
     sigma2 = float(int(A) * int(B) * int(C)) ** (2 * nu - 2)
-    occupied = table.counts[np.flatnonzero(table.counts)]
+    occupied = table.counts[np.flatnonzero(table.counts)].astype(np.int64)  # I(lam)^2 may pass 2^31
     sigma3 = float(np.sum(occupied * occupied))
     return HolderChain(t ** (2 * nu), sigma1, sigma2, sigma3)

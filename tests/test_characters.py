@@ -24,12 +24,29 @@ from detsums import (
     make_character,
 )
 from detsums import characters, cli, fp_arith
-from detsums.characters import CHAR_ZERO, CharSumAccumulator, contract, roots_of_unity, shifted_sums
+from detsums.characters import (
+    CHAR_ZERO,
+    CharSumAccumulator,
+    contract,
+    roots_of_unity,
+    shifted_sum_blocks,
+    shifted_sums,
+)
 from detsums.sifter import primes_upto
 
 from conftest import HIGH_ORDER_PAIRS, dlog_by_loop, field, shifted_sums_by_add_at
 
 ODD_PRIMES_BELOW_5000 = [int(q) for q in primes_upto(5000)[1:]]
+
+
+def index_dtype(d):
+    """The one dtype of an order-d index table: the narrowest signed type holding -1..d-1."""
+    return np.int8 if d <= 128 else np.int16 if d <= 32768 else np.int32
+
+
+def full_range(chi, terms):
+    """The blocks of shifted_sum_blocks joined into one row over lam = 1..p-1."""
+    return np.concatenate(list(shifted_sum_blocks(chi, terms)))
 
 
 def test_make_character_order_three():
@@ -99,11 +116,25 @@ def test_index_table_matches_dlog_oracle(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "_WALK_BLOCK", block)
         tab = chi.index_table()
-    assert tab.dtype == np.int32
+    assert tab.dtype == index_dtype(d)
     assert np.array_equal(tab, np.where(dlog < 0, -1, dlog * power % d))
     assert chi.eval(0) == CHAR_ZERO
     for x in range(1, p):
         assert chi.eval(x) == (False, tab[x])
+
+
+@pytest.mark.parametrize(
+    "p, d, dtype", [(257, 128, np.int8), (257, 256, np.int16), (65537, 32768, np.int16), (65537, 65536, np.int32)]
+)
+def test_index_table_dtype_boundaries(p, d, dtype):
+    """At each edge of the dtype rule the table takes exactly the one dtype, and its entries
+    (up to d - 1, the top of the type for int8 and int16) are the oracle's."""
+    F = field(p)
+    tab = make_character(F, d).index_table()
+    dlog = dlog_by_loop(p, F.g).astype(np.int64)
+    assert tab.dtype == dtype == index_dtype(d)
+    assert np.array_equal(tab, np.where(dlog < 0, -1, dlog % d))
+    assert tab.max() == d - 1
 
 
 def test_index_table_order_two_is_euler_at_a_million():
@@ -139,11 +170,12 @@ def test_index_table_blocked_certificate_rejects_non_primitive_root(monkeypatch,
         make_character(fp_arith.make_field(p), d).index_table()
 
 
-@pytest.mark.parametrize("p, bound_mib", [(1_000_003, 7), (1_999_993, 12)])
+@pytest.mark.parametrize("p, bound_mib", [(1_000_003, 7), (1_999_993, 12), (1_000_003, 3.5)])
 def test_index_table_build_peak_memory(p, bound_mib):
-    """The blocked walk holds one block of the g^k walk beside the int32 table (3.8 MiB at
-    p = 1000003, 7.6 MiB at p = 1999993): peaks near 5.4 and 10.2 MiB, where the whole walk
-    as int64 with a full-length tile peaked near 15.3 and 30.5 MiB."""
+    """The blocked walk holds one block of the g^k walk beside the table, int8 at order 2
+    (0.95 MiB at p = 1000003, 1.9 MiB at p = 1999993): peaks near 2.3 and 4.3 MiB.  The int32
+    table peaked near 5.4 and 10.2 MiB, the whole walk as int64 with a full-length tile near
+    15.3 and 30.5 MiB."""
     chi = make_character(field(p), 2)
     tracemalloc.start()
     try:
@@ -259,7 +291,7 @@ def test_roots_of_unity_exact_where_d_divides_12k():
 )
 def test_shifted_sums_matches_add_at_oracle(p, d, lams_kind, weights, data):
     """The per-index tally equals the np.add.at oracle bit for bit, over sparse lams, the
-    full range as an array, and the full range asked for by lams=None."""
+    full range as an array, and the full range in blocks from shifted_sum_blocks."""
     chi = make_character(field(p), d)
     shifts = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=1, max_size=8))
     if lams_kind == "sparse":
@@ -269,17 +301,17 @@ def test_shifted_sums_matches_add_at_oracle(p, d, lams_kind, weights, data):
     else:
         lams = np.arange(1, p, dtype=np.int64)
     terms = [(s, data.draw(weights)) for s in shifts]
-    asked = None if lams_kind == "full request" else lams
-    assert np.array_equal(shifted_sums(chi, asked, terms), shifted_sums_by_add_at(chi, lams, terms))
+    got = full_range(chi, terms) if lams_kind == "full request" else shifted_sums(chi, lams, terms)
+    assert np.array_equal(got, shifted_sums_by_add_at(chi, lams, terms))
 
 
-@pytest.mark.parametrize("d, bound_mib", [(2, 24), (2, 11), (6, 78)])
+@pytest.mark.parametrize("d, bound_mib", [(2, 24), (2, 11), (6, 78), (2, 5), (3, 10), (6, 16)])
 def test_de_moment_sign_weights_peak_memory(d, bound_mib):
-    """+-1 weights at p = 1000003 and 12 shifts, with the index table built: order 2 tallies
-    one-hot rows in int16 and peaks below 11 MiB (near 9.6 MiB; int32 rows peaked near 13.4),
-    order 6 in float64 in place and peaks below 78 MiB (float64 rows with per-shift temporaries
-    peak near 35 and 80 MiB, an integer tally cast to float64 for the order-6 contraction near
-    97 MiB)."""
+    """+-1 weights at p = 1000003 and 12 shifts, with the index table built: beyond the d
+    one-hot rows (d bytes per residue) one block of 2^16 tally rows and its readout, int16 at
+    order 2, float64 above, so warm peaks near 3.1, 7.4 and 11.7 MiB at orders 2, 3 and 6.
+    p-length rows peaked near 9.6 MiB (int16), 48.6 and 74.4 MiB (float64), int32 rows near
+    13.4 MiB at order 2 and an integer tally cast to float64 near 97 MiB at order 6."""
     p = 1_000_003
     chi = make_character(field(p), d)
     chi.index_table()
@@ -295,13 +327,49 @@ def test_de_moment_sign_weights_peak_memory(d, bound_mib):
     assert value == int(value) > 0
 
 
+@pytest.mark.parametrize("block", (1, 5, 64))
+@pytest.mark.parametrize("d", (2, 3, 4, 6))
+@pytest.mark.parametrize("weights", ("signs", "fractional"))
+def test_de_moment_blocks_match_oracle(monkeypatch, block, d, weights):
+    """Blocks of 1, 5 and 64 lams at p = 73, with the shifts 1 and p - 1 so that lam + s wraps
+    inside a block.  The joined blocks equal the add-at oracle bit for bit at orders 2 and 4,
+    whose contraction is exact, and within 1e-12 at 3 and 6, whose contraction by matrix
+    product may round a short block differently.  The moment is sum |inner|^(2 nu) over the
+    oracle's inner sums, exactly (==) for +-1 weights at orders 2 and 4, within the stated
+    relative 1e-12 otherwise."""
+    monkeypatch.setattr(characters, "_WALK_BLOCK", block)
+    p = 73
+    chi = make_character(field(p), d)
+    rng = random.Random("blocks-%d-%d-%s" % (block, d, weights))
+    shifts = sorted({1, p - 1} | set(rng.sample(range(2, p - 1), 4)))
+    if weights == "signs":
+        alpha = WeightSeq.signs(shifts, rng)
+    else:
+        alpha = WeightSeq({s: rng.uniform(-1.0, 1.0) for s in shifts})
+    terms = [(s, alpha[s]) for s in shifts]
+    inner = shifted_sums_by_add_at(chi, np.arange(1, p, dtype=np.int64), terms)
+    assert [len(b) for b in shifted_sum_blocks(chi, terms)] == [min(block, p - lo) for lo in range(1, p, block)]
+    if d in (2, 4):
+        assert np.array_equal(full_range(chi, terms), inner)
+    else:
+        assert np.allclose(full_range(chi, terms), inner, rtol=1e-12, atol=1e-12)
+    mag2 = np.square(inner.real) + np.square(np.imag(inner))
+    for nu in (1, 2, 3, 6):
+        want = float(np.sum(mag2**nu))
+        got = de_moment(chi, shifts, alpha, nu)
+        if weights == "signs" and d in (2, 4):
+            assert got == want
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12)
+
+
 def test_shifted_sums_int16_tally_boundary():
     """One cell of the +-1 order-2 tally reaches 2^15 - 1 in int16 and matches the oracle;
     at 2^15 terms the float64 route gives the same values.
 
     At p = 65537 the shifts s = r - lam0, r over the 2^15 quadratic residues and lam0 a
-    non-residue, put every term of the lam0 cell on index 0.  The full-range request agrees
-    with the sparse one at the boundary.
+    non-residue, put every term of the lam0 cell on index 0.  The full range, joined from its
+    blocks, agrees with the sparse request at the boundary.
     """
     p = 65537
     chi = make_character(field(p), 2)
@@ -317,7 +385,7 @@ def test_shifted_sums_int16_tally_boundary():
         assert got[at] == n
         assert np.array_equal(got, shifted_sums_by_add_at(chi, lams, terms))
         if dtype == np.int16:
-            assert np.array_equal(shifted_sums(chi, None, terms)[lams - 1], got)
+            assert np.array_equal(full_range(chi, terms)[lams - 1], got)
 
 
 def test_minus_one_index():

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -103,6 +104,24 @@ def test_invalid_order_exit_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "d=4" in err and "p=11" in err
+
+
+@pytest.mark.parametrize("kind, bound_mib", [("de_moment", 1), ("t_abs", 5)])
+def test_huge_order_tally_exits_2(capsys, kind, bound_mib):
+    """Order 166667 divides p - 1 at p = 1000003, and its d*p one-hot tally bytes pass the hard
+    cap 2^31: TooLarge, exit 2 and one error line naming d and p, before the index table or any
+    tally is allocated (t_abs has built its int32 ratio bins, 3.8 MiB, by then)."""
+    tracemalloc.start()
+    try:
+        code = run_cli(["scan", "--kind", kind, "--p", "1000003", "--order", "166667"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: tally size at d=166667, p=1000003: d*p=166667500001 exceeds the hard cap 2^31"
+    ]
+    assert peak < bound_mib * 2**20
 
 
 def test_validation_errors():

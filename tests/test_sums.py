@@ -32,7 +32,7 @@ from detsums import (
 )
 from detsums import cli, sums
 from detsums.fp_arith import is_prime
-from detsums.sums import _correlation
+from detsums.sums import _correlation, _products
 
 from conftest import HIGH_ORDER_PAIRS, correlation_by_convolution, field, ratio_bins_oracle
 
@@ -365,6 +365,33 @@ def test_ratio_bins_peak_memory():
         tracemalloc.stop()
     assert peak < 9 * 2**20
     assert table.total() == 60**3
+
+
+def test_ratio_bins_int32_peak_memory():
+    """Below A*B*C = 2^31 the bins count in int32, 3.8 MiB at p = 1000003: a peak near
+    3.9 MiB, where int64 bins peaked near 7.7 MiB."""
+    F = field(1_000_003)
+    tracemalloc.start()
+    try:
+        table = ratio_bins(F, 60, 60, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert table.counts.dtype == np.int32 and table.total() == 60**3
+
+
+@pytest.mark.parametrize("C, dtype", [(2047, np.int32), (2048, np.int64)])
+def test_ratio_bins_count_dtype_boundary(C, dtype):
+    """A*B*C = 2^31 - 2^20 counts in int32 and A*B*C = 2^31 in int64, with every triple counted
+    and each bin the sum over c of the product classes it receives."""
+    p, A, B = 2053, 512, 2048
+    F = field(p)
+    table = ratio_bins(F, A, B, C)
+    assert table.counts.dtype == dtype and table.total() == A * B * C
+    classes = np.bincount(_products(A, B) % p, minlength=p)
+    want = sum(classes[np.arange(p) * c % p] for c in range(1, C + 1))
+    assert np.array_equal(table.counts, want)
 
 
 def test_ratio_bins_caps_products(monkeypatch):
