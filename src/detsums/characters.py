@@ -306,69 +306,53 @@ def shifted_sums(chi, lams, terms):
     row per lam, so a count and the contracted difference are at most
     len(terms) < 2^15 in absolute value and exact.  Otherwise it is
     float64, since at d > 2 an integer tally would be cast whole for the
-    contraction; its sums of +-1 are exact integers too.  d*p, the bytes
-    of the one-hot rows of shifted_sum_blocks and a bound on this tally's
-    entries, is held to the hard cap 2^31 before anything is allocated.
+    contraction; its sums of +-1 are exact integers too.  The tally's
+    d*len(lams) cells are held to the hard cap 2^31 before anything is
+    allocated.
     """
-    ktab, terms, dtype = _tally_setup(chi, terms)
-    p, d = chi.field.p, chi.d
-
-    def pieces(s):
-        idx = ktab[(lams + s) % p]
-        yield slice(None), (idx == j for j in range(d))
-
-    return _tally(d, len(lams), dtype, terms, pieces)
+    p = chi.field.p
+    return _tally(chi, len(lams), terms, lambda ktab, s: ktab[(lams + s) % p])
 
 
 def shifted_sum_blocks(chi, terms):
-    """The inner sums of shifted_sums over the full range lam = 1..p-1, as consecutive blocks.
+    """shifted_sums over the full range lam = 1..p-1, as consecutive blocks of _WALK_BLOCK lams (the last one fewer).
 
-    Each block covers _WALK_BLOCK lams (the last one fewer), tallied and
-    contracted as shifted_sums tallies its lams, so no p-length tally is
-    built.  The d one-hot rows (index table == j) are built once per call,
-    d*p bytes, and chi(lam + s) over a block reads at most two contiguous
-    slices of them, the second where lam + s wraps past p to 0.  At orders
-    2 and 4 the contraction is exact, so the blocks join into the
-    full-range row bit for bit; at other orders the matrix-product readout
-    of a short block may round differently in the last bit.
+    A block reads chi(lam + s) as one slice of the index table, joined to
+    its start where lam + s wraps past p to 0, so no p-length array is
+    built: memory is one block of d tally rows.  At orders 2 and 4 the
+    contraction is exact, so the blocks join into the full-range row bit
+    for bit; at other orders the matrix-product readout of a short block
+    may round differently in the last bit.
     """
-    ktab, terms, dtype = _tally_setup(chi, terms)
-    p, d = chi.field.p, chi.d
-    hots = [ktab == j for j in range(d)]
+    p = chi.field.p
     for lo in range(1, p, _WALK_BLOCK):
         n = min(_WALK_BLOCK, p - lo)
-        yield _tally(d, n, dtype, terms, lambda s: _wrapped(hots, (lo + s) % p, n))
+        yield _tally(chi, n, terms, lambda ktab, s: _wrapped(ktab, (lo + s) % p, n))
 
 
-def _tally_setup(chi, terms):
-    """(index table, terms with s mod p and no zero weight, tally dtype), d*p held to the hard cap first."""
-    p, d = chi.field.p, chi.d
-    _check_hard_cap(d * p, "tally size at d=%d, p=%d: d*p" % (d, p))
-    terms = [(s % p, w) for s, w in terms if w != 0.0]
-    int_tally = d == 2 and len(terms) < 2**15 and all(abs(w) == 1.0 for _, w in terms)
-    return chi.index_table(), terms, np.int16 if int_tally else np.float64
-
-
-def _tally(d, n, dtype, terms, pieces):
+def _tally(chi, n, terms, indices):
     """The contracted per-index tally of n cells, the one tally of the shifted sums.
 
-    For each term (s, w), pieces(s) yields (cells, masks): a slice of the
-    n cells and, per index j, the bool mask of chi(lam + s) == e(j/d) there.
+    indices(ktab, s) reads the index table ktab at lam + s over the n
+    cells.  The tally's d*n cells are held to the hard cap before the
+    index table or the tally is built.
     """
-    per_index = np.zeros((d, n), dtype=dtype)
+    p, d = chi.field.p, chi.d
+    _check_hard_cap(d * n, "tally size at d=%d, p=%d: d*n" % (d, p))
+    ktab = chi.index_table()
+    terms = [(s % p, w) for s, w in terms if w != 0.0]
+    int_tally = d == 2 and len(terms) < 2**15 and all(abs(w) == 1.0 for _, w in terms)
+    per_index = np.zeros((d, n), dtype=np.int16 if int_tally else np.float64)
     for s, w in terms:
-        for cells, masks in pieces(s):
-            for row, mask in zip(per_index, masks):
-                _add_where(row[cells], w, mask)
+        idx = indices(ktab, s)
+        for j, row in enumerate(per_index):
+            _add_where(row, w, idx == j)
     return contract(per_index, d)
 
 
-def _wrapped(hots, start, n):
-    """(cells, masks) pieces of the one-hot rows at residues start, start + 1, ..., n of them, wrapping past p to 0."""
-    head = min(n, len(hots[0]) - start)
-    yield slice(0, head), (hot[start : start + head] for hot in hots)
-    if head < n:
-        yield slice(head, n), (hot[: n - head] for hot in hots)
+def _wrapped(table, start, n):
+    """table[start], table[start + 1], ..., n entries wrapping past the end to table[0]."""
+    return np.concatenate((table[start : start + n], table[: max(0, start + n - len(table))]))
 
 
 def _add_where(cell, w, mask):
@@ -384,14 +368,13 @@ def de_moment(chi, D_set, alpha, nu):
 
     The inner sums come from shifted_sum_blocks, an exact int16 tally for
     fewer than 2^15 +-1 weights at order 2, float64 otherwise.  Each block
-    is squared, powered and summed as it comes, so beyond the d one-hot
-    rows (d*p bytes) memory is one block of d tally rows and its float64
-    readout.  With +-1 weights at orders 2 and 4 every term is an integer,
-    and while the moment stays below 2^53 every partial sum is exact, so
-    the moment is bit-identical however the range is blocked.  Orders 3
-    and 6, and weights other than +-1, read out in floating point: every
-    term is nonnegative, and the moment is within a relative 1e-12 of the
-    sum of |inner|^(2 nu) taken term by term.
+    is squared, powered and summed as it comes, so memory is one block of
+    d tally rows and its float64 readout.  With +-1 weights at orders 2
+    and 4 every term is an integer, and while the moment stays below 2^53
+    every partial sum is exact, so the moment is bit-identical however the
+    range is blocked.  Orders 3 and 6, and weights other than +-1, read out
+    in floating point: every term is nonnegative, and the moment is within
+    a relative 1e-12 of the sum of |inner|^(2 nu) taken term by term.
     """
     alpha = as_weights(alpha)
     p = chi.field.p

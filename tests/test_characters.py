@@ -307,9 +307,9 @@ def test_shifted_sums_matches_add_at_oracle(p, d, lams_kind, weights, data):
 
 @pytest.mark.parametrize("d, bound_mib", [(2, 24), (2, 11), (6, 78), (2, 5), (3, 10), (6, 16)])
 def test_de_moment_sign_weights_peak_memory(d, bound_mib):
-    """+-1 weights at p = 1000003 and 12 shifts, with the index table built: beyond the d
-    one-hot rows (d bytes per residue) one block of 2^16 tally rows and its readout, int16 at
-    order 2, float64 above, so warm peaks near 3.1, 7.4 and 11.7 MiB at orders 2, 3 and 6.
+    """+-1 weights at p = 1000003 and 12 shifts, with the index table built: one block of 2^16
+    tally rows and its readout, int16 at order 2, float64 above, so warm peaks near 1.2, 4.6
+    and 6.1 MiB at orders 2, 3 and 6 (3.1, 7.4 and 11.7 MiB with d one-hot rows beside them).
     p-length rows peaked near 9.6 MiB (int16), 48.6 and 74.4 MiB (float64), int32 rows near
     13.4 MiB at order 2 and an integer tally cast to float64 near 97 MiB at order 6."""
     p = 1_000_003

@@ -106,22 +106,39 @@ def test_invalid_order_exit_2(capsys):
     assert "d=4" in err and "p=11" in err
 
 
-@pytest.mark.parametrize("kind, bound_mib", [("de_moment", 1), ("t_abs", 5)])
-def test_huge_order_tally_exits_2(capsys, kind, bound_mib):
-    """Order 166667 divides p - 1 at p = 1000003, and its d*p one-hot tally bytes pass the hard
-    cap 2^31: TooLarge, exit 2 and one error line naming d and p, before the index table or any
-    tally is allocated (t_abs has built its int32 ratio bins, 3.8 MiB, by then)."""
+@pytest.mark.parametrize(
+    "extra, n, bound_mib",
+    [(["--kind", "de_moment"], 2**16, 1), (["--kind", "t_abs", "--abc", "60,60,60"], 32590, 5)],
+    ids=["de_moment", "t_abs"],
+)
+def test_huge_order_tally_exits_2(capsys, extra, n, bound_mib):
+    """Order 166667 divides p - 1 at p = 1000003.  de_moment tallies blocks of n = 2^16 lams,
+    t_abs over a 60^3 box the n = 32590 occupied ratio bins; either way the d*n tally cells
+    pass the hard cap 2^31: TooLarge, exit 2 and one error line naming d and p, before the
+    index table or any tally is allocated (t_abs has built its int32 ratio bins, 3.8 MiB, by
+    then)."""
     tracemalloc.start()
     try:
-        code = run_cli(["scan", "--kind", kind, "--p", "1000003", "--order", "166667"])
+        code = run_cli(["scan", *extra, "--p", "1000003", "--order", "166667"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: tally size at d=166667, p=1000003: d*p=166667500001 exceeds the hard cap 2^31"
+        "error: tally size at d=166667, p=1000003: d*n=%d exceeds the hard cap 2^31" % (166667 * n)
     ]
     assert peak < bound_mib * 2**20
+
+
+def test_t_abs_high_order_small_box_matches_direct(tmp_path):
+    """d*p passes 2^31 at p = 65537, d = 65536, but the default 4^3 box tallies d rows of at
+    most 64 occupied ratio bins: the scan succeeds with the value of t_abs_sum_direct."""
+    p, d, out = 65537, 65536, tmp_path / "t_abs.csv"
+    assert run_cli(["scan", "--kind", "t_abs", "--p", str(p), "--order", str(d), "--out", str(out)]) == 0
+    [row] = read_rows(out)
+    shifts, alpha = cli._signed_shifts(p, 8, "detsums", "t", (p, d, 4, 4, 4))
+    want = sums.t_abs_sum_direct(make_character(make_field(p), d), 4, 4, 4, shifts, alpha)
+    assert math.isclose(float(row["re_value"]), want, rel_tol=1e-9)
 
 
 def test_validation_errors():
