@@ -8,8 +8,8 @@ documented 1e-9 relative tolerance.
 
 Each exported name, and each submodule named below, is imported on first
 use (PEP 562), so `import detsums` loads no numpy.  Nor do `errors`,
-`fp_arith`, `mat2`, `residues` and `sifter.sift`, which is all a census,
-nonresidue or sift scan runs; `characters` and `sums` do.
+`fp_arith`, `mat2`, `residues` and `sifter`, which is all a census,
+nonresidue or sift scan and `calibrate` run; `characters` and `sums` do.
 """
 
 import importlib

@@ -57,15 +57,44 @@ def contract(per_index, d):
     For d = 2 this is the real difference per_index[0] - per_index[1],
     exact for integer totals; for d > 2 it is complex.  The real and
     imaginary parts are contracted separately, so the real tally is never
-    copied to complex.
+    copied to complex.  For even d, index k + d/2 stands for -e(k/d), so
+    the tally is first folded to the d/2 differences per_index[k] -
+    per_index[k + d/2], exact for integer tallies: a tally equal across
+    those pairs (an odd character's, `CharSumAccumulator.is_exactly_zero`)
+    reads out as 0 exactly.  Each part multiplies the (folded) tally by
+    its coordinates and adds the products in increasing k (`_sum_rows`),
+    never paired or blocked as a matrix product or `np.sum` may: a column
+    reads out the same bits however many columns the tally holds.  O(d n)
+    work; the fold and the products are each one d/2 x n (odd d: d x n)
+    float64 buffer.
     """
     if d == 2:
         return per_index[0] - per_index[1]
     roots = roots_of_unity(d)
+    if d % 2 == 0:
+        per_index = per_index[: d // 2] - per_index[d // 2 :]
+        roots = roots[: d // 2]
+    coords = (len(roots),) + (1,) * (np.ndim(per_index) - 1)  # a coordinate per row, broadcast along the columns
     out = np.empty(np.shape(per_index)[1:], dtype=complex)
-    out.real = roots.real @ per_index
-    out.imag = roots.imag @ per_index
+    terms = np.empty(np.shape(per_index))
+    for part, roots_part in ((out.real, roots.real), (out.imag, roots.imag)):
+        part[...] = _sum_rows(np.multiply(roots_part.reshape(coords), per_index, out=terms))
     return out
+
+
+def _sum_rows(terms):
+    """terms[0] + terms[1] + ... along axis 0, added in that order in every column; terms is overwritten.
+
+    The same adds either way, picked by shape: with fewer columns than
+    rows (one, for a 1-D array) `np.add.accumulate` makes one strided pass
+    per column in C; otherwise the rows are added into terms[0], one
+    Python step per row.
+    """
+    if terms.ndim == 1 or len(terms) > terms.shape[1]:
+        return np.add.accumulate(terms, axis=0, out=terms)[-1]
+    for row in terms[1:]:
+        terms[0] += row
+    return terms[0]
 
 
 class WeightSeq:
@@ -319,10 +348,9 @@ def shifted_sum_blocks(chi, terms):
 
     A block reads chi(lam + s) as one slice of the index table, joined to
     its start where lam + s wraps past p to 0, so no p-length array is
-    built: memory is one block of d tally rows.  At orders 2 and 4 the
-    contraction is exact, so the blocks join into the full-range row bit
-    for bit; at other orders the matrix-product readout of a short block
-    may round differently in the last bit.
+    built: memory is one block of d tally rows.  `contract` reads each
+    column out on its own, in a fixed order, so the blocks join into the
+    full-range row bit for bit at every order.
     """
     p = chi.field.p
     for lo in range(1, p, _WALK_BLOCK):

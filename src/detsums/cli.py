@@ -9,10 +9,11 @@ One kind per run, one CSV schema per kind:
 Exit codes: 0 success, 2 validation problem, 3 internal invariant violation.
 
 Only the numpy-free `errors`, `fp_arith` and `mat2` are imported up front; the other layers
-in the branches that use them.  numpy comes in only with `sums`, `characters` and the tau
-and prime-tail sums of `calibrate`, so a census, nonresidue or sift scan, --help and a
-validation failure found before the first task start without it.  Each layer is called as
-`module.function` (`sums.de_moment`, `mat2.census`), the names benchmark/trace_child.py wraps.
+in the branches that use them.  numpy comes in only with `sums` and `characters`, so a
+census, nonresidue or sift scan, calibrate (its tau and prime-tail sums are plain Python),
+--help and a validation failure found before the first task start without it.  Each layer
+is called as `module.function` (`sums.de_moment`, `mat2.census`), the names
+benchmark/trace_child.py wraps.
 """
 
 import argparse

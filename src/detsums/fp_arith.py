@@ -6,8 +6,8 @@ division (`sifter.tau` takes its primes from it too).  `prime_flags` is
 the one sieve, a bytearray, and `prime_factor_tally` the one walk over
 prime powers into bytes: a completely additive function on [1, N] of the
 primes flagged in a window, read by `sifter.sift` and
-`residues.count_nonresidues` (`sifter.tau_square_average` walks
-`_prime_powers` in int64 from the same `_large_prime_flags`).  Legendre
+`residues.count_nonresidues` (the tau sums' signature walk in `sifter`
+runs `_prime_powers` from the same `_large_prime_flags`).  Legendre
 symbols are Euler's criterion by `pow`, and square roots Tonelli-Shanks
 with g as the known non-residue.  p is held to the hard cap 2^31; a
 table or array of length n to the table cap (default 2*10^6, env

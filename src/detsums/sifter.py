@@ -2,18 +2,22 @@
 
 A_r(N; x, y) partitions [1, N] by the number r of prime divisors inside
 the window (x, y], counted with multiplicity by default (a flag switches
-to distinct primes).  `sift` tallies it in a bytearray, without numpy,
-by the one prime-power walk `fp_arith.prime_factor_tally`, adding 1 per
-window prime.  The tau table starts from the same large-prime pass
-(`fp_arith._large_prime_flags`); a single tau value comes from
-`fp_arith.factorize`.  The module also measures the constants hidden in
-the asymptotic bounds on a fixed grid, so they can be pinned in a
-calibration file and re-asserted by the test suite.  numpy is imported
-only inside `primes_upto`, `tau_square_average` and `_prime_tail`.
+to distinct primes).  `sift` tallies it in a bytearray by the one
+prime-power walk `fp_arith.prime_factor_tally`, adding 1 per window
+prime.  The tau sums count prime signatures, walked from the same
+large-prime pass (`fp_arith._large_prime_flags`); a single tau value
+comes from `fp_arith.factorize`.  The module also measures the constants
+hidden in the asymptotic bounds on a fixed grid, so they can be pinned in
+a calibration file and re-asserted by the test suite.  Plain Python
+throughout: no numpy, so a sift or calibrate process never loads it.
 """
 
+import bisect
+import functools
 import itertools
 import math
+from collections import Counter
+from operator import add
 from typing import NamedTuple
 
 from .errors import BadWindow, Overflow, ValidationError
@@ -22,11 +26,7 @@ from .fp_arith import _check_table_size, _large_prime_flags, _prime_powers, fact
 # bytes.translate table adding 1 to a count byte
 _INC = bytes(range(1, 256)) + b"\0"
 
-
-def primes_upto(n):
-    """All primes <= n as an int64 array, read off the sieve `fp_arith.prime_flags`."""
-    import numpy as np
-    return np.flatnonzero(np.frombuffer(prime_flags(n), dtype=bool)).astype(np.int64)  # each flag byte is 0 or 1
+_FIELD = 8  # bits per exponent field of a prime-signature code
 
 
 class SiftProfile(NamedTuple):
@@ -98,19 +98,56 @@ def tau(m, s):
     return math.prod(math.comb(e + s - 1, s - 1) for _, e in factorize(m))
 
 
-def tau_square_average(M, s):
-    """Exact sum of tau_s(m)^2 over m <= M, as a Python int; O(M log M).
+def _signature_codes(M):
+    """An iterator over the prime-signature codes of n = 1..M, in order, from one prime-power walk; O(M log log M).
 
-    Builds tau_s(m) for every m <= M in one int64 array, started as
-    mask * (s - 1) + 1 from the byte mask of `fp_arith._large_prime_flags`
-    (a prime q > sqrt(M) has e = 1, a factor C(s, s-1) = s).  The
-    prime-power walk over q <= sqrt(M) follows: at q^e, each multiple of
-    q^e swaps its factor C(e+s-2, s-1) for C(e+s-1, s-1) (the division is
-    exact).  The sum of squares is taken in int64 only while max(tau)^2 * M < 2^63;
-    above that it raises Overflow.  M is held to the table cap (TooLarge)
-    before the sieve is allocated.
+    The code of n holds in bits 8(e - 1) .. 8e - 1 the number of primes
+    with exponent exactly e in n, so tau_s(n) depends on n through its
+    code alone.  A byte per n counts the primes dividing n: 1 from
+    `fp_arith._large_prime_flags` for a prime above sqrt(M), plus 1 by
+    `bytes.translate` at each multiple of a prime q <= sqrt(M).  A list of
+    ints per n moves one prime up an exponent at each multiple of q^e,
+    e >= 2, by one strided `map` of the packed delta; the code is the sum
+    of the two.  Sum over q^e of M/q^e = O(M log log M) byte steps in C,
+    O(M) Python int adds for the powers e >= 2, about 0.77 M of them.
     """
-    import numpy as np
+    flags, root = prime_flags(M), math.isqrt(M)
+    primes = _large_prime_flags(flags, M)
+    moved = [0] * (M + 1)
+    for _, e, qe in _prime_powers(itertools.compress(range(root + 1), flags[: root + 1]), M):
+        if e == 1:
+            primes[qe::qe] = primes[qe::qe].translate(_INC)
+        else:  # one prime of n moves from exponent e - 1 to e
+            delta = (1 << _FIELD * (e - 1)) - (1 << _FIELD * (e - 2))
+            moved[qe::qe] = list(map(delta.__add__, moved[qe::qe]))
+    return map(add, itertools.islice(primes, 1, None), itertools.islice(moved, 1, None))
+
+
+def _code_tau(code, s):
+    """tau_s of an n with signature `code`: the product of C(e + s - 1, s - 1) over its primes of exponent e."""
+    out, e = 1, 1
+    while code:
+        out *= math.comb(e + s - 1, s - 1) ** (code & ((1 << _FIELD) - 1))
+        code >>= _FIELD
+        e += 1
+    return out
+
+
+def _tau_square_sum(counts, s):
+    """(sum of tau_s(n)^2, max of tau_s(n)) over the n whose codes `counts` tallies."""
+    taus = {code: _code_tau(code, s) for code in counts}
+    return sum(t * t * counts[code] for code, t in taus.items()), max(taus.values(), default=1)
+
+
+def tau_square_average(M, s):
+    """Exact sum of tau_s(m)^2 over m <= M, as a Python int; O(M log log M).
+
+    tau_s is read off each prime signature from `_signature_codes`, once
+    per distinct signature (a few hundred up to the table cap), and the
+    sum is taken over the signature counts in exact ints.  It raises
+    Overflow where max(tau)^2 * M >= 2^63, the bound of an int64 sum.  M
+    is held to the table cap (TooLarge) before the sieve is allocated.
+    """
     M = int(M)
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -118,29 +155,58 @@ def tau_square_average(M, s):
     if s not in (2, 3, 4):
         raise ValueError("s must be in {2, 3, 4}")
     _check_table_size(M, "M")
-    flags, root = prime_flags(M), math.isqrt(M)
-    t = (np.frombuffer(_large_prime_flags(flags, M), dtype=np.uint8) * (s - 1) + 1).astype(np.int64)
-    for _, e, qe in _prime_powers(itertools.compress(range(root + 1), flags[: root + 1]), M):
-        t[qe::qe] = t[qe::qe] // math.comb(e + s - 2, s - 1) * math.comb(e + s - 1, s - 1)
-    t = t[1:]
-    if int(t.max()) ** 2 * M >= 2**63:
+    total, top = _tau_square_sum(Counter(_signature_codes(M)), s)
+    if top**2 * M >= 2**63:
         raise Overflow("sum of tau_%d(m)^2 over m <= %d may exceed int64" % (s, M))
-    return int(np.dot(t, t))
+    return total
 
 
 def prime_tail(x, P):
-    """Sum of 1/q^2 over primes q with x <= q <= P (0 for an empty range)."""
+    """Sum of 1/q^2 over primes q with x <= q <= P (0 for an empty range); O(P log log P).
+
+    P is held to the table cap (TooLarge) before the sieve allocates P + 1 bytes.
+    """
     if x < 2:
         raise ValueError("x must be >= 2")
-    _check_table_size(P, "P")  # before the sieve allocates P + 1 bytes
-    return _prime_tail(primes_upto(P), x)
+    return _prime_tails(P, (x,))[0]
 
 
-def _prime_tail(qs, x):
-    """Sum of 1/q^2 over the primes q >= x in the prime array `qs`."""
-    import numpy as np
-    qs = qs[qs >= x]
-    return float(np.sum(1.0 / (qs.astype(np.float64) ** 2)))  # 0.0 when no prime is left
+def _prime_tails(P, xs):
+    """[sum of 1/q^2 over the primes x <= q <= P for x in xs], from one sieve and one list of terms.
+
+    Each term 1.0 / q^2 is a correctly rounded division by an exact
+    q^2 < 2^53, and each tail is summed in numpy's pairwise order, so it
+    has the bits np.sum gives over the same float64 array.
+    """
+    flags = prime_flags(P, "P")  # P capped before the sieve is allocated
+    qs = list(itertools.compress(range(len(flags)), flags))
+    terms = [1.0 / (q * q) for q in qs]
+    return [_pairwise_sum(terms[bisect.bisect_left(qs, x) :]) for x in xs]  # 0.0 when no prime is left
+
+
+def _pairwise_sum(xs):
+    """Sum of the float list xs in numpy's pairwise order, equal to np.sum(np.array(xs)) bit for bit; O(n).
+
+    numpy adds the pairwise sum to its identity 0.0.  Terms are added with
+    `functools.reduce`, not `sum`, whose float sum is compensated from
+    Python 3.12 on.
+    """
+    return 0.0 + _pairwise(xs, 0, len(xs))
+
+
+def _pairwise(xs, lo, hi):
+    """numpy's pairwise sum of xs[lo:hi]: left to right below 8 terms; up to 128, eight strided lanes
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right; above, the two
+    halves split at n/2 rounded down to a multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        return functools.reduce(add, xs[lo:hi], 0.0)
+    if n <= 128:
+        end = hi - n % 8
+        r = [functools.reduce(add, xs[lo + j : end : 8]) for j in range(8)]
+        return functools.reduce(add, xs[end:hi], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise(xs, lo, lo + half) + _pairwise(xs, lo + half, hi)
 
 
 # Fixed calibration grids.  The measured constants get pinned into the
@@ -165,29 +231,43 @@ def a0_grid():
     return triples
 
 
+def tau_grid_sums():
+    """{(M, s): sum of tau_s(m)^2 over m <= M} on TAU_GRID_M x {2, 3, 4}, from one signature walk to the top M.
+
+    The signature counts grow prefix by prefix, each M's read for all three s.
+    """
+    codes, counts, done, sums = _signature_codes(max(TAU_GRID_M)), Counter(), 0, {}
+    for M in TAU_GRID_M:
+        counts.update(itertools.islice(codes, M - done))
+        done = M
+        for s in (2, 3, 4):
+            sums[M, s] = _tau_square_sum(counts, s)[0]
+    return sums
+
+
 def measure_constants():
     """Measure every calibration constant on the fixed grids.
 
     a0_C: sup of #A_0 * log(2y) / (N log(2x));
     tau{s}_C: sup of tau-square sums over M (log 2M)^(s^2-1);
     prime_tail_C: sup of tail * x * log(2x) at the fixed sieve bound.
-    Deterministic, so repeated runs agree bit for bit.
+    Plain Python: the 56 a0 windows, one signature walk to the top of
+    TAU_GRID_M for all twelve tau sums, and one sieve to TAIL_P whose five
+    tails are summed in numpy's pairwise order, so the pinned constants
+    keep the bits the numpy sums gave.  O(N log N) bytes for the a0 grid
+    at N <= 10^5 and O(P log log P) for the rest; about 0.09 s on a 2-CPU
+    VM.  Deterministic, so repeated runs agree bit for bit.
     """
     out = {}
     best = 0.0
     for N, x, y in a0_grid():
         best = max(best, _window_counts(N, x, y, True).count(0, 1) * math.log(2 * y) / (N * math.log(2 * x)))
     out["a0_C"] = best
+    sums = tau_grid_sums()
     for s in (2, 3, 4):
-        best = 0.0
-        for M in TAU_GRID_M:
-            best = max(best, tau_square_average(M, s) / (M * math.log(2 * M) ** (s * s - 1)))
-        out["tau%d_C" % s] = best
-    best = 0.0
-    qs = primes_upto(TAIL_P)  # one sieve for the whole tail grid
-    for x in TAIL_GRID_X:
-        best = max(best, _prime_tail(qs, x) * x * math.log(2 * x))
-    out["prime_tail_C"] = best
+        out["tau%d_C" % s] = max(sums[M, s] / (M * math.log(2 * M) ** (s * s - 1)) for M in TAU_GRID_M)
+    tails = _prime_tails(TAIL_P, TAIL_GRID_X)
+    out["prime_tail_C"] = max(tail * x * math.log(2 * x) for tail, x in zip(tails, TAIL_GRID_X))
     return out
 
 

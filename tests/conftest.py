@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from detsums import InternalInvariantViolation, Overflow, make_field
 from detsums.characters import contract
+from detsums.fp_arith import prime_flags
 from detsums.mat2 import Census, Mat2, PairImageCensus, _class_size, has_square_root
 from detsums.sums import _products
 
@@ -25,6 +26,11 @@ def field(p):
 
 # Orders whose roots of unity are not all real, for the route-equivalence tests.
 HIGH_ORDER_PAIRS = ((13, 4), (13, 6), (37, 4), (37, 6), (61, 4), (61, 6))
+
+
+def primes_upto(n):
+    """All primes <= n as an int64 array, read off the sieve `fp_arith.prime_flags`."""
+    return np.flatnonzero(np.frombuffer(prime_flags(n), dtype=bool)).astype(np.int64)  # each flag byte is 0 or 1
 
 
 @pytest.fixture

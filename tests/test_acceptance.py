@@ -41,9 +41,8 @@ from detsums import (
 from detsums import cli
 from detsums.fp_arith import is_prime
 from detsums.mat2 import det, reduce_mat
-from detsums.sifter import primes_upto
 
-from conftest import field
+from conftest import field, primes_upto
 
 
 @contextlib.contextmanager

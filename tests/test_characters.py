@@ -32,9 +32,8 @@ from detsums.characters import (
     shifted_sum_blocks,
     shifted_sums,
 )
-from detsums.sifter import primes_upto
 
-from conftest import HIGH_ORDER_PAIRS, dlog_by_loop, field, shifted_sums_by_add_at
+from conftest import HIGH_ORDER_PAIRS, dlog_by_loop, field, primes_upto, shifted_sums_by_add_at
 
 ODD_PRIMES_BELOW_5000 = [int(q) for q in primes_upto(5000)[1:]]
 
@@ -308,8 +307,9 @@ def test_shifted_sums_matches_add_at_oracle(p, d, lams_kind, weights, data):
 @pytest.mark.parametrize("d, bound_mib", [(2, 24), (2, 11), (6, 78), (2, 5), (3, 10), (6, 16)])
 def test_de_moment_sign_weights_peak_memory(d, bound_mib):
     """+-1 weights at p = 1000003 and 12 shifts, with the index table built: one block of 2^16
-    tally rows and its readout, int16 at order 2, float64 above, so warm peaks near 1.2, 4.6
-    and 6.1 MiB at orders 2, 3 and 6 (3.1, 7.4 and 11.7 MiB with d one-hot rows beside them).
+    tally rows and its readout, int16 at order 2, float64 above, so warm peaks near 1.2, 5.6
+    and 8.6 MiB at orders 2, 3 and 6 with the fixed-order readout's product buffer (4.6 and
+    6.1 MiB by matrix product; 3.1, 7.4 and 11.7 MiB with d one-hot rows beside them).
     p-length rows peaked near 9.6 MiB (int16), 48.6 and 74.4 MiB (float64), int32 rows near
     13.4 MiB at order 2 and an integer tally cast to float64 near 97 MiB at order 6."""
     p = 1_000_003
@@ -332,11 +332,10 @@ def test_de_moment_sign_weights_peak_memory(d, bound_mib):
 @pytest.mark.parametrize("weights", ("signs", "fractional"))
 def test_de_moment_blocks_match_oracle(monkeypatch, block, d, weights):
     """Blocks of 1, 5 and 64 lams at p = 73, with the shifts 1 and p - 1 so that lam + s wraps
-    inside a block.  The joined blocks equal the add-at oracle bit for bit at orders 2 and 4,
-    whose contraction is exact, and within 1e-12 at 3 and 6, whose contraction by matrix
-    product may round a short block differently.  The moment is sum |inner|^(2 nu) over the
-    oracle's inner sums, exactly (==) for +-1 weights at orders 2 and 4, within the stated
-    relative 1e-12 otherwise."""
+    inside a block.  The joined blocks equal the add-at oracle bit for bit at every order: the
+    contraction adds each column's d products in a fixed order, whatever the block's length.
+    The moment is sum |inner|^(2 nu) over the oracle's inner sums, exactly (==) for +-1 weights
+    at orders 2 and 4, within the stated relative 1e-12 otherwise."""
     monkeypatch.setattr(characters, "_WALK_BLOCK", block)
     p = 73
     chi = make_character(field(p), d)
@@ -349,10 +348,7 @@ def test_de_moment_blocks_match_oracle(monkeypatch, block, d, weights):
     terms = [(s, alpha[s]) for s in shifts]
     inner = shifted_sums_by_add_at(chi, np.arange(1, p, dtype=np.int64), terms)
     assert [len(b) for b in shifted_sum_blocks(chi, terms)] == [min(block, p - lo) for lo in range(1, p, block)]
-    if d in (2, 4):
-        assert np.array_equal(full_range(chi, terms), inner)
-    else:
-        assert np.allclose(full_range(chi, terms), inner, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(full_range(chi, terms), inner)
     mag2 = np.square(inner.real) + np.square(np.imag(inner))
     for nu in (1, 2, 3, 6):
         want = float(np.sum(mag2**nu))
@@ -491,6 +487,18 @@ def test_exact_zero_detection():
     assert CharSumAccumulator(2, [5, 5], 3).is_exactly_zero()
     assert not CharSumAccumulator(2, [5, 4], 0).is_exactly_zero()
     assert CharSumAccumulator(4, [2, 7, 2, 7], 0).is_exactly_zero()
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 10, 12, 16, 30, 1000, 65536])
+def test_paired_counts_read_out_as_exact_zero(d):
+    """Counts equal at k and k + d/2, as an odd character's are, contract to 0 exactly at every even order."""
+    rng = np.random.default_rng(d)
+    half = rng.integers(0, 10**6, size=d // 2)
+    acc = CharSumAccumulator(d, np.concatenate((half, half)), 0)
+    assert acc.is_exactly_zero()
+    assert acc.value() == 0
+    per_index = np.concatenate((half, half)).reshape(d, 1) * np.arange(1, 6)
+    assert np.array_equal(contract(per_index.astype(float), d), np.zeros(5))
 
 
 def test_weightseq_validation():

@@ -307,6 +307,7 @@ def main_exit(*argv):
         (main_exit("scan", "--kind", "nonresidue", "--p-range", "3:200", "--out", "-"), "0"),
         (main_exit("scan", "--kind", "nonresidue", "--p", "2147398009", "--out", "-"), "0"),
         (main_exit("scan", "--kind", "sift", "--n-grid", "1000", "--out", "-"), "0"),
+        (main_exit("calibrate", "--calibration-file", "{tmp}/calibration.txt"), "0"),
     ],
     ids=[
         "import",
@@ -320,19 +321,21 @@ def main_exit(*argv):
         "nonresidue-range",
         "nonresidue-near-2^31",
         "sift",
+        "calibrate",
     ],
 )
-def test_start_without_numpy(code, printed):
-    """The package, the CLI, census, nonresidue and sift scans, --help and an early validation exit run without numpy."""
-    lines = fresh_python(code + "\nimport sys\nprint('numpy' in sys.modules)")
+def test_start_without_numpy(code, printed, tmp_path):
+    """The package, the CLI, census, nonresidue and sift scans, calibrate, --help and an early validation exit
+    run without numpy."""
+    lines = fresh_python(code.replace("{tmp}", str(tmp_path)) + "\nimport sys\nprint('numpy' in sys.modules)")
     assert lines[-1] == "False"
     if printed is not None:
         assert lines[-2] == printed
 
 
-@pytest.mark.parametrize("module", ["errors", "fp_arith", "mat2", "residues"])
+@pytest.mark.parametrize("module", ["errors", "fp_arith", "mat2", "residues", "sifter"])
 def test_scalar_modules_import_no_numpy(module):
-    """The scalar layers import numpy nowhere, not even inside a function: only characters, sums and sifter do."""
+    """The scalar layers import numpy nowhere, not even inside a function: only characters and sums do."""
     tree = ast.parse(pathlib.Path(detsums.__file__).with_name(module + ".py").read_text())
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]

@@ -17,7 +17,7 @@ from detsums.residues import _FLIP
 from detsums.sifter import _INC
 from detsums.sums import ratio_bins
 
-from conftest import dlog_by_loop, field, legendre_oracle
+from conftest import dlog_by_loop, field, legendre_oracle, primes_upto
 
 
 def test_composite_rejected():
@@ -124,8 +124,6 @@ def test_dlog_parity_crosscheck():
     every prime below 10^4; the scalar `legendre` is swept in full below
     500 and sampled above (it is the slow scalar route).
     """
-    from detsums.sifter import primes_upto
-
     rng = random.Random("parity")
     for p in primes_upto(10_000)[1:]:
         p = int(p)
@@ -161,8 +159,6 @@ def test_sqrt_roots_range_check():
 
 def test_sqrt_roots_brute_force():
     """Tonelli-Shanks against squaring every residue, for every x and every odd p < 200."""
-    from detsums.sifter import primes_upto
-
     for p in primes_upto(200)[1:]:
         p = int(p)
         F = make_field(p)

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from detsums import InternalInvariantViolation, Mat2, census, has_square_root, make_field, mul, pair_image_census
 from detsums import mat2
 from detsums.mat2 import det, trace
-from detsums.sifter import primes_upto
 
-from conftest import census_by_classes, census_by_enumeration, conjugacy_classes, field, pair_image_by_enumeration
+from conftest import census_by_classes, census_by_enumeration, conjugacy_classes, field, pair_image_by_enumeration, primes_upto
 
 # Census numbers frozen from this package's own full-enumeration runs.
 CENSUS_FIXTURES = {

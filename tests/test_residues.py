@@ -19,10 +19,9 @@ from detsums import (
     nonresidue_report,
 )
 from detsums.mat2 import reduce_mat
-from detsums.sifter import primes_upto
 from detsums.fp_arith import is_prime, make_field
 
-from conftest import field
+from conftest import field, primes_upto
 
 
 def test_least_examples():

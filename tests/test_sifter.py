@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from detsums import BadWindow, Overflow, TooLarge, a0_bound_check, fp_arith, prime_tail, sift, sifter, tau, tau_square_average
 from detsums.cli import default_calibration_path
+from detsums.fp_arith import factorize
 from detsums.sifter import (
     a0_grid,
     measure_constants,
-    primes_upto,
     read_calibration,
     TAIL_GRID_X,
     TAIL_P,
     TAU_GRID_M,
 )
+
+from conftest import primes_upto
 
 
 def window_count_oracle(n, x, y, multiplicity):
@@ -283,6 +285,53 @@ def test_tau_square_average_overflow(monkeypatch):
     monkeypatch.setattr(sifter, "_prime_powers", lambda primes, N: [(2, 1, 2)] * 30)
     with pytest.raises(Overflow):
         tau_square_average(3, 4)
+
+
+def decode_signature(code):
+    """The exponents of a prime-signature code, increasing: field e - 1 (8 bits) counts the exponents e."""
+    exponents, e = [], 1
+    while code:
+        exponents += [e] * (code & 0xFF)
+        code >>= 8
+        e += 1
+    return exponents
+
+
+@pytest.mark.parametrize("M", (5000, 97 * 97 - 1, 97 * 97, 97 * 97 + 1))
+def test_signature_codes_match_factorize(M):
+    """Every code of the one walk decodes to the exponents of n's trial-division factorization."""
+    codes = list(sifter._signature_codes(M))
+    assert len(codes) == M
+    for n, code in enumerate(codes, 1):
+        assert decode_signature(code) == sorted(e for _, e in factorize(n)), n
+
+
+def test_tau_grid_sums_match_tau_square_average():
+    """The one-walk prefix sums that measure_constants reads equal a walk of their own at each grid point."""
+    sums = sifter.tau_grid_sums()
+    assert sorted(sums) == sorted((M, s) for M in TAU_GRID_M for s in (2, 3, 4))
+    for (M, s), value in sums.items():
+        assert value == tau_square_average(M, s), (M, s)
+
+
+@pytest.mark.parametrize("n", [*range(10), 127, 128, 129, 135, 136, 137, 1000, 4099, 8200])
+def test_pairwise_sum_matches_numpy(n):
+    """numpy's pairwise order in plain Python: the bits of np.sum on random lists across its 8-lane
+    and 128-block boundaries, and on signed zeros."""
+    rng = random.Random("pairwise-%d" % n)
+    for _ in range(20):
+        xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+        assert sifter._pairwise_sum(xs) == float(np.sum(np.array(xs, dtype=np.float64)))
+    zeros = [-0.0] * n
+    assert math.copysign(1.0, sifter._pairwise_sum(zeros)) == math.copysign(1.0, np.sum(np.array(zeros)))
+
+
+def test_prime_tails_match_numpy_sum():
+    """Each calibration tail equals np.sum over the same float64 terms bit for bit."""
+    qs = primes_upto(TAIL_P)
+    tails = sifter._prime_tails(TAIL_P, TAIL_GRID_X)
+    for x, tail in zip(TAIL_GRID_X, tails):
+        assert tail == float(np.sum(1.0 / qs[qs >= x].astype(np.float64) ** 2)), x
 
 
 def test_prime_tail():
