@@ -203,9 +203,10 @@ class Character:
         k = 0 mod d and reads one pre-tiled slice of the pattern; a tile
         capped at p - 1 entries spans the walk, and any block reads its own
         slice.  Beyond the table, memory is one block of int64 walk, its
-        tile in the table's dtype, one int64 period of the pattern and a
-        bool per residue for the certificate: g is certified primitive by
-        every unit getting written, else InternalInvariantViolation.
+        tile in the table's dtype and one int64 period of the pattern.  g is
+        certified primitive by every unit getting written, read as the
+        minimum of tab[1:] with no p-length mask, else
+        InternalInvariantViolation (the missed units are counted only then).
         """
         if self._ktab is None:
             p, g, d = self.field.p, self.field.g, self.d
@@ -232,8 +233,8 @@ class Character:
                 size = min(walk.size, n - lo * B)
                 k = lo * B % tile.size  # 0 unless the tile spans the whole walk
                 tab[walk.ravel()[:size]] = tile[k : k + size]
-            missed = int(np.count_nonzero(tab[1:] < 0))
-            if missed:
+            if tab[1:].min() < 0:
+                missed = int(np.count_nonzero(tab[1:] < 0))
                 raise InternalInvariantViolation(
                     "index table certificate failed at p=%d: g=%d leaves %d units unwritten, so it is not primitive"
                     % (p, g, missed)
@@ -336,8 +337,8 @@ def shifted_sums(chi, lams, terms):
     len(terms) < 2^15 in absolute value and exact.  Otherwise it is
     float64, since at d > 2 an integer tally would be cast whole for the
     contraction; its sums of +-1 are exact integers too.  The tally's
-    d*len(lams) cells are held to the hard cap 2^31 before anything is
-    allocated.
+    d*len(lams) cells, and its bytes, are held to the hard cap 2^31 before
+    anything is allocated.
     """
     p = chi.field.p
     return _tally(chi, len(lams), terms, lambda ktab, s: ktab[(lams + s) % p])
@@ -362,15 +363,17 @@ def _tally(chi, n, terms, indices):
     """The contracted per-index tally of n cells, the one tally of the shifted sums.
 
     indices(ktab, s) reads the index table ktab at lam + s over the n
-    cells.  The tally's d*n cells are held to the hard cap before the
-    index table or the tally is built.
+    cells.  The tally's d*n cells, then its bytes, are held to the hard
+    cap before the index table or the tally is built.
     """
     p, d = chi.field.p, chi.d
     _check_hard_cap(d * n, "tally size at d=%d, p=%d: d*n" % (d, p))
-    ktab = chi.index_table()
     terms = [(s % p, w) for s, w in terms if w != 0.0]
     int_tally = d == 2 and len(terms) < 2**15 and all(abs(w) == 1.0 for _, w in terms)
-    per_index = np.zeros((d, n), dtype=np.int16 if int_tally else np.float64)
+    dtype = np.dtype(np.int16 if int_tally else np.float64)
+    _check_hard_cap(dtype.itemsize * d * n, "tally bytes at d=%d, p=%d: %d*d*n" % (d, p, dtype.itemsize))
+    ktab = chi.index_table()
+    per_index = np.zeros((d, n), dtype=dtype)
     for s, w in terms:
         idx = indices(ktab, s)
         for j, row in enumerate(per_index):

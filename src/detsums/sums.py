@@ -5,7 +5,8 @@ and a binned route that first counts how many tuples land on each value
 (difference profile over integer determinants, or residue bins for the
 ratio map) and then contracts the counts against the character.  The
 binned s and u sums and the Delta-profile share one determinant
-correlation, an O(N^2 log N) real FFT with a rounding certificate: for
+correlation, an O(N^2 log N) real FFT at a 5-smooth length, one forward
+transform per distinct weight side, with a rounding certificate: for
 integral weights (unit, +-1, or in {-1, 0, 1}) it is rounded to exact
 integers below the guard N^4 < 2^53 and raises Overflow above; other
 weights keep a float result within 1e-9 * N^4.  The character is read
@@ -13,6 +14,9 @@ only through `characters`: `shifted_sums` for the binned t sum, and
 `Character.tally` everywhere else, on the lags Delta of the binned s and
 u sums and on blocks of raw determinants ad - bc in the direct routes.
 Agreement of the two routes is the module's core correctness check.
+Each layer whose memory grows with p or N^2 (the correlation, the binned
+S tally, and t_abs's ratio bins beside the index table) keeps one array of
+that size alive at a time.
 """
 
 from typing import NamedTuple
@@ -57,16 +61,38 @@ _RESIDUAL_MARGIN = 1 / 16
 _FLOAT_TOL = 1e-9
 
 
+def _fft_length(m):
+    """The least n = 2^a 3^b 5^c >= m, a length pocketfft transforms at full speed.
+
+    n = 80,000 for m = 2 * 200^2 - 1, where the next power of two is
+    131,072; 18 * 10^6 for m = 2 * 3000^2 - 1, against 2^25.
+    """
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _correlation(wa, wb):
     """Weighted determinant correlation T_Delta = sum over ad - bc = Delta of wa_a wb_b.
 
     (a,b,c,d) runs over [1,N]^4 with N = len(wa); entry i holds
     Delta = i - (N^2 - 1).  Each side bins its weighted products,
     r(v) = sum over xy = v of w_x for v in [1, N^2], and the two bins are
-    cross-correlated by one zero-padded real FFT of power-of-two length
-    n in [2N^2 - 1, 4N^2): O(N^2 log N) time.  Memory: about 3n float64
-    entries at peak, so within 12N^2 (n = 2^23 at N = 2000, a measured
-    peak of 203 MB).
+    cross-correlated cyclically, irfft(Ra * conj(Rb)), at the 5-smooth
+    length n = _fft_length(2N^2 - 1) >= 2N^2 - 1, so no lag wraps onto
+    another: O(N^2 log N) time.  When wa == wb (unit weights among them)
+    one forward transform serves both sides as |Ra|^2.  Lag Delta lands at
+    index Delta mod n and is then copied into the profile's layout.
+    Memory: each input is dropped before the next n-sized array is built,
+    so the peak is about 2n float64 entries (the spectrum beside the irfft
+    result, or the lags beside their rounding) plus a byte per lag for the
+    symmetry check: 130 MiB at N = 2000, where n = 8 * 10^6.
 
     With every weight in {-1, 0, 1} each T_Delta is an integer of size at
     most N^4, and the result is rounded to those exact integers; the guard
@@ -77,15 +103,27 @@ def _correlation(wa, wb):
     N = len(wa)
     if N**4 >= 2**53:
         raise Overflow("N^4 exceeds the float64 integer range 2^53 at N=%d" % N)
-    size = 2 * N * N - 1  # lags Delta in (-N^2, N^2)
-    n = 1 << (size - 1).bit_length()
+    nn = N * N
+    n = _fft_length(2 * nn - 1)  # lags Delta in (-N^2, N^2)
     prods = _products(N, N) - 1  # bin v - 1 holds product v; row index a (or b) carries its weight
-    # out[N^2 - 1 + Delta] = sum_v ra(v + Delta) rb(v): a convolution with rb reversed
-    spec = np.fft.rfft(np.bincount(prods, weights=np.repeat(wa, N), minlength=N * N), n)
-    spec *= np.fft.rfft(np.bincount(prods, weights=np.repeat(wb, N), minlength=N * N)[::-1], n)
-    del prods  # the certificates allocate next; keep the peak to the transform arrays
-    out = np.fft.irfft(spec, n)[:size]
+    ra = np.bincount(prods, weights=np.repeat(wa, N), minlength=nn)
+    rb = None if np.array_equal(wa, wb) else np.bincount(prods, weights=np.repeat(wb, N), minlength=nn)
+    del prods
+    spec = np.fft.rfft(ra, n)
+    del ra
+    if rb is None:
+        spec.real **= 2  # Ra * conj(Ra) = |Ra|^2, a real spectrum, taken in place
+        spec.real += np.square(spec.imag)
+        spec.imag = 0
+    else:
+        other = np.fft.rfft(rb, n)
+        del rb
+        spec *= np.conjugate(other, out=other)
+        del other
+    cyclic = np.fft.irfft(spec, n)  # cyclic[Delta mod n] = sum_v ra(v + Delta) rb(v)
     del spec
+    out = np.concatenate((cyclic[n - nn + 1 :], cyclic[:nn]))
+    del cyclic
     return _certified(out, wa, wb)
 
 
@@ -104,8 +142,8 @@ def _certified(out, wa, wb):
     integral = bool(np.all(wa == np.rint(wa)) and np.all(wb == np.rint(wb)))
     if integral:
         exact = np.rint(out)
-        dev = out - exact
-        residual = float(np.max(np.abs(dev, out=dev)))
+        out -= exact  # out is this call's own array: it now holds the rounding residuals
+        residual = float(np.max(np.abs(out, out=out)))
         if not residual < _RESIDUAL_MARGIN:
             raise InternalInvariantViolation(
                 "correlation residual certificate failed at N=%d: max |x - rint(x)| = %.3g, margin %g"
@@ -131,8 +169,9 @@ def _certified(out, wa, wb):
 def delta_profile(N):
     """Exact DeltaProfile: the determinant correlation with unit weights.
 
-    O(N^2 log N) time and about 3n float64 entries of memory, n < 4N^2 the
-    padded FFT length (n = 2^23 at N = 2000), by the certified correlation:
+    O(N^2 log N) time and about 2n float64 entries of memory, n < 2.15N^2
+    the 5-smooth FFT length for N >= 2 (n = 8 * 10^6 at N = 2000: 0.75 s
+    and 130 MiB), by the certified correlation with one forward transform:
     its residual, mass and symmetry checks run on every call.  The mass
     N^4 is checked once more here on the int64 counts.
     """
@@ -181,11 +220,19 @@ def s_sum_binned(chi, N):
 
     chi is evaluated at Delta mod p, and Delta values that are nonzero
     multiples of p land in the zero tally like any other chi(0) term.
+    Only Delta = 0 .. N^2 - 1 are tallied, weighted by T_Delta: since
+    T_{-Delta} = T_Delta (the profile's symmetry certificate) and
+    chi(-Delta) = chi(-1) chi(Delta), the negative lags add the same
+    tally rolled by the index of chi(-1), and the zero tally counts T_0
+    once and each positive multiple of p twice.  Every tally is a sum of
+    integers below N^4 < 2^53, so exact.
     """
     N = _check_length(N, chi.field.p)
-    profile = delta_profile(N).counts  # its guard fires before the lags Delta are built
-    counts, zero_terms = chi.tally(np.arange(1 - N * N, N * N, dtype=np.int64), profile)
-    return CharSumAccumulator(chi.d, counts, zero_terms)
+    nn = N * N
+    profile = delta_profile(N).counts[nn - 1 :]  # its guard fires before the lags Delta are built
+    counts, zero_terms = chi.tally(np.arange(nn, dtype=np.int64), profile)
+    counts += np.roll(counts, chi.minus_one_index())
+    return CharSumAccumulator(chi.d, counts, 2 * zero_terms - profile[0])
 
 
 def _weight_array(w, N):
@@ -272,16 +319,23 @@ def t_abs_sum(chi, A, B, C, D_set, alpha):
 
 
 def _t_abs_with_bins(chi, A, B, C, D_set, alpha):
-    """(t_abs_sum, the ratio bins it was summed over), so holder_chain builds the bins once."""
+    """(t_abs_sum, the occupied ratio-bin counts I(lam) it was summed over), so holder_chain bins once.
+
+    The occupied residues lam and their counts are read off ratio_bins and
+    its p-length table is dropped before shifted_sums builds the index
+    table, so the two p-length arrays are never alive together.
+    """
     p = chi.field.p
     if int(A) * int(B) * int(C) >= p:
         raise DomainTooLarge("t_abs_sum needs A*B*C < p")
     alpha = as_weights(alpha)
     ds = check_shifts(D_set, p)
-    table = ratio_bins(chi.field, A, B, C)
-    lams = np.flatnonzero(table.counts)
+    bins = ratio_bins(chi.field, A, B, C).counts
+    lams = np.flatnonzero(bins)
+    occupied = bins[lams]
+    del bins
     mags = np.abs(shifted_sums(chi, lams, [(-s, alpha[s]) for s in ds]))
-    return float(np.sum(table.counts[lams] * mags)), table
+    return float(np.sum(occupied * mags)), occupied
 
 
 def t_abs_sum_direct(chi, A, B, C, D_set, alpha):
@@ -312,14 +366,14 @@ class HolderChain(NamedTuple):
     lhs: float  # t_abs_sum ** (2 nu)
     sigma1: float  # shifted-product moment
     sigma2: float  # (ABC) ** (2 nu - 2)
-    sigma3: float  # sum of I(lam)^2, taken in int64 over the occupied bins
+    sigma3: float  # sum of I(lam)^2 over the occupied counts t_abs was summed over, taken in int64
 
 
 def holder_chain(chi, A, B, C, D_set, alpha, nu):
     """The three-factor bound lhs <= sigma1 * sigma2 * sigma3 as computed numbers."""
-    t, table = _t_abs_with_bins(chi, A, B, C, D_set, alpha)
+    t, occupied = _t_abs_with_bins(chi, A, B, C, D_set, alpha)
     sigma1 = de_moment(chi, D_set, alpha, nu)
     sigma2 = float(int(A) * int(B) * int(C)) ** (2 * nu - 2)
-    occupied = table.counts[np.flatnonzero(table.counts)].astype(np.int64)  # I(lam)^2 may pass 2^31
+    occupied = occupied.astype(np.int64)  # I(lam)^2 may pass 2^31
     sigma3 = float(np.sum(occupied * occupied))
     return HolderChain(t ** (2 * nu), sigma1, sigma2, sigma3)

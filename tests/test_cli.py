@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import detsums
@@ -128,6 +129,33 @@ def test_huge_order_tally_exits_2(capsys, extra, n, bound_mib):
         "error: tally size at d=166667, p=1000003: d*n=%d exceeds the hard cap 2^31" % (166667 * n)
     ]
     assert peak < bound_mib * 2**20
+
+
+def test_tally_bytes_exit_2(monkeypatch, capsys):
+    """Order 16384 at p = 65537: a de_moment block's d*n = 2^30 tally cells pass the cell cap,
+    but as float64 they are 8 GiB.  The tally's bytes are held to the hard cap too: TooLarge,
+    exit 2 and one error line naming d and p, before the index table or the tally is
+    allocated.  np.zeros is made to refuse any shape above 2^28 cells, so that a tally
+    allocated before the check fails the test instead of asking for the 8 GiB."""
+    real_zeros = np.zeros
+
+    def guarded_zeros(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape).tolist()) > 2**28:
+            raise AssertionError("np.zeros asked for %r" % (shape,))
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded_zeros)
+    tracemalloc.start()
+    try:
+        code = run_cli(["scan", "--kind", "de_moment", "--p", "65537", "--order", "16384", "--shift-count", "8"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: tally bytes at d=16384, p=65537: 8*d*n=%d exceeds the hard cap 2^31" % (8 * 16384 * 2**16)
+    ]
+    assert peak < 2**20
 
 
 def test_t_abs_high_order_small_box_matches_direct(tmp_path):

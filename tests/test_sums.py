@@ -32,7 +32,7 @@ from detsums import (
 )
 from detsums import cli, sums
 from detsums.fp_arith import is_prime
-from detsums.sums import _correlation, _products
+from detsums.sums import _correlation, _fft_length, _products
 
 from conftest import HIGH_ORDER_PAIRS, correlation_by_convolution, field, ratio_bins_oracle
 
@@ -135,6 +135,52 @@ def test_correlation_matches_convolution_property(N, data):
     real = st.floats(-1.0, 1.0)
     wa, wb = draw(real), draw(real)
     assert np.max(np.abs(_correlation(wa, wb) - correlation_by_convolution(wa, wb))) <= 1e-9
+
+
+def _is_5_smooth(n):
+    for q in (2, 3, 5):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+def test_fft_length_is_least_5_smooth():
+    smooth = [n for n in range(1, 6001) if _is_5_smooth(n)]
+    for m in range(1, 5001):
+        assert _fft_length(m) == next(n for n in smooth if n >= m)
+    # every 2^a 3^b 5^c up to 2^26 covers the lag counts 2N^2 - 1 at N = 2000, 3000, 4000
+    big = sorted(n for n in (2**a * 3**b * 5**c for a in range(27) for b in range(17) for c in range(12)) if n <= 2**26)
+    for N, n in ((2000, 8_000_000), (3000, 18_000_000), (4000, 32_000_000)):
+        m = 2 * N * N - 1
+        assert _fft_length(m) == next(k for k in big if k >= m) == n
+
+
+@pytest.mark.parametrize("N, n, pow2", [(41, 3375, 4096), (46, 4320, 8192), (57, 6561, 8192), (71, 10125, 16384)])
+def test_correlation_at_smooth_lengths_matches_convolution(N, n, pow2):
+    """At N where the 5-smooth length is far from the next power of two, the cyclic correlation
+    still matches the O(N^4) convolution: exactly for unit and {-1, 0, 1} weights, within
+    1e-9 for float weights, with one transform (wa == wb) and with two."""
+    assert (_fft_length(2 * N * N - 1), 1 << (2 * N * N - 2).bit_length()) == (n, pow2)
+    rng = np.random.default_rng(N)
+    signs = [rng.integers(-1, 2, N).astype(np.float64) for _ in range(2)]
+    floats = [rng.uniform(-1.0, 1.0, N) for _ in range(2)]
+    for wa, wb in ((np.ones(N), np.ones(N)), (signs[0], signs[0]), tuple(signs)):
+        assert np.array_equal(_correlation(wa, wb), correlation_by_convolution(wa, wb))
+    for wa, wb in ((floats[0], floats[0]), tuple(floats)):
+        assert np.max(np.abs(_correlation(wa, wb) - correlation_by_convolution(wa, wb))) <= 1e-9
+
+
+def test_delta_profile_peak_memory():
+    """At N = 1000 the 5-smooth length is n = 2 * 10^6, and one transform serves both sides:
+    about 2n float64 entries at peak, near 32 MiB."""
+    delta_profile(50)
+    tracemalloc.start()
+    try:
+        delta_profile(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2**20
 
 
 def bump_irfft(monkeypatch, bumps):
@@ -261,6 +307,32 @@ def test_binned_equals_direct_property(pdn, data):
     alpha = WeightSeq(enumerate(data.draw(signs), 1))
     beta = WeightSeq(enumerate(data.draw(signs), 1))
     assert u_sum(chi, alpha, beta, N) == u_sum_direct(chi, alpha, beta, N)
+
+
+@pytest.mark.parametrize("p, d, odd", [(103, 2, True), (37, 4, True), (37, 6, False)])
+def test_s_sum_binned_equals_direct_past_p(p, d, odd):
+    """N^2 > p puts the lags +-p and +-2p in the profile: the half-range tally folds them into
+    the zero tally twice and the negative lags in by chi(-1), for odd and even characters."""
+    for power in (q for q in range(1, d) if math.gcd(q, d) == 1):
+        chi = make_character(field(p), d, power)
+        assert chi.is_odd() == odd
+        for N in range(1, 13):
+            assert s_sum_binned(chi, N) == s_sum_direct(chi, N)
+
+
+def test_s_sum_binned_peak_memory():
+    """On a built table, s_sum_binned(chi, 200) at p = 10009 holds the profile (n = 80,000
+    transform points) and tallies only the lags Delta >= 0: near 2 MiB."""
+    chi = make_character(field(10009), 2)
+    chi.index_table()
+    s_sum_binned(chi, 20)
+    tracemalloc.start()
+    try:
+        s_sum_binned(chi, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_u_sum_zero_weights():
@@ -453,6 +525,25 @@ def test_t_abs_binned_equals_direct_property(inst):
     lhs = t_abs_sum(chi, A, B, C, shifts, alpha)
     rhs = t_abs_sum_direct(chi, A, B, C, shifts, alpha)
     assert math.isclose(lhs, rhs, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_t_abs_peak_memory():
+    """A fresh order-2 character at p = 1000003 over 60^3 with 12 +-1 shifts: the int32 ratio
+    bins (3.8 MiB) are dropped before the int8 index table (0.95 MiB) is built, so the two
+    p-length arrays are never alive together: near 4.2 MiB."""
+    F = field(1_000_003)
+    rng = random.Random(12)
+    shifts = sorted(rng.sample(range(1, F.p), 12))
+    alpha = WeightSeq.signs(shifts, rng)
+    t_abs_sum(make_character(F, 2), 4, 4, 4, shifts, alpha)  # imports and caches outside the trace
+    chi = make_character(F, 2)
+    tracemalloc.start()
+    try:
+        t_abs_sum(chi, 60, 60, 60, shifts, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_t_abs_domain_guard():
