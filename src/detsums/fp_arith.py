@@ -5,13 +5,13 @@ the factorization of p - 1 by `factorize`, the package's one trial
 division (`sifter.tau` takes its primes from it too).  `prime_flags` is
 the one sieve, a bytearray, and `prime_factor_tally` the one walk over
 prime powers into bytes: a completely additive function on [1, N] of the
-primes flagged in a window, read by `sifter.sift` and
-`residues.count_nonresidues` (the tau sums' signature walk in `sifter`
-runs `_prime_powers` from the same `_large_prime_flags`).  Legendre
-symbols are Euler's criterion by `pow`, and square roots Tonelli-Shanks
-with g as the known non-residue.  p is held to the hard cap 2^31; a
-table or array of length n to the table cap (default 2*10^6, env
-DETSUM_MAX_TABLE).  Scalar only: no numpy.
+primes flagged in a window, read by `sifter.sift`,
+`residues.count_nonresidues` and the tau sums' signature walk in
+`sifter`.  Legendre symbols are Euler's criterion by `pow` (the
+non-residue count takes them mod q by reciprocity), and square roots
+Tonelli-Shanks with g as the known non-residue.  p is held to the hard
+cap 2^31; a table or array of length n to the table cap (default 2*10^6,
+env DETSUM_MAX_TABLE).  Scalar only: no numpy.
 """
 
 import itertools
@@ -121,8 +121,9 @@ def _large_prime_flags(window, N):
 def prime_factor_tally(window, N, step, distinct=False):
     """N + 1 bytes: step applied once per prime factor q of n flagged in `window`, for each n <= N.
 
-    The one walk over prime powers into bytes, serving `sifter.sift` (step
-    adds 1) and `residues.count_nonresidues` (step flips 0 and 1).
+    The one walk over prime powers into bytes, serving `sifter.sift` and
+    the tau signature walk (step adds 1) and `residues.count_nonresidues`
+    (step flips 0 and 1).
     `window` is 1 at the flagged primes and 0 elsewhere; `step` is a
     `bytes.translate` table that maps 0 to 1.  Factors count with
     multiplicity unless `distinct`.  n's one prime factor above sqrt(N)

@@ -3,13 +3,14 @@
 Operations accept either a PrimeField or a plain int modulus, so a scan
 over many primes (say every p up to 10^6) needs no field per prime and
 so no primitive-root search.  Every Legendre symbol is Euler's criterion
-by scalar `pow`: the least non-residue tries n = 2, 3, ... in turn, and
-the count up to X takes it only at the primes q <= X and extends it to
-1..X as a parity byte per n, by the one prime-power walk
-`fp_arith.prime_factor_tally`.  No numpy.  An int p is tested for
-primality once per report, and not at all when it arrives checked
-(`fp_arith.check_odd_prime`), as a `--p-range` prime sifted by the CLI
-does.
+by scalar `pow`: the least non-residue tries n = 2, 3, ... in turn mod p.
+The count up to X takes the symbol only at the primes q <= X, by
+quadratic reciprocity as Euler's criterion mod q (with (2/p) read off
+p mod 8), and extends it to 1..X as a parity byte per n, by the one
+prime-power walk `fp_arith.prime_factor_tally`.  No numpy.  An int p is
+tested for primality once per report, and not at all when it arrives
+checked (`fp_arith.check_odd_prime`), as a `--p-range` prime sifted by
+the CLI does.
 """
 
 import math
@@ -44,20 +45,32 @@ def count_nonresidues(F, X):
 
     The Legendre symbol is completely multiplicative, so n is a
     non-residue exactly when it has an odd number of prime factors q with
-    (q/p) = -1, counted with multiplicity.  Euler's criterion by `pow`
-    runs at the primes q <= X only (X < p, so none is p) and clears the
-    residue primes from the sieve; `fp_arith.prime_factor_tally` then flips
-    a parity byte per non-residue prime factor.  O(X log X) byte copies in
-    C plus about X / ln X `pow`s.
+    (q/p) = -1, counted with multiplicity.  `_nonresidue_primes` takes the
+    symbol at the primes q <= X only; `fp_arith.prime_factor_tally` then
+    flips a parity byte per non-residue prime factor.  O(X log X) byte
+    copies in C plus about X / ln X `pow`s, each mod a prime q <= X.
     """
     p = _as_modulus(F)
     _check_hard_cap(p)
     X = _check_length(X, p, "X")
-    window = prime_flags(X, "X")  # held to the table cap before any bytearray is allocated
-    e = (p - 1) // 2
-    for q in compress(range(X + 1), window):
-        window[q] = pow(q, e, p) != 1  # only the byte just read changes
-    return prime_factor_tally(window, X, _FLIP).count(1)
+    return prime_factor_tally(_nonresidue_primes(p, X), X, _FLIP).count(1)
+
+
+def _nonresidue_primes(p, X):
+    """X + 1 bytes, 1 at the primes q <= X with (q/p) = -1 and 0 elsewhere, for an odd prime p > X.
+
+    (2/p) = -1 iff p = 3 or 5 mod 8.  At an odd prime q, quadratic
+    reciprocity gives (q/p) = (p*/q) with p* = (-1)^((p-1)/2) p, taken by
+    Euler's criterion mod q: no power is taken mod p.  X is held to the
+    table cap before the sieve is allocated.
+    """
+    window = prime_flags(X, "X")
+    if X >= 2:
+        window[2] = p % 8 in (3, 5)
+    pstar = p if p % 4 == 1 else -p
+    for q in compress(range(3, X + 1, 2), window[3::2]):
+        window[q] = pow(pstar % q, (q - 1) // 2, q) != 1  # only the byte just read changes
+    return window
 
 
 class NonResidueReport(NamedTuple):

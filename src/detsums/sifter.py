@@ -4,15 +4,14 @@ A_r(N; x, y) partitions [1, N] by the number r of prime divisors inside
 the window (x, y], counted with multiplicity by default (a flag switches
 to distinct primes).  `sift` tallies it in a bytearray by the one
 prime-power walk `fp_arith.prime_factor_tally`, adding 1 per window
-prime.  The tau sums count prime signatures, walked from the same
-large-prime pass (`fp_arith._large_prime_flags`); a single tau value
-comes from `fp_arith.factorize`.  The module also measures the constants
+prime.  The tau sums count prime signatures, starting from the same
+walk's tally of distinct primes; a single tau value comes from
+`fp_arith.factorize`.  The module also measures the constants
 hidden in the asymptotic bounds on a fixed grid, so they can be pinned in
 a calibration file and re-asserted by the test suite.  Plain Python
 throughout: no numpy, so a sift or calibrate process never loads it.
 """
 
-import bisect
 import functools
 import itertools
 import math
@@ -21,7 +20,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import BadWindow, Overflow, ValidationError
-from .fp_arith import _check_table_size, _large_prime_flags, _prime_powers, factorize, prime_factor_tally, prime_flags
+from .fp_arith import _check_table_size, _prime_powers, factorize, prime_factor_tally, prime_flags
 
 # bytes.translate table adding 1 to a count byte
 _INC = bytes(range(1, 256)) + b"\0"
@@ -60,16 +59,19 @@ def sift(N, x, y, multiplicity=True):
     Window primes are the q with x < q <= y.  In multiplicity mode the
     count of n is sum of exponents of window primes in n; otherwise the
     number of distinct window primes dividing n.  The counts come from
-    `fp_arith.prime_factor_tally`, and the strata take R + 1
-    `bytearray.count` passes.  N is held to the table cap (TooLarge)
-    before the tally is allocated.
+    `fp_arith.prime_factor_tally`.  The strata r = 1..R take R
+    `bytearray.count` passes, R + 1 being the first count that
+    `bytearray.find` misses: they are contiguous, since dividing n by one
+    of its window primes lowers its count by one.  Stratum 0, the densest,
+    is N minus the rest.  N is held to the table cap (TooLarge) before the
+    tally is allocated.
     """
     counts = _window_counts(N, x, y, multiplicity)
     N = len(counts) - 1
-    sizes, left = [], N
-    while left:
-        sizes.append(counts.count(len(sizes), 1))  # the stratum's size, n = 0 left out
-        left -= sizes[-1]
+    sizes = [0]
+    while counts.find(len(sizes), 1) >= 0:
+        sizes.append(counts.count(len(sizes), 1))
+    sizes[0] = N - sum(sizes)
     return SiftProfile(N, float(x), float(y), multiplicity, tuple(sizes), len(sizes) - 1)
 
 
@@ -103,21 +105,18 @@ def _signature_codes(M):
 
     The code of n holds in bits 8(e - 1) .. 8e - 1 the number of primes
     with exponent exactly e in n, so tau_s(n) depends on n through its
-    code alone.  A byte per n counts the primes dividing n: 1 from
-    `fp_arith._large_prime_flags` for a prime above sqrt(M), plus 1 by
-    `bytes.translate` at each multiple of a prime q <= sqrt(M).  A list of
-    ints per n moves one prime up an exponent at each multiple of q^e,
-    e >= 2, by one strided `map` of the packed delta; the code is the sum
-    of the two.  Sum over q^e of M/q^e = O(M log log M) byte steps in C,
-    O(M) Python int adds for the powers e >= 2, about 0.77 M of them.
+    code alone.  A byte per n counts the distinct primes dividing n, from
+    `fp_arith.prime_factor_tally`.  A list of ints per n moves one prime
+    up an exponent at each multiple of q^e, e >= 2, by one strided `map`
+    of the packed delta; the code is the sum of the two.  Sum over q^e of
+    M/q^e = O(M log log M) byte steps in C, O(M) Python int adds for the
+    powers e >= 2, about 0.77 M of them.
     """
     flags, root = prime_flags(M), math.isqrt(M)
-    primes = _large_prime_flags(flags, M)
+    primes = prime_factor_tally(flags, M, _INC, distinct=True)
     moved = [0] * (M + 1)
     for _, e, qe in _prime_powers(itertools.compress(range(root + 1), flags[: root + 1]), M):
-        if e == 1:
-            primes[qe::qe] = primes[qe::qe].translate(_INC)
-        else:  # one prime of n moves from exponent e - 1 to e
+        if e >= 2:  # one prime of n moves from exponent e - 1 to e
             delta = (1 << _FIELD * (e - 1)) - (1 << _FIELD * (e - 2))
             moved[qe::qe] = list(map(delta.__add__, moved[qe::qe]))
     return map(add, itertools.islice(primes, 1, None), itertools.islice(moved, 1, None))
@@ -174,24 +173,26 @@ def prime_tail(x, P):
 def _prime_tails(P, xs):
     """[sum of 1/q^2 over the primes x <= q <= P for x in xs], from one sieve and one list of terms.
 
-    Each term 1.0 / q^2 is a correctly rounded division by an exact
-    q^2 < 2^53, and each tail is summed in numpy's pairwise order, so it
-    has the bits np.sum gives over the same float64 array.
+    The terms are 1/4 and then 1.0 / q^2 over the odd half of the sieve.
+    Each is a correctly rounded division by an exact q^2 < 2^53, and the
+    tail from x starts at the number of primes below ceil(x), so it is
+    summed in numpy's pairwise order over a suffix of the one list and has
+    the bits np.sum gives over the same float64 array.
     """
     flags = prime_flags(P, "P")  # P capped before the sieve is allocated
-    qs = list(itertools.compress(range(len(flags)), flags))
-    terms = [1.0 / (q * q) for q in qs]
-    return [_pairwise_sum(terms[bisect.bisect_left(qs, x) :]) for x in xs]  # 0.0 when no prime is left
+    terms = [0.25] * flags[2:3].count(1)  # the prime 2, if P >= 2
+    terms += [1.0 / (q * q) for q in itertools.compress(range(3, P + 1, 2), flags[3::2])]
+    return [_pairwise_sum(terms, flags.count(1, 0, math.ceil(min(x, len(flags))))) for x in xs]  # 0.0 past P
 
 
-def _pairwise_sum(xs):
-    """Sum of the float list xs in numpy's pairwise order, equal to np.sum(np.array(xs)) bit for bit; O(n).
+def _pairwise_sum(xs, lo=0):
+    """Sum of the floats xs[lo:] in numpy's pairwise order, equal to np.sum(np.array(xs[lo:])) bit for bit; O(n).
 
     numpy adds the pairwise sum to its identity 0.0.  Terms are added with
     `functools.reduce`, not `sum`, whose float sum is compensated from
     Python 3.12 on.
     """
-    return 0.0 + _pairwise(xs, 0, len(xs))
+    return 0.0 + _pairwise(xs, lo, len(xs))
 
 
 def _pairwise(xs, lo, hi):
@@ -255,7 +256,7 @@ def measure_constants():
     TAU_GRID_M for all twelve tau sums, and one sieve to TAIL_P whose five
     tails are summed in numpy's pairwise order, so the pinned constants
     keep the bits the numpy sums gave.  O(N log N) bytes for the a0 grid
-    at N <= 10^5 and O(P log log P) for the rest; about 0.09 s on a 2-CPU
+    at N <= 10^5 and O(P log log P) for the rest; about 0.08 s on a 2-CPU
     VM.  Deterministic, so repeated runs agree bit for bit.
     """
     out = {}

@@ -216,8 +216,7 @@ def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeyp
         raise AssertionError("a bad input reached the sift tally")
 
     monkeypatch.setattr(cli, "prime_flags", no_sieve)  # the HI check must come before the sieve
-    monkeypatch.setattr(sifter, "prime_factor_tally", no_tally)  # the N check must come before the tally
-    monkeypatch.setattr(sifter, "_large_prime_flags", no_tally)  # and before tau's
+    monkeypatch.setattr(sifter, "prime_factor_tally", no_tally)  # the N check must come before sift's and tau's tally
     (tmp_path / "bad.txt").write_text("a0_C 1 2\n")  # a malformed calibration line
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err

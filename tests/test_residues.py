@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from detsums import cli, fp_arith
+from detsums import cli, fp_arith, residues
 from detsums import (
     NotPrime,
     SmallNonSquareMatrix,
@@ -137,6 +137,52 @@ def test_count_matches_euler_sampled(p, top):
             qe *= q
     p = fp_arith.check_odd_prime(p)
     assert {X: count_nonresidues(p, X) for X in xs} == {X: want[X] for X in xs}
+
+
+def euler_nonresidue_primes(p, X):
+    """The primes q <= X with q^((p-1)/2) != 1 mod p: Euler's criterion mod p at each."""
+    return [q for q in primes_upto(X).tolist() if pow(q, (p - 1) // 2, p) != 1]
+
+
+def reciprocity_nonresidue_primes(p, X):
+    window = residues._nonresidue_primes(fp_arith.check_odd_prime(p), X)
+    assert len(window) == X + 1
+    return [q for q, flag in enumerate(window) if flag]
+
+
+def test_reciprocity_matches_euler_below_3000():
+    """Every prime q < p for every odd prime p < 3000: the window's symbols equal Euler's mod p."""
+    for p in primes_upto(3000)[1:].tolist():
+        assert reciprocity_nonresidue_primes(p, p - 1) == euler_nonresidue_primes(p, p - 1), p
+
+
+def test_reciprocity_two_in_every_odd_class_mod_8():
+    """(2/p) read off p mod 8, against Euler's criterion, for primes in each of the four odd classes."""
+    seen = Counter()
+    for p in [*primes_upto(200)[1:].tolist(), 1000003, 2147398009, 2147483629, 2147483647, 2147483587]:
+        seen[p % 8] += 1
+        assert bool(residues._nonresidue_primes(fp_arith.check_odd_prime(p), 2)[2]) == (pow(2, (p - 1) // 2, p) != 1), p
+    assert sorted(seen) == [1, 3, 5, 7]
+
+
+@pytest.mark.parametrize("p", [898716289, 2147398009, 2147483629])
+def test_reciprocity_matches_euler_near_2_31(p):
+    """Every prime q <= 10^4 at large p, both classes mod 4 (898716289 and 2147398009 are 1 mod 4)."""
+    assert reciprocity_nonresidue_primes(p, 10_000) == euler_nonresidue_primes(p, 10_000)
+
+
+def test_count_takes_no_power_mod_p(monkeypatch):
+    """Reciprocity: the count's powers run mod the primes q <= X, never mod p."""
+    moduli = set()
+
+    def spy(base, exp, mod):
+        moduli.add(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(residues, "pow", spy, raising=False)  # shadows the builtin in the module
+    p, X = fp_arith.check_odd_prime(2147483629), 500
+    assert count_nonresidues(p, X) == euler_counts(p, X)[X]
+    assert moduli and p not in moduli and max(moduli) <= X
 
 
 def test_count_full_range():

@@ -145,9 +145,24 @@ def test_sift_highest_stratum_under_the_cap():
 
 
 def test_sift_empty_window():
-    prof = sift(40, 5, 5)
-    assert prof.sizes == (40,)
-    assert prof.R == 0
+    """x = y leaves no window prime: one stratum, all of [1, N], in both modes."""
+    for N, x in ((40, 5), (2, 2), (1000, 7), (100_000, 7), (100_000, 2.5), (100_000, 100_000)):
+        for multiplicity in (True, False):
+            prof = sift(N, x, x, multiplicity)
+            assert prof.sizes == (N,) and prof.R == 0, (N, x, multiplicity)
+
+
+@pytest.mark.parametrize(
+    "N, x, y", [(100_000, 2, 100_000), (100_000, 2, 3), (1_000_000, 5, 1000), (100_000, 1000, 100_000)]
+)
+def test_sift_strata_match_count_oracle(N, x, y):
+    """Stratum 0 by subtraction equals a `count` pass over the tally, where it is sparse (x = 2: the
+    powers of 2 only) and where it is dense; each stratum r >= 1 equals its own `count` pass."""
+    for multiplicity in (True, False):
+        counts = sifter._window_counts(N, x, y, multiplicity)
+        want = [counts.count(r, 1) for r in range(max(counts) + 1)]
+        assert list(sift(N, x, y, multiplicity).sizes) == want, multiplicity
+        assert all(want), want  # the strata are contiguous
 
 
 def test_sift_partition_and_rbound():
@@ -254,8 +269,7 @@ def test_sift_and_tau_caps_before_allocation(monkeypatch):
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr(sifter, "prime_flags", no_alloc)
-    monkeypatch.setattr(sifter, "prime_factor_tally", no_alloc)  # sift's tally
-    monkeypatch.setattr(sifter, "_large_prime_flags", no_alloc)  # tau's
+    monkeypatch.setattr(sifter, "prime_factor_tally", no_alloc)  # sift's and tau's tally
     with pytest.raises(TooLarge, match="N=10000000000 exceeds the hard cap"):
         sift(10**10, 2, 100)
     with pytest.raises(TooLarge, match="M=10000000000 exceeds the hard cap"):
@@ -282,7 +296,7 @@ def test_tau_square_average_overflow(monkeypatch):
     the walk is fed the prime 2 thirty times: tau(2) becomes 4^31, its
     large-prime factor 4 included.
     """
-    monkeypatch.setattr(sifter, "_prime_powers", lambda primes, N: [(2, 1, 2)] * 30)
+    monkeypatch.setattr(fp_arith, "_prime_powers", lambda primes, N: [(2, 1, 2)] * 30)  # the prime-count walk
     with pytest.raises(Overflow):
         tau_square_average(3, 4)
 
@@ -332,6 +346,23 @@ def test_prime_tails_match_numpy_sum():
     tails = sifter._prime_tails(TAIL_P, TAIL_GRID_X)
     for x, tail in zip(TAIL_GRID_X, tails):
         assert tail == float(np.sum(1.0 / qs[qs >= x].astype(np.float64) ** 2)), x
+
+
+@pytest.mark.parametrize("P", (1, 2, 3, 4, 10, 97))
+def test_prime_tails_small_P_match_numpy_sum(P):
+    """Small sieves, tails from the prime 2 on to tails that hold no prime, against np.sum bit for bit."""
+    xs = (2, 3, 4, 11, 98, 1000)
+    qs = primes_upto(P)
+    for x, tail in zip(xs, sifter._prime_tails(P, xs)):
+        assert tail == float(np.sum(1.0 / qs[qs >= x].astype(np.float64) ** 2)), x
+
+
+def test_prime_tail_real_x():
+    """A tail from a real x starts at the least prime >= x: the prime count is taken below ceil(x)."""
+    assert prime_tail(2.5, 100) == prime_tail(3, 100)
+    assert prime_tail(2.5, 100) != prime_tail(2, 100)
+    assert prime_tail(10.5, 100) == prime_tail(11, 100)
+    assert prime_tail(97.5, 100) == prime_tail(float("inf"), 100) == 0.0
 
 
 def test_prime_tail():
