@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "characters": "CharSumAccumulator CharValue Character WeightSeq de_moment interval_sum make_character",
+    "characters": "CharSumAccumulator Character WeightSeq de_moment make_character",
     "errors": "BadOrder BadWindow DetsumsError DomainTooLarge InternalInvariantViolation NotPrime Overflow "
     "TooLarge ValidationError WeightOutOfRange ZeroInverse",
     "fp_arith": "PrimeField is_prime make_field",

@@ -6,25 +6,16 @@ tallied as integer counts per index and only converted to complex at
 readout, so every identity that holds in exact arithmetic can be tested
 exactly; order-2 sums never leave integer arithmetic.  An index table
 holds one entry per residue in the narrowest signed type for -1..d-1:
-one byte for d <= 128, two up to 32768, four above.  `pow_mod` is
-x^e mod p over an int64 array.
+one byte for d <= 128, two up to 32768, four above.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadOrder, InternalInvariantViolation, ValidationError, WeightOutOfRange
 from .fp_arith import _check_hard_cap, _check_table_size
 
-
-class CharValue(NamedTuple):
-    zero: bool
-    k: int
-
-
-CHAR_ZERO = CharValue(True, 0)
 
 _WALK_BLOCK = 1 << 16  # g^k walk entries per block of Character.index_table
 
@@ -107,7 +98,7 @@ class WeightSeq:
     def __init__(self, mapping):
         self._w = {int(i): float(v) for i, v in dict(mapping).items()}
         for i, v in self._w.items():
-            if abs(v) > 1.0:
+            if not abs(v) <= 1.0:  # NaN fails every comparison, so it is rejected too
                 raise WeightOutOfRange("weight at index %d is %g, sup norm bound is 1" % (i, v))
 
     @classmethod
@@ -256,12 +247,6 @@ class Character:
         w = np.asarray(weights)
         return np.bincount(ks[nz], weights=w[nz], minlength=self.d), float(w[~nz].sum())
 
-    def eval(self, x):
-        """CharValue of chi(x) for a residue 0 <= x < p, read from index_table()."""
-        self.field._check_residue(x)
-        k = int(self.index_table()[x])
-        return CHAR_ZERO if k < 0 else CharValue(False, k)
-
     def minus_one_index(self):
         """Index of chi(-1); 0 for even characters, d/2 for odd ones."""
         # -1 = g^((p-1)/2), because g^((p-1)/2) is the unique element of order 2.
@@ -284,33 +269,6 @@ def make_character(F, d, power=1):
     if math.gcd(power, d) != 1:
         raise BadOrder("power %d shares a factor with order %d" % (power, d))
     return Character(F, d, power)
-
-
-def pow_mod(xs, e, p):
-    """int64 array of x^e mod p for each x in xs, e >= 0, by square-and-multiply; p < 2^31 keeps products below 2^62."""
-    _check_hard_cap(p)
-    base = np.asarray(xs, dtype=np.int64) % p
-    out = base.copy() if e else np.ones_like(base)
-    for bit in bin(e)[3:]:  # below e's top bit: out = x^(the bits of e read so far), in place
-        out *= out
-        out %= p
-        if bit == "1":
-            out *= base
-            out %= p
-    return out
-
-
-def interval_sum(chi, M, N):
-    """Exact accumulator of chi(n) for n in [M, M+N], arguments reduced mod p.
-
-    M may be any integer (it is reduced mod p first).  N = 0 is allowed and
-    gives the single term chi(M mod p).  N is held to the table cap.
-    """
-    if N < 0:
-        raise ValidationError("interval length N must be >= 0, got %d" % N)
-    _check_table_size(N, "N")
-    counts, zero_terms = chi.tally(M % chi.field.p + np.arange(N + 1, dtype=np.int64))
-    return CharSumAccumulator(chi.d, counts, zero_terms)
 
 
 def check_shifts(D_set, p):

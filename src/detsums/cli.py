@@ -173,6 +173,8 @@ def _build_tasks(args):
             raise ValidationError("sift needs --n-grid")
         tasks = []
         for N in n_grid:
+            if N < 1:  # before isqrt(N) picks the default y
+                raise ValidationError("--n-grid: sift needs N >= 1, got %d" % N)
             _check_capped("--n-grid", N, "N")  # before sift allocates a length-N tally
             x = args.sift_x
             y = args.sift_y if args.sift_y > 0 else max(x, math.isqrt(N))

@@ -1,4 +1,4 @@
-"""Character evaluation, interval sums, accumulators, moment sums."""
+"""Index tables, tallies, accumulators, moment sums."""
 
 import cmath
 import itertools
@@ -6,7 +6,6 @@ import math
 import pathlib
 import random
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,22 +15,20 @@ from hypothesis import strategies as st
 from detsums import (
     BadOrder,
     InternalInvariantViolation,
-    TooLarge,
     WeightOutOfRange,
     WeightSeq,
     de_moment,
-    interval_sum,
     make_character,
 )
-from detsums import characters, cli, fp_arith
+from detsums import characters, cli, fp_arith, residues
 from detsums.characters import (
-    CHAR_ZERO,
     CharSumAccumulator,
     contract,
     roots_of_unity,
     shifted_sum_blocks,
     shifted_sums,
 )
+from detsums.fp_arith import prime_factor_tally
 
 from conftest import HIGH_ORDER_PAIRS, dlog_by_loop, field, primes_upto, shifted_sums_by_add_at
 
@@ -50,10 +47,10 @@ def full_range(chi, terms):
 
 def test_make_character_order_three():
     chi = make_character(field(7), 3)
-    g = chi.field.g
-    assert chi.eval(g).k == 1  # chi(g) = e(1/3), not 1
-    assert chi.eval(g * g % 7).k == 2
-    assert chi.eval(pow(g, 3, 7)).k == 0  # chi(g)^3 = 1: exact order 3
+    g, tab = chi.field.g, chi.index_table()
+    assert tab[g] == 1  # chi(g) = e(1/3), not 1
+    assert tab[g * g % 7] == 2
+    assert tab[pow(g, 3, 7)] == 0  # chi(g)^3 = 1: exact order 3
 
 
 def test_make_character_bad_order():
@@ -68,28 +65,25 @@ def test_make_character_bad_order():
 def test_order_two_is_legendre():
     for p in (5, 13):
         F = field(p)
-        chi = make_character(F, 2)
-        for x in range(p):
-            v = chi.eval(x)
-            if x == 0:
-                assert v.zero
-            else:
-                assert (1 if v.k == 0 else -1) == F.legendre(x)
+        tab = make_character(F, 2).index_table()
+        assert tab[0] == -1
+        for x in range(1, p):
+            assert (1 if tab[x] == 0 else -1) == F.legendre(x)
 
 
 def test_eval_examples():
-    chi = make_character(field(5), 2)
-    assert chi.eval(1) == (False, 0)
-    assert chi.eval(2).k == 1  # 2 is a non-residue mod 5
-    assert chi.eval(0) == CHAR_ZERO
+    """The order-2 table mod 5, read entry by entry; -1 stands for chi(0) = 0."""
+    tab = make_character(field(5), 2).index_table()
+    assert tab[1] == 0
+    assert tab[2] == 1  # 2 is a non-residue mod 5
+    assert tab[0] == -1
 
 
 def test_index_is_multiplicative():
-    chi = make_character(field(13), 4)
+    tab = make_character(field(13), 4).index_table()
     for x in range(1, 13):
         for y in range(1, 13):
-            kxy = chi.eval(x * y % 13).k
-            assert kxy == (chi.eval(x).k + chi.eval(y).k) % 4
+            assert tab[x * y % 13] == (tab[x] + tab[y]) % 4
 
 
 # (p, d) with gcd(B, d) > 1 for B = ceil(sqrt(p - 1)), and d * B above the smaller walk blocks
@@ -98,9 +92,9 @@ SHARED_FACTOR_ORDERS = ((37, 4), (37, 18), (101, 20), (101, 50), (4801, 20), (48
 
 @given(st.data())
 def test_index_table_matches_dlog_oracle(data):
-    """index_table() is (dlog * power) mod d, and eval(x) reads it, for drawn p, d | p-1, power
-    and walk block.  Every p < 5000 fits one real block; blocks of 1, 5 and 64 entries run
-    several, on orders that share a factor with B among them."""
+    """index_table() is (dlog * power) mod d, for drawn p, d | p-1, power and walk block.  Every
+    p < 5000 fits one real block; blocks of 1, 5 and 64 entries run several, on orders that
+    share a factor with B among them."""
     block = data.draw(st.sampled_from((1, 5, 64, characters._WALK_BLOCK)))
     if data.draw(st.booleans()):
         p, d = data.draw(st.sampled_from(SHARED_FACTOR_ORDERS))
@@ -117,9 +111,6 @@ def test_index_table_matches_dlog_oracle(data):
         tab = chi.index_table()
     assert tab.dtype == index_dtype(d)
     assert np.array_equal(tab, np.where(dlog < 0, -1, dlog * power % d))
-    assert chi.eval(0) == CHAR_ZERO
-    for x in range(1, p):
-        assert chi.eval(x) == (False, tab[x])
 
 
 @pytest.mark.parametrize(
@@ -137,13 +128,15 @@ def test_index_table_dtype_boundaries(p, d, dtype):
 
 
 def test_index_table_order_two_is_euler_at_a_million():
-    """At the real block size and p = 1000003 (16 blocks), order 2 is Euler's criterion x^((p-1)/2)."""
+    """At the real block size and p = 1000003 (16 blocks), the order-2 table is the parity walk
+    that `count_nonresidues` counts: Euler's criterion at each prime q < p by reciprocity, taken
+    mod q, then flipped at the multiples of every non-residue prime power.  Neither g nor a
+    power mod p enters it."""
     p = 1_000_003
     tab = make_character(field(p), 2).index_table()
-    euler = characters.pow_mod(np.arange(1, p), (p - 1) // 2, p)
+    walk = prime_factor_tally(residues._nonresidue_primes(p, p - 1), p - 1, residues._FLIP)
     assert tab[0] == -1
-    assert np.array_equal(tab[1:], np.where(euler == 1, 0, 1))
-    assert np.all((euler == 1) | (euler == p - 1))
+    assert tab[1:].tobytes() == walk[1:]
 
 
 def test_index_table_certificate_rejects_non_primitive_root(monkeypatch, capsys):
@@ -215,7 +208,8 @@ def test_index_table_full_order_build_peak_memory():
 
 @given(st.data())
 def test_tally_matches_eval(data):
-    """tally(xs) and tally(xs, weights) total chi(x mod p) as eval reads it, for drawn p, d | p-1.
+    """tally(xs) and tally(xs, weights) total chi(x mod p) as the index table reads it, one entry at a
+    time, for drawn p, d | p-1.
 
     xs mixes negatives, values >= p and multiples of p; weighted per-index
     totals are summed in element order, so they match the loop exactly.
@@ -223,6 +217,7 @@ def test_tally_matches_eval(data):
     p = data.draw(st.sampled_from(ODD_PRIMES_BELOW_5000))
     d = data.draw(st.sampled_from([q for q in range(2, p) if (p - 1) % q == 0]))
     chi = make_character(field(p), d)
+    tab = chi.index_table()
     xs = data.draw(
         st.lists(
             st.one_of(
@@ -237,13 +232,13 @@ def test_tally_matches_eval(data):
     counts, zero_terms = np.zeros(d, dtype=np.int64), 0
     sums, zero_sum = [0.0] * d, 0.0
     for x, w in zip(xs, ws):
-        v = chi.eval(x % p)
-        if v.zero:
+        k = int(tab[x % p])
+        if k < 0:
             zero_terms += 1
             zero_sum += w
         else:
-            counts[v.k] += 1
-            sums[v.k] += w
+            counts[k] += 1
+            sums[k] += w
     got, got_zero = chi.tally(np.array(xs, dtype=np.int64))
     assert got.dtype == np.int64 and np.array_equal(got, counts) and got_zero == zero_terms
     got, got_zero = chi.tally(np.array(xs, dtype=np.int64), np.array(ws))
@@ -389,76 +384,15 @@ def test_minus_one_index():
     assert make_character(field(7), 2).is_odd()
     assert not make_character(field(13), 2).is_odd()
     chi3 = make_character(field(13), 3)
-    assert chi3.eval(12).k == chi3.minus_one_index()
+    assert chi3.index_table()[12] == chi3.minus_one_index()
 
 
-def test_interval_sum_full_period():
-    for p, d in ((11, 2), (7, 3), (13, 4)):
-        chi = make_character(field(p), d)
-        acc = interval_sum(chi, 1, p - 1)
-        if d == 2:
-            assert acc.int_value() == 0
-        else:
-            assert abs(acc.value()) < 1e-9
-        assert acc.zero_terms == 1  # the residue 0 shows up once per period
-
-
-def test_interval_sum_caps_N(monkeypatch):
-    """The N + 1 arguments are an array of their own, held to the table cap even when p is under it."""
-    chi = make_character(field(101), 2)
-    monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
-    with pytest.raises(TooLarge, match="N=5000 exceeds the table cap 1000"):
-        interval_sum(chi, 0, 5000)
-    assert interval_sum(chi, 0, 1000).zero_terms == 10  # 0, 101, ..., 909
-
-
-def eval_tally(chi, M, N):
-    """Accumulator of chi(n) for n in [M, M+N], one scalar chi.eval per term, tallied by a Counter."""
-    vals = Counter(chi.eval(n % chi.field.p) for n in range(M, M + N + 1))
-    return CharSumAccumulator(chi.d, [vals[(False, k)] for k in range(chi.d)], vals[CHAR_ZERO])
-
-
-def test_interval_sum_legendre_mod7():
-    chi = make_character(field(7), 2)
-    acc = interval_sum(chi, 1, 2)  # chi(1) + chi(2) + chi(3)
-    assert acc.int_value() == 1
-
-
-def test_interval_sum_single_term():
-    chi = make_character(field(7), 2)
-    assert interval_sum(chi, 0, 0) == CharSumAccumulator(2, [0, 0], 1)
-    acc = interval_sum(chi, 10, 0)  # 10 mod 7 = 3, a non-residue
-    assert acc.int_value() == -1
-
-
-def test_interval_sum_matches_scalar_eval(rng):
-    for _ in range(25):
-        p, d = rng.choice(((11, 2), (13, 3), (17, 4), (31, 5)))
-        chi = make_character(field(p), d)
-        M = rng.randrange(-50, 50)
-        N = rng.randrange(0, 120)
-        assert interval_sum(chi, M, N) == eval_tally(chi, M, N)
-
-
-@given(
-    st.sampled_from(((11, 2), (13, 3), (13, 4), (13, 6), (17, 4), (31, 5), (37, 6), (61, 4), (97, 3))),
-    st.integers(),
-    st.integers(0, 300),
-)
-def test_interval_sum_property(pd, M, N):
-    # any integer start, negative and far beyond int64 included; N up to 300 wraps round p
-    p, d = pd
-    chi = make_character(field(p), d)
-    assert interval_sum(chi, M, N) == eval_tally(chi, M, N)
-
-
-def test_conjugate_reverses_indices(rng):
+def test_conjugate_reverses_indices():
+    """The conjugate character's index on each unit is -k mod d; both tables read -1 at 0."""
     for p, d in ((13, 3), (17, 4), (31, 6)):
-        chi, bar = make_character(field(p), d), make_character(field(p), d, -1)
-        M, N = rng.randrange(-20, 20), rng.randrange(1, 80)
-        acc, acc_bar = interval_sum(chi, M, N), interval_sum(bar, M, N)
-        assert acc_bar.counts.tolist() == acc.counts[-np.arange(d) % d].tolist()  # counts[k] -> counts[-k mod d]
-        assert acc_bar.zero_terms == acc.zero_terms
+        tab, bar = make_character(field(p), d).index_table(), make_character(field(p), d, -1).index_table()
+        assert np.array_equal(bar[1:], -tab[1:] % d)
+        assert tab[0] == bar[0] == -1
 
 
 def test_accumulator_value():
@@ -538,14 +472,14 @@ def test_de_moment_matches_naive(rng):
         shifts = sorted(rng.sample(range(1, p), rng.randrange(1, 6)))
         alpha = {s: rng.choice((-1.0, 1.0, 0.5)) for s in shifts}
         nu = rng.randrange(1, 4)
-        roots = roots_of_unity(d)
+        roots, tab = roots_of_unity(d), chi.index_table()
         naive = 0.0
         for lam in range(1, p):
             inner = 0.0 + 0.0j
             for s in shifts:
-                v = chi.eval((lam + s) % p)
-                if not v.zero:
-                    inner += alpha[s] * roots[v.k]
+                k = tab[(lam + s) % p]
+                if k >= 0:
+                    inner += alpha[s] * roots[k]
             naive += abs(inner) ** (2 * nu)
         got = de_moment(chi, shifts, alpha, nu)
         assert math.isclose(got, naive, rel_tol=1e-9, abs_tol=1e-9)

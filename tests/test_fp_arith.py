@@ -1,5 +1,5 @@
-"""Field construction, Legendre symbol, inverses, square roots, the index table, pow_mod and the prime-factor tally
-against their oracles."""
+"""Field construction, Legendre symbol, inverses, square roots, the index table and the prime-factor tally against
+their oracles."""
 
 import math
 import random
@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from detsums import NotPrime, TooLarge, ZeroInverse, count_nonresidues, make_character, make_field
 from detsums import fp_arith
-from detsums.characters import pow_mod
 from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, prime_factor_tally, prime_flags
-from detsums.residues import _FLIP
+from detsums.residues import _FLIP, _nonresidue_primes
 from detsums.sifter import _INC
 from detsums.sums import ratio_bins
 
@@ -117,12 +116,14 @@ def test_legendre_sums_to_zero():
 
 
 def test_dlog_parity_crosscheck():
-    """Three-way Legendre agreement: scalar Euler pow, order-2 index parity, vectorized Euler.
+    """Three-way Legendre agreement: scalar Euler pow, order-2 index parity, the reciprocity parity walk.
 
     The parity of the order-2 index table equals that of the dlog oracle,
-    and both it and the Euler criterion by `pow_mod` are swept in full for
-    every prime below 10^4; the scalar `legendre` is swept in full below
-    500 and sampled above (it is the slow scalar route).
+    and both it and the walk that `count_nonresidues` counts (Euler's
+    criterion at each prime q < p by reciprocity, mod q, flipped at the
+    multiples of each non-residue prime power) are swept in full for every
+    odd prime below 10^4; the scalar `legendre` is swept in full below 500
+    and sampled above (it is the slow scalar route).
     """
     rng = random.Random("parity")
     for p in primes_upto(10_000)[1:]:
@@ -130,9 +131,8 @@ def test_dlog_parity_crosscheck():
         F = field(p) if p <= 101 else make_field(p)
         ktab = make_character(F, 2).index_table()[1:]
         assert np.array_equal(ktab, dlog_by_loop(p, F.g)[1:] & 1)
+        assert ktab.tobytes() == prime_factor_tally(_nonresidue_primes(p, p - 1), p - 1, _FLIP)[1:]
         parity = np.where(ktab & 1, -1, 1)
-        euler = np.where(pow_mod(np.arange(1, p), (p - 1) // 2, p) == 1, 1, -1)
-        assert np.array_equal(parity, euler)
         xs = range(1, p) if p < 500 else [rng.randrange(1, p) for _ in range(20)]
         for x in xs:
             assert F.legendre(x) == (1 if parity[x - 1] == 1 else -1)
@@ -180,16 +180,6 @@ def test_sqrt_roots_sampled_where_tonelli_shanks_branches(p):
         if roots:
             r = roots[0]
             assert r * r % p == x and r <= (p - 1) // 2 and roots == (r, p - r)
-
-
-def test_pow_mod_matches_pow():
-    """Random x (negative, >= p and multiples of p included) and the exponents Euler and inverses use."""
-    rng = random.Random("pow_mod")
-    for p in (3, 7, 10007, 998244353, 2147398009, 2147483647):
-        xs = [rng.randrange(-5 * p, 5 * p) for _ in range(200)] + [0, p, -p, 3 * p, p - 1, -1]
-        for e in (0, 1, 2, (p - 1) // 2, p - 2, rng.randrange(p), rng.getrandbits(40)):
-            got = pow_mod(np.array(xs), e, p)
-            assert got.dtype == np.int64 and got.tolist() == [pow(x, e, p) for x in xs]
 
 
 def test_sqrt_roots():

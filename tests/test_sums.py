@@ -18,6 +18,7 @@ from detsums import (
     TooLarge,
     WeightOutOfRange,
     WeightSeq,
+    de_moment,
     delta_profile,
     holder_chain,
     make_character,
@@ -394,6 +395,21 @@ def test_u_sum_weight_validation():
     chi = make_character(field(7), 2)
     with pytest.raises(WeightOutOfRange):
         u_sum(chi, {1: 2.0, 2: 0.0}, {1: 1.0, 2: 1.0}, 2)
+
+
+def test_nan_weight_out_of_range():
+    """A NaN weight fails the sup-norm check (NaN <= 1 is false) wherever weights enter, so no sum
+    returns nan and u_sum's mass certificate never blames the program for it."""
+    nan = float("nan")
+    chi = make_character(field(31), 2)
+    with pytest.raises(WeightOutOfRange):
+        WeightSeq({1: nan})
+    with pytest.raises(WeightOutOfRange):
+        u_sum(chi, {1: nan, 2: 1.0}, {1: 1.0, 2: 1.0}, 2)
+    with pytest.raises(WeightOutOfRange):
+        de_moment(chi, {1, 2}, {1: 1.0, 2: nan}, 2)
+    with pytest.raises(WeightOutOfRange):
+        t_abs_sum(chi, 2, 2, 2, {1, 2}, {1: nan, 2: 1.0})
 
 
 def test_ratio_bins_trivial():
