@@ -140,7 +140,7 @@ class CharSumAccumulator:
     def int_value(self):
         """Integer value, defined for order 2 only."""
         if self.d != 2:
-            raise ValueError("int_value requires order 2")
+            raise ValidationError("int_value requires order 2")
         return int(self.counts[0]) - int(self.counts[1])
 
     def is_exactly_zero(self):

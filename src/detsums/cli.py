@@ -171,6 +171,8 @@ def _build_tasks(args):
     if kind == "sift":
         if not n_grid:
             raise ValidationError("sift needs --n-grid")
+        if not args.sift_y >= 0:  # NaN fails too
+            raise ValidationError("--sift-y must be >= 0, got %r" % args.sift_y)
         tasks = []
         for N in n_grid:
             if N < 1:  # before isqrt(N) picks the default y

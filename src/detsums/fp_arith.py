@@ -148,7 +148,7 @@ def factorize(n):
     """
     n = int(n)
     if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
+        raise ValidationError("n must be >= 1, got %d" % n)
     out = []
     q = 2
     while q * q <= n:
@@ -191,7 +191,7 @@ class PrimeField:
 
     def _check_residue(self, x):
         if not 0 <= x < self.p:
-            raise ValueError("residue out of range: %r" % (x,))
+            raise ValidationError("residue out of range: %r" % (x,))
 
     def legendre(self, x):
         """Legendre symbol (x/p) in {-1, 0, 1}, by the Euler criterion."""

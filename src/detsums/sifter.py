@@ -12,20 +12,19 @@ a calibration file and re-asserted by the test suite.  Plain Python
 throughout: no numpy, so a sift or calibrate process never loads it.
 """
 
-import functools
 import itertools
 import math
 from collections import Counter
 from operator import add
 from typing import NamedTuple
 
-from .errors import BadWindow, Overflow, ValidationError
+from .errors import BadWindow, ValidationError
 from .fp_arith import _check_table_size, _prime_powers, factorize, prime_factor_tally, prime_flags
 
 # bytes.translate table adding 1 to a count byte
 _INC = bytes(range(1, 256)) + b"\0"
 
-_FIELD = 8  # bits per exponent field of a prime-signature code
+_FIELD = 8  # bits per exponent field of a prime-signature code; an n <= 2^31 has at most 10 distinct primes
 
 
 class SiftProfile(NamedTuple):
@@ -93,10 +92,10 @@ def tau(m, s):
     """
     m = int(m)
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValidationError("m must be >= 1")
     s = int(s)
     if not 1 <= s <= 4:
-        raise ValueError("s must be in [1, 4]")
+        raise ValidationError("s must be in [1, 4]")
     return math.prod(math.comb(e + s - 1, s - 1) for _, e in factorize(m))
 
 
@@ -133,9 +132,8 @@ def _code_tau(code, s):
 
 
 def _tau_square_sum(counts, s):
-    """(sum of tau_s(n)^2, max of tau_s(n)) over the n whose codes `counts` tallies."""
-    taus = {code: _code_tau(code, s) for code in counts}
-    return sum(t * t * counts[code] for code, t in taus.items()), max(taus.values(), default=1)
+    """Sum of tau_s(n)^2 over the n whose codes `counts` tallies, in exact ints."""
+    return sum(_code_tau(code, s) ** 2 * count for code, count in counts.items())
 
 
 def tau_square_average(M, s):
@@ -143,21 +141,17 @@ def tau_square_average(M, s):
 
     tau_s is read off each prime signature from `_signature_codes`, once
     per distinct signature (a few hundred up to the table cap), and the
-    sum is taken over the signature counts in exact ints.  It raises
-    Overflow where max(tau)^2 * M >= 2^63, the bound of an int64 sum.  M
-    is held to the table cap (TooLarge) before the sieve is allocated.
+    sum is taken over the signature counts in exact ints.  M is held to
+    the table cap (TooLarge) before the sieve is allocated.
     """
     M = int(M)
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ValidationError("M must be >= 1")
     s = int(s)
     if s not in (2, 3, 4):
-        raise ValueError("s must be in {2, 3, 4}")
+        raise ValidationError("s must be in {2, 3, 4}")
     _check_table_size(M, "M")
-    total, top = _tau_square_sum(Counter(_signature_codes(M)), s)
-    if top**2 * M >= 2**63:
-        raise Overflow("sum of tau_%d(m)^2 over m <= %d may exceed int64" % (s, M))
-    return total
+    return _tau_square_sum(Counter(_signature_codes(M)), s)
 
 
 def prime_tail(x, P):
@@ -165,8 +159,8 @@ def prime_tail(x, P):
 
     P is held to the table cap (TooLarge) before the sieve allocates P + 1 bytes.
     """
-    if x < 2:
-        raise ValueError("x must be >= 2")
+    if not x >= 2:
+        raise ValidationError("x must be >= 2, got %r" % (x,))
     return _prime_tails(P, (x,))[0]
 
 
@@ -175,39 +169,15 @@ def _prime_tails(P, xs):
 
     The terms are 1/4 and then 1.0 / q^2 over the odd half of the sieve.
     Each is a correctly rounded division by an exact q^2 < 2^53, and the
-    tail from x starts at the number of primes below ceil(x), so it is
-    summed in numpy's pairwise order over a suffix of the one list and has
-    the bits np.sum gives over the same float64 array.
+    tail from x starts at the number of primes below ceil(x).  `math.fsum`
+    rounds the sum of its terms correctly, so a tail is within 2^-52
+    relative of the exact sum of 1/q^2.
     """
     flags = prime_flags(P, "P")  # P capped before the sieve is allocated
     terms = [0.25] * flags[2:3].count(1)  # the prime 2, if P >= 2
     terms += [1.0 / (q * q) for q in itertools.compress(range(3, P + 1, 2), flags[3::2])]
-    return [_pairwise_sum(terms, flags.count(1, 0, math.ceil(min(x, len(flags))))) for x in xs]  # 0.0 past P
-
-
-def _pairwise_sum(xs, lo=0):
-    """Sum of the floats xs[lo:] in numpy's pairwise order, equal to np.sum(np.array(xs[lo:])) bit for bit; O(n).
-
-    numpy adds the pairwise sum to its identity 0.0.  Terms are added with
-    `functools.reduce`, not `sum`, whose float sum is compensated from
-    Python 3.12 on.
-    """
-    return 0.0 + _pairwise(xs, lo, len(xs))
-
-
-def _pairwise(xs, lo, hi):
-    """numpy's pairwise sum of xs[lo:hi]: left to right below 8 terms; up to 128, eight strided lanes
-    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right; above, the two
-    halves split at n/2 rounded down to a multiple of 8."""
-    n = hi - lo
-    if n < 8:
-        return functools.reduce(add, xs[lo:hi], 0.0)
-    if n <= 128:
-        end = hi - n % 8
-        r = [functools.reduce(add, xs[lo + j : end : 8]) for j in range(8)]
-        return functools.reduce(add, xs[end:hi], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-    half = n // 2 - n // 2 % 8
-    return _pairwise(xs, lo, lo + half) + _pairwise(xs, lo + half, hi)
+    starts = [flags.count(1, 0, math.ceil(min(x, len(flags)))) for x in xs]  # no terms past P
+    return [math.fsum(itertools.islice(terms, start, None)) for start in starts]
 
 
 # Fixed calibration grids.  The measured constants get pinned into the
@@ -242,7 +212,7 @@ def tau_grid_sums():
         counts.update(itertools.islice(codes, M - done))
         done = M
         for s in (2, 3, 4):
-            sums[M, s] = _tau_square_sum(counts, s)[0]
+            sums[M, s] = _tau_square_sum(counts, s)
     return sums
 
 
@@ -254,10 +224,9 @@ def measure_constants():
     prime_tail_C: sup of tail * x * log(2x) at the fixed sieve bound.
     Plain Python: the 56 a0 windows, one signature walk to the top of
     TAU_GRID_M for all twelve tau sums, and one sieve to TAIL_P whose five
-    tails are summed in numpy's pairwise order, so the pinned constants
-    keep the bits the numpy sums gave.  O(N log N) bytes for the a0 grid
-    at N <= 10^5 and O(P log log P) for the rest; about 0.08 s on a 2-CPU
-    VM.  Deterministic, so repeated runs agree bit for bit.
+    tails are correctly rounded by `math.fsum`.  O(N log N) bytes for the
+    a0 grid at N <= 10^5 and O(P log log P) for the rest; about 0.08 s on
+    a 2-CPU VM.  Deterministic, so repeated runs agree bit for bit.
     """
     out = {}
     best = 0.0

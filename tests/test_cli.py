@@ -204,6 +204,8 @@ def test_validation_errors():
         (["scan", "--kind", "t_abs", "--p", "101", "--abc", "5,5,5"], {}),
         (["scan", "--kind", "u", "--p", "101"], {}),
         (["scan", "--kind", "nonresidue", "--p", "101", "--x-limit", "3000000"], {}),
+        (["scan", "--kind", "sift", "--n-grid", "100", "--sift-y", "nan"], {}),
+        (["scan", "--kind", "sift", "--n-grid", "100", "--sift-y", "-7"], {}),
     ],
 )
 def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeypatch):

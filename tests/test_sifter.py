@@ -3,13 +3,15 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detsums import BadWindow, Overflow, TooLarge, a0_bound_check, fp_arith, prime_tail, sift, sifter, tau, tau_square_average
+from detsums import BadWindow, DetsumsError, TooLarge, a0_bound_check, fp_arith, prime_tail, sift, sifter, tau, tau_square_average
+from detsums.characters import CharSumAccumulator
 from detsums.cli import default_calibration_path
 from detsums.fp_arith import factorize
 from detsums.sifter import (
@@ -21,7 +23,7 @@ from detsums.sifter import (
     TAU_GRID_M,
 )
 
-from conftest import primes_upto
+from conftest import field, primes_upto
 
 
 def window_count_oracle(n, x, y, multiplicity):
@@ -289,18 +291,6 @@ def test_prime_tail_caps_P(monkeypatch):
     assert prime_tail(2, 1000) == prime_tail(2, 997)
 
 
-def test_tau_square_average_overflow(monkeypatch):
-    """A tau table whose squares could wrap int64 raises instead of summing.
-
-    Real tables stay far below the bound at any M that fits in memory, so
-    the walk is fed the prime 2 thirty times: tau(2) becomes 4^31, its
-    large-prime factor 4 included.
-    """
-    monkeypatch.setattr(fp_arith, "_prime_powers", lambda primes, N: [(2, 1, 2)] * 30)  # the prime-count walk
-    with pytest.raises(Overflow):
-        tau_square_average(3, 4)
-
-
 def decode_signature(code):
     """The exponents of a prime-signature code, increasing: field e - 1 (8 bits) counts the exponents e."""
     exponents, e = [], 1
@@ -328,33 +318,39 @@ def test_tau_grid_sums_match_tau_square_average():
         assert value == tau_square_average(M, s), (M, s)
 
 
-@pytest.mark.parametrize("n", [*range(10), 127, 128, 129, 135, 136, 137, 1000, 4099, 8200])
-def test_pairwise_sum_matches_numpy(n):
-    """numpy's pairwise order in plain Python: the bits of np.sum on random lists across its 8-lane
-    and 128-block boundaries, and on signed zeros."""
-    rng = random.Random("pairwise-%d" % n)
-    for _ in range(20):
-        xs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
-        assert sifter._pairwise_sum(xs) == float(np.sum(np.array(xs, dtype=np.float64)))
-    zeros = [-0.0] * n
-    assert math.copysign(1.0, sifter._pairwise_sum(zeros)) == math.copysign(1.0, np.sum(np.array(zeros)))
+def correctly_rounded_sum(terms):
+    """The exact sum of the floats `terms`, rounded once: their ratios as ints over a common power of two."""
+    ratios = [t.as_integer_ratio() for t in terms]  # each denominator a power of two
+    top = max((d for _, d in ratios), default=1)
+    return sum(n * (top // d) for n, d in ratios) / top  # int / int rounds correctly
 
 
 def test_prime_tails_match_numpy_sum():
-    """Each calibration tail equals np.sum over the same float64 terms bit for bit."""
-    qs = primes_upto(TAIL_P)
+    """Each calibration tail is the correctly rounded sum of its float64 terms 1.0 / q^2."""
+    qs = primes_upto(TAIL_P).tolist()
     tails = sifter._prime_tails(TAIL_P, TAIL_GRID_X)
     for x, tail in zip(TAIL_GRID_X, tails):
-        assert tail == float(np.sum(1.0 / qs[qs >= x].astype(np.float64) ** 2)), x
+        assert tail == correctly_rounded_sum(1.0 / (q * q) for q in qs if q >= x), x
 
 
 @pytest.mark.parametrize("P", (1, 2, 3, 4, 10, 97))
 def test_prime_tails_small_P_match_numpy_sum(P):
-    """Small sieves, tails from the prime 2 on to tails that hold no prime, against np.sum bit for bit."""
+    """Small sieves, tails from the prime 2 on to tails that hold no prime, correctly rounded."""
     xs = (2, 3, 4, 11, 98, 1000)
-    qs = primes_upto(P)
+    qs = primes_upto(P).tolist()
     for x, tail in zip(xs, sifter._prime_tails(P, xs)):
-        assert tail == float(np.sum(1.0 / qs[qs >= x].astype(np.float64) ** 2)), x
+        assert tail == correctly_rounded_sum(1.0 / (q * q) for q in qs if q >= x), x
+
+
+@pytest.mark.parametrize("P", (2, 10, 97, 100, 1000))
+def test_prime_tails_within_2_52_of_exact(P):
+    """Each tail is within 2^-52 relative of the exact rational sum of 1/q^2: one rounding per term and
+    one for the sum."""
+    xs = (2, 2.5, 3, 11, 98, 500, 1000, 1001)
+    qs = primes_upto(P).tolist()
+    for x, tail in zip(xs, sifter._prime_tails(P, xs)):
+        exact = sum(Fraction(1, q * q) for q in qs if q >= x)
+        assert abs(Fraction(tail) - exact) <= exact * Fraction(1, 2**52), x
 
 
 def test_prime_tail_real_x():
@@ -376,6 +372,27 @@ def test_prime_tail():
         last = cur
     with pytest.raises(ValueError):
         prime_tail(1, 100)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        pytest.param(factorize, (0,), id="factorize"),
+        pytest.param(lambda x: field(7).legendre(x), (7,), id="PrimeField._check_residue"),
+        pytest.param(tau, (0, 2), id="tau-m"),
+        pytest.param(tau, (4, 5), id="tau-s"),
+        pytest.param(tau_square_average, (0, 2), id="tau_square_average-M"),
+        pytest.param(tau_square_average, (10, 5), id="tau_square_average-s"),
+        pytest.param(prime_tail, (1, 100), id="prime_tail"),
+        pytest.param(prime_tail, (float("nan"), 100), id="prime_tail-nan"),
+        pytest.param(lambda: CharSumAccumulator(3, [1, 0, 0]).int_value(), (), id="CharSumAccumulator.int_value"),
+    ],
+)
+def test_bad_arguments_raise_detsums_error(call, args):
+    """Every argument check in the package raises a DetsumsError, still a ValueError for older callers."""
+    with pytest.raises(DetsumsError) as info:
+        call(*args)
+    assert isinstance(info.value, ValueError)
 
 
 def test_calibration_pinned():
