@@ -255,7 +255,9 @@ def _check_table_size(n, name="p"):
     try:
         cap = int(raw)
     except ValueError:
-        raise ValidationError("DETSUM_MAX_TABLE must be an integer, got %r" % raw) from None
+        cap = -1
+    if cap < 0:
+        raise ValidationError("DETSUM_MAX_TABLE must be a non-negative integer, got %r" % raw)
     _check_hard_cap(n, name)
     if n > cap:
         raise TooLarge("%s=%d exceeds the table cap %d (DETSUM_MAX_TABLE)" % (name, n, cap))

@@ -116,8 +116,8 @@ def test_huge_order_tally_exits_2(capsys, extra, n, bound_mib):
     """Order 166667 divides p - 1 at p = 1000003.  de_moment tallies blocks of n = 2^16 lams,
     t_abs over a 60^3 box the n = 32590 occupied ratio bins; either way the d*n tally cells
     pass the hard cap 2^31: TooLarge, exit 2 and one error line naming d and p, before the
-    index table or any tally is allocated (t_abs has built its int32 ratio bins, 3.8 MiB, by
-    then)."""
+    index table or any tally is allocated (t_abs has built its ratio bins, the occupied
+    (lam, I(lam)) pairs, by then)."""
     tracemalloc.start()
     try:
         code = run_cli(["scan", *extra, "--p", "1000003", "--order", "166667"])
@@ -245,6 +245,13 @@ def test_sift_n_cap_names_flag(capsys, monkeypatch):
     monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
     assert run_cli(["scan", "--kind", "sift", "--n-grid", "500,1001"]) == 2
     assert capsys.readouterr().err == "error: --n-grid: N=1001 exceeds the table cap 1000 (DETSUM_MAX_TABLE)\n"
+
+
+def test_negative_cap_named_as_the_variable(capsys, monkeypatch):
+    """A negative DETSUM_MAX_TABLE is a bad setting, not a p above the cap."""
+    monkeypatch.setenv("DETSUM_MAX_TABLE", "-5")
+    assert run_cli(["scan", "--kind", "s", "--p", "10009", "--n-grid", "10"]) == 2
+    assert capsys.readouterr().err == "error: DETSUM_MAX_TABLE must be a non-negative integer, got '-5'\n"
 
 
 def test_bad_out_path_named_before_tasks_run(tmp_path, capsys, monkeypatch):

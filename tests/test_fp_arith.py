@@ -57,15 +57,16 @@ def test_generator_enumerates_units():
 
 
 def test_table_cap_env(monkeypatch):
-    """The cap holds the tables, not the field: each p-sized table raises where it is built.
+    """The cap holds the tables, not the field: the index table, the one p-sized table, raises where it is built.
 
-    Square roots and a short non-residue count build no p-sized table, so they run under the cap.
+    Square roots, the ratio bins of a small box and a short non-residue count build no p-sized
+    table, so they run under the cap.
     """
     monkeypatch.setenv("DETSUM_MAX_TABLE", "5")
     F = make_field(7)
-    for build in (make_character(F, 2).index_table, lambda: ratio_bins(F, 1, 1, 1)):
-        with pytest.raises(TooLarge, match="p=7 exceeds the table cap 5"):
-            build()
+    with pytest.raises(TooLarge, match="p=7 exceeds the table cap 5"):
+        make_character(F, 2).index_table()
+    assert ratio_bins(F, 1, 1, 1).total() == 1
     assert F.sqrt_roots(2) == (3, 4)
     assert count_nonresidues(F, 3) == 1  # only n = 3
     monkeypatch.delenv("DETSUM_MAX_TABLE")

@@ -412,16 +412,24 @@ def test_nan_weight_out_of_range():
         t_abs_sum(chi, 2, 2, 2, {1, 2}, {1: nan, 2: 1.0})
 
 
+def _assert_matches_oracle(table, p, A, B, C):
+    """table holds exactly the occupied residues of the triple-count oracle, in order, with their counts."""
+    want = ratio_bins_oracle(p, A, B, C)
+    lams = np.flatnonzero(want)
+    assert table.lams.dtype == table.counts.dtype == np.int64
+    assert np.array_equal(table.lams, lams) and np.array_equal(table.counts, want[lams])
+
+
 def test_ratio_bins_trivial():
     table = ratio_bins(field(7), 1, 1, 1)
-    assert table.counts[1] == 1
+    assert table.lams.tolist() == [1] and table.counts.tolist() == [1]
     assert table.total() == 1
 
 
 def test_ratio_bins_eight_triples():
     table = ratio_bins(field(7), 2, 2, 2)
-    # I(1) counts ab = c: (1,1,1), (1,2,2), (2,1,2)
-    assert table.counts[1] == 3
+    # I(1) counts ab = c: (1,1,1), (1,2,2), (2,1,2); I(2) and I(4) take the other five
+    assert table.lams.tolist() == [1, 2, 4] and table.counts.tolist() == [3, 3, 2]
     assert table.total() == 8
 
 
@@ -430,20 +438,18 @@ def test_ratio_bins_matches_triple_count(rng):
         p = rng.choice((7, 11, 31, 97))
         A, B, C = (rng.randrange(1, p) for _ in range(3))
         table = ratio_bins(field(p), A, B, C)
-        assert np.array_equal(table.counts, ratio_bins_oracle(p, A, B, C))
+        _assert_matches_oracle(table, p, A, B, C)
         assert table.total() == A * B * C
-        assert table.counts[0] == 0
 
 
 def test_ratio_bins_oracle():
-    got = ratio_bins(field(11), 3, 4, 5)
-    assert got.counts.tolist() == ratio_bins_oracle(11, 3, 4, 5).tolist()
+    _assert_matches_oracle(ratio_bins(field(11), 3, 4, 5), 11, 3, 4, 5)
 
 
 def test_ratio_bins_peak_memory():
     """At p = 1000003 the 3,600 products are histogrammed into their own residue range, not a
-    length-p int64 array beside the bins: a peak near 7.7 MiB, where the p-length histogram
-    peaked near 15.3 MiB."""
+    length-p int64 array, and their 1,116 classes times 60 inverses are the only other arrays:
+    a peak near 1.8 MiB, where the p-length histogram beside the bins peaked near 15.3 MiB."""
     F = field(1_000_003)
     tracemalloc.start()
     try:
@@ -455,10 +461,10 @@ def test_ratio_bins_peak_memory():
     assert table.total() == 60**3
 
 
-def test_ratio_bins_int32_peak_memory():
-    """Below A*B*C = 2^31 the bins count in int32, 3.8 MiB at p = 1000003: a peak near
-    3.9 MiB, where int64 bins peaked near 7.7 MiB."""
-    F = field(1_000_003)
+def test_ratio_bins_peak_memory_at_hard_cap_prime():
+    """No array of length p: at p = 2^31 - 1, far above the table cap, the 60^3 box bins in the
+    same 1.8 MiB peak as at p = 1000003, where a p-length int32 table was 3.8 MiB."""
+    F = field(2**31 - 1)
     tracemalloc.start()
     try:
         table = ratio_bins(F, 60, 60, 60)
@@ -466,20 +472,34 @@ def test_ratio_bins_int32_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
-    assert table.counts.dtype == np.int32 and table.total() == 60**3
+    assert table.total() == 60**3
 
 
-@pytest.mark.parametrize("C, dtype", [(2047, np.int32), (2048, np.int64)])
-def test_ratio_bins_count_dtype_boundary(C, dtype):
-    """A*B*C = 2^31 - 2^20 counts in int32 and A*B*C = 2^31 in int64, with every triple counted
-    and each bin the sum over c of the product classes it receives."""
+@pytest.mark.parametrize("C", [2047, 2048])
+def test_ratio_bins_exact_near_2_31(monkeypatch, C):
+    """A*B*C = 2^31 - 2^20 and 2^31 count every triple, each bin the sum over c of the product
+    classes it receives.  The products fill all 2052 unit classes, so C = 2048 sends 2048 * 2052
+    targets, above the default table cap: the cap is raised to that count here."""
+    monkeypatch.setenv("DETSUM_MAX_TABLE", str(2048 * 2052))
     p, A, B = 2053, 512, 2048
     F = field(p)
     table = ratio_bins(F, A, B, C)
-    assert table.counts.dtype == dtype and table.total() == A * B * C
+    assert table.total() == A * B * C
     classes = np.bincount(_products(A, B) % p, minlength=p)
     want = sum(classes[np.arange(p) * c % p] for c in range(1, C + 1))
-    assert np.array_equal(table.counts, want)
+    assert np.array_equal(table.lams, np.flatnonzero(want)) and np.array_equal(table.counts, want[table.lams])
+
+
+@pytest.mark.parametrize("p", [1_000_003, 1_999_993, 2**31 - 1])
+@pytest.mark.parametrize(
+    "box, energy", [((4, 4, 4), 340), ((10, 10, 10), 12484), ((20, 30, 15), 183474), ((60, 60, 60), 10560576)]
+)
+def test_ratio_bins_sigma3_is_multiplicative_energy(p, box, energy):
+    """With A*B*C < p, ab/c = a'b'/c' mod p only when abc' = a'b'c as integers, so the sum of
+    I(lam)^2 (holder_chain's sigma3) is the box's multiplicative energy at every such p."""
+    table = ratio_bins(field(p), *box)
+    assert table.total() == math.prod(box)
+    assert int(np.sum(table.counts**2)) == energy
 
 
 def test_ratio_bins_caps_products(monkeypatch):
@@ -500,8 +520,8 @@ def test_t_abs_single_shift_identity():
     for p, (A, B, C), d0 in ((11, (2, 2, 2), 1), (31, (3, 2, 4), 7)):
         chi = make_character(field(p), 2)
         got = t_abs_sum(chi, A, B, C, {d0}, {d0: 1.0})
-        table = ratio_bins(field(p), A, B, C)
-        assert got == A * B * C - table.counts[d0]
+        lams, counts = ratio_bins(field(p), A, B, C)
+        assert got == A * B * C - counts[lams == d0].sum()
 
 
 def test_t_abs_binned_equals_direct(rng):
@@ -544,9 +564,9 @@ def test_t_abs_binned_equals_direct_property(inst):
 
 
 def test_t_abs_peak_memory():
-    """A fresh order-2 character at p = 1000003 over 60^3 with 12 +-1 shifts: the int32 ratio
-    bins (3.8 MiB) are dropped before the int8 index table (0.95 MiB) is built, so the two
-    p-length arrays are never alive together: near 4.2 MiB."""
+    """A fresh order-2 character at p = 1000003 over 60^3 with 12 +-1 shifts: the ratio bins are
+    the 32,590 occupied (lam, I(lam)) pairs, so the int8 index table (0.95 MiB) is the one
+    p-length array: near 2.7 MiB, where a p-length int32 ratio table made it 4.2 MiB."""
     F = field(1_000_003)
     rng = random.Random(12)
     shifts = sorted(rng.sample(range(1, F.p), 12))
