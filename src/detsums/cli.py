@@ -146,11 +146,10 @@ def _run_task(task):
         return [[cen.p, cen.n_total, cen.n_square, cen.n_nonsquare_invertible, cen.ratio]]
     if kind == "nonresidue":
         from . import residues
-        _, p, x_limit = task
-        X = x_limit if x_limit > 0 else max(2, math.isqrt(p))
-        X = min(X, p - 1)
-        rep = residues.nonresidue_report(p, X)  # int path: no field per prime
-        return [[rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X]]
+        _, ps, x_limit = task
+        Xs = [min(x_limit if x_limit > 0 else max(2, math.isqrt(p)), p - 1) for p in ps]
+        reports = residues.nonresidue_reports(ps, Xs)  # int path: no field per prime, one walk per run
+        return [[rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X] for rep in reports]
     if kind == "sift":
         from . import sifter
         _, N, x, y, multiplicity = task
@@ -196,7 +195,8 @@ def _build_tasks(args):
         return [("census", p) for p in ps], "census"
     if kind == "nonresidue":
         _check_capped("--x-limit", args.x_limit, "X")  # the count holds X + 1 parity bytes
-        return [("nonresidue", p, args.x_limit) for p in ps], "nonresidue"
+        runs = [tuple(ps[i : i + 8]) for i in range(0, len(ps), 8)]  # eight primes to a walk, a bit of its byte each
+        return [("nonresidue", run, args.x_limit) for run in runs], "nonresidue"
 
     d = args.order
     for p in ps:

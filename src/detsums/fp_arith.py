@@ -4,16 +4,20 @@ A PrimeField holds only p and a primitive root g, so building one costs
 the factorization of p - 1 by `factorize`, the package's one trial
 division (`sifter.tau` takes its primes from it too).  `prime_flags` is
 the one sieve, a bytearray, and `prime_factor_tally` the one walk over
-prime powers into bytes: a completely additive function on [1, N] of the
-primes flagged in a window, read by `sifter.sift`,
-`residues.count_nonresidues` and the tau sums' signature walk in
-`sifter`.  Legendre symbols are Euler's criterion by `pow` (the
-non-residue count takes them mod q by reciprocity), and square roots
-Tonelli-Shanks with g as the known non-residue.  p is held to the hard
-cap 2^31; a table or array of length n to the table cap (default 2*10^6,
-env DETSUM_MAX_TABLE).  Scalar only: no numpy.
+prime powers into bytes: up to eight completely additive functions on
+[1, N], one per bit of a window byte, applied through the translate
+table that `step_tables` keeps for each byte.  It serves `sifter.sift`
+and the tau signature walk (add), the non-residue parities of up to
+eight primes in `residues.nonresidue_counts` (xor) and eight #A_0
+windows of the calibration grid (or).  Legendre symbols are Euler's
+criterion by `pow` (the non-residue count takes them mod q by
+reciprocity), and square roots Tonelli-Shanks with g as the known
+non-residue.  p is held to the hard cap 2^31; a table or array of length
+n to the table cap (default 2*10^6, env DETSUM_MAX_TABLE).  Scalar only:
+no numpy.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -23,6 +27,9 @@ from .errors import NotPrime, TooLarge, ValidationError, ZeroInverse
 
 DEFAULT_MAX_TABLE = 2_000_000
 HARD_CAP = 2**31
+
+# BIT_TABLES[j] is the `bytes.translate` table x -> bit j of x: it reads one tally of a byte that holds eight.
+BIT_TABLES = tuple((bytes(1 << j) + b"\x01" * (1 << j)) * (128 >> j) for j in range(8))
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 # The bases 2..37 alone stop at 3.18 * 10^23: they pass the composite
@@ -118,25 +125,47 @@ def _large_prime_flags(window, N):
     return flags
 
 
-def prime_factor_tally(window, N, step, distinct=False):
-    """N + 1 bytes: step applied once per prime factor q of n flagged in `window`, for each n <= N.
+@functools.cache
+def step_tables(op):
+    """The 256 `bytes.translate` tables x -> op(x, b) mod 256, table b at index b; op is
+    `operator.xor`, `operator.or_` or `operator.add`.
 
-    The one walk over prime powers into bytes, serving `sifter.sift` and
-    the tau signature walk (step adds 1) and `residues.count_nonresidues`
-    (step flips 0 and 1).
-    `window` is 1 at the flagged primes and 0 elsewhere; `step` is a
-    `bytes.translate` table that maps 0 to 1.  Factors count with
-    multiplicity unless `distinct`.  n's one prime factor above sqrt(N)
-    starts the tally, through `_large_prime_flags`; then each power q^e
-    (e = 1 only, if `distinct`) of a flagged q <= sqrt(N) applies `step` to
-    every multiple of q^e in one strided slice.  O(N log N) byte copies in
-    C over O(sqrt N) Python steps.
+    Each op composes bit by bit (op(op(x, a), c) = op(x, a | c) for a, c
+    with no common bit), so the tables of the masks below 2^(j+1) are those
+    below 2^j and their translates by the table of the one bit 2^j: 8 small
+    tables and 255 translates, about 0.2 ms, built on first use and kept.
+    Table b maps 0 to b, as `prime_factor_tally` needs.
+    """
+    tables = [bytes(range(256))]
+    for j in range(8):
+        bit = bytes(op(x, 1 << j) & 255 for x in range(256))
+        tables += [table.translate(bit) for table in tables]
+    return tuple(tables)
+
+
+def prime_factor_tally(window, N, steps, distinct=False):
+    """N + 1 bytes: steps[b] applied once per prime factor q of n with window byte b != 0, for each n <= N.
+
+    The one walk over prime powers into bytes.  `window` holds a byte per
+    prime q, 0 at the unflagged ones and at every composite; `steps` is a
+    sequence of `bytes.translate` tables indexed by that byte, each with
+    steps[b][0] == b.  With the `step_tables` of xor, or or add, the eight
+    bits of a byte are eight independent tallies: `sifter.sift` and the
+    tau signature walk add 1 per window prime, `residues.nonresidue_counts`
+    flips bit j per non-residue prime of its j-th p, and the a0 grid of
+    `sifter.measure_constants` sets bit j per prime of its j-th window.
+    Factors count with multiplicity unless `distinct`.  n's one prime
+    factor above sqrt(N) starts the tally with its window byte, through
+    `_large_prime_flags`, which is steps[b] applied once to 0; then each
+    power q^e (e = 1 only, if `distinct`) of a flagged q <= sqrt(N) applies
+    steps[window[q]] to every multiple of q^e in one strided slice.
+    O(N log N) byte copies in C over O(sqrt N) Python steps.
     """
     tally = _large_prime_flags(window, N)
     root = math.isqrt(N)
-    for _, e, qe in _prime_powers(itertools.compress(range(root + 1), window[: root + 1]), N):
+    for q, e, qe in _prime_powers(itertools.compress(range(root + 1), window[: root + 1]), N):
         if e == 1 or not distinct:
-            tally[qe::qe] = tally[qe::qe].translate(step)
+            tally[qe::qe] = tally[qe::qe].translate(steps[window[q]])
     return tally
 
 

@@ -4,7 +4,8 @@ A_r(N; x, y) partitions [1, N] by the number r of prime divisors inside
 the window (x, y], counted with multiplicity by default (a flag switches
 to distinct primes).  `sift` tallies it in a bytearray by the one
 prime-power walk `fp_arith.prime_factor_tally`, adding 1 per window
-prime.  The tau sums count prime signatures, starting from the same
+prime; #A_0 alone takes a bit of the byte per window, eight windows to a
+walk.  The tau sums count prime signatures, starting from the same
 walk's tally of distinct primes; a single tau value comes from
 `fp_arith.factorize`.  The module also measures the constants
 hidden in the asymptotic bounds on a fixed grid, so they can be pinned in
@@ -14,15 +15,13 @@ throughout: no numpy, so a sift or calibrate process never loads it.
 
 import itertools
 import math
+import operator
 from collections import Counter
-from operator import add
 from typing import NamedTuple
 
 from .errors import BadWindow, ValidationError
-from .fp_arith import _check_table_size, _prime_powers, factorize, prime_factor_tally, prime_flags
-
-# bytes.translate table adding 1 to a count byte
-_INC = bytes(range(1, 256)) + b"\0"
+from .fp_arith import BIT_TABLES, _check_table_size, _prime_powers, factorize, prime_factor_tally, prime_flags
+from .fp_arith import step_tables
 
 _FIELD = 8  # bits per exponent field of a prime-signature code; an n <= 2^31 has at most 10 distinct primes
 
@@ -36,20 +35,49 @@ class SiftProfile(NamedTuple):
     R: int
 
 
+def _check_window(N, x, y):
+    """N as an int; BadWindow unless N >= y >= x >= 2, then N held to the table cap (TooLarge)."""
+    N = int(N)
+    if not N >= y >= x >= 2:
+        raise BadWindow("need N >= y >= x >= 2, got N=%s x=%s y=%s" % (N, x, y))
+    _check_table_size(N, "N")
+    return N
+
+
 def _window_counts(N, x, y, multiplicity):
     """N + 1 bytes: the count of window primes x < q <= y in each n <= N (0 at n = 0).
 
     Checks the window (BadWindow) and holds N to the table cap (TooLarge)
     before anything is allocated.  Counts stay below 32, as N <= 2^31.
     """
-    N = int(N)
-    if not N >= y >= x >= 2:
-        raise BadWindow("need N >= y >= x >= 2, got N=%s x=%s y=%s" % (N, x, y))
-    _check_table_size(N, "N")
+    N = _check_window(N, x, y)
     window = prime_flags(math.floor(y))
     lo = math.floor(x) + 1
     window[:lo] = bytes(lo)  # the window primes are lo <= q <= y
-    return prime_factor_tally(window, N, _INC, distinct=not multiplicity)
+    return prime_factor_tally(window, N, step_tables(operator.add), distinct=not multiplicity)
+
+
+def _a0_sizes(N, windows):
+    """[#A_0(N; x, y) for (x, y) in windows], up to eight windows, from one walk of distinct primes.
+
+    Bit j of a prime's window byte is set when x_j < q <= y_j: the byte is
+    constant between the cut points floor(x_j) + 1 and floor(y_j) + 1, so
+    the prime flags of each such segment become its byte by one `replace`.
+    The or `step_tables` set bit j at every multiple of such a prime, and
+    #A_0 of window j is the count of n in [1, N] with bit j clear.  Each
+    window is checked (BadWindow) and N held to the table cap before
+    anything is allocated.
+    """
+    for x, y in windows:
+        N = _check_window(N, x, y)
+    bounds = [(math.floor(x), math.floor(y)) for x, y in windows]
+    window = prime_flags(max(hi for _, hi in bounds))
+    cuts = sorted({0, len(window)}.union(*((lo + 1, hi + 1) for lo, hi in bounds)))
+    for a, b in zip(cuts, cuts[1:]):
+        byte = sum(1 << j for j, (lo, hi) in enumerate(bounds) if lo < a <= hi)
+        window[a:b] = window[a:b].replace(b"\x01", bytes((byte,)))
+    tally = prime_factor_tally(window, N, step_tables(operator.or_), distinct=True)
+    return [tally.translate(bit).count(0, 1) for bit, _ in zip(BIT_TABLES, windows)]
 
 
 def sift(N, x, y, multiplicity=True):
@@ -79,9 +107,9 @@ def a0_bound_check(N, x, y, C):
 
     Compared in product form (both sides scaled by log(2y) > 0) so the
     x = y boundary, where the two sides coincide, never flaps on a
-    division rounding.  #A_0 is one `bytearray.count` pass.
+    division rounding.  #A_0 is the a0 grid's `_a0_sizes`, a batch of one.
     """
-    return _window_counts(N, x, y, True).count(0, 1) * math.log(2 * y) <= C * N * math.log(2 * x)
+    return _a0_sizes(N, [(x, y)])[0] * math.log(2 * y) <= C * N * math.log(2 * x)
 
 
 def tau(m, s):
@@ -112,13 +140,13 @@ def _signature_codes(M):
     powers e >= 2, about 0.77 M of them.
     """
     flags, root = prime_flags(M), math.isqrt(M)
-    primes = prime_factor_tally(flags, M, _INC, distinct=True)
+    primes = prime_factor_tally(flags, M, step_tables(operator.add), distinct=True)
     moved = [0] * (M + 1)
     for _, e, qe in _prime_powers(itertools.compress(range(root + 1), flags[: root + 1]), M):
         if e >= 2:  # one prime of n moves from exponent e - 1 to e
             delta = (1 << _FIELD * (e - 1)) - (1 << _FIELD * (e - 2))
             moved[qe::qe] = list(map(delta.__add__, moved[qe::qe]))
-    return map(add, itertools.islice(primes, 1, None), itertools.islice(moved, 1, None))
+    return map(operator.add, itertools.islice(primes, 1, None), itertools.islice(moved, 1, None))
 
 
 def _code_tau(code, s):
@@ -164,20 +192,29 @@ def prime_tail(x, P):
     return _prime_tails(P, (x,))[0]
 
 
-def _prime_tails(P, xs):
-    """[sum of 1/q^2 over the primes x <= q <= P for x in xs], from one sieve and one list of terms.
+# The residues mod 30 prime to 30: every prime q >= 7 lies on one of these eight spokes.
+_SPOKES = (1, 7, 11, 13, 17, 19, 23, 29)
 
-    The terms are 1/4 and then 1.0 / q^2 over the odd half of the sieve.
-    Each is a correctly rounded division by an exact q^2 < 2^53, and the
-    tail from x starts at the number of primes below ceil(x).  `math.fsum`
-    rounds the sum of its terms correctly, so a tail is within 2^-52
-    relative of the exact sum of 1/q^2.
+
+def _prime_tails(P, xs):
+    """[sum of 1/q^2 over the primes x <= q <= P for x in xs], from one sieve.
+
+    The terms are 1.0 / q^2, each a correctly rounded division by an
+    exact q^2 < 2^53.  Those of the primes below `head`, ceil(max xs) but
+    at least 30, come in order, so the tail from x starts at the number of
+    primes below ceil(x); those from `head` on, all prime to 30, come spoke
+    by spoke off the eight residues mod 30, which reads 8/30 of the sieve
+    in place of its odd half.  `math.fsum` rounds the sum of its terms
+    correctly whatever their order, so a tail is within 2^-52 relative of
+    the exact sum of 1/q^2.
     """
     flags = prime_flags(P, "P")  # P capped before the sieve is allocated
-    terms = [0.25] * flags[2:3].count(1)  # the prime 2, if P >= 2
-    terms += [1.0 / (q * q) for q in itertools.compress(range(3, P + 1, 2), flags[3::2])]
-    starts = [flags.count(1, 0, math.ceil(min(x, len(flags)))) for x in xs]  # no terms past P
-    return [math.fsum(itertools.islice(terms, start, None)) for start in starts]
+    head = min(max(math.ceil(min(max(xs), len(flags))), 30), len(flags))  # no terms past P
+    ordered = [1.0 / (q * q) for q in itertools.compress(range(head), flags[:head])]
+    starts = (head + (r - head) % 30 for r in _SPOKES)  # the first n >= head on each spoke
+    rest = [1.0 / (q * q) for s in starts for q in itertools.compress(range(s, P + 1, 30), flags[s::30])]
+    counts = [flags.count(1, 0, math.ceil(min(x, head))) for x in xs]
+    return [math.fsum(itertools.chain(itertools.islice(ordered, count, None), rest)) for count in counts]
 
 
 # Fixed calibration grids.  The measured constants get pinned into the
@@ -222,16 +259,21 @@ def measure_constants():
     a0_C: sup of #A_0 * log(2y) / (N log(2x));
     tau{s}_C: sup of tau-square sums over M (log 2M)^(s^2-1);
     prime_tail_C: sup of tail * x * log(2x) at the fixed sieve bound.
-    Plain Python: the 56 a0 windows, one signature walk to the top of
-    TAU_GRID_M for all twelve tau sums, and one sieve to TAIL_P whose five
-    tails are correctly rounded by `math.fsum`.  O(N log N) bytes for the
-    a0 grid at N <= 10^5 and O(P log log P) for the rest; about 0.08 s on
-    a 2-CPU VM.  Deterministic, so repeated runs agree bit for bit.
+    Plain Python: the 56 a0 windows in 9 walks, eight windows of one N to
+    a walk, one signature walk to the top of TAU_GRID_M for all twelve
+    tau sums, and one sieve to TAIL_P whose five tails are correctly
+    rounded by `math.fsum`.  O(N log N) bytes for the a0 grid at
+    N <= 10^5 and O(P log log P) for the rest; about 0.05 s on a 2-CPU
+    VM.  Deterministic, so repeated runs agree bit for bit.
     """
     out = {}
     best = 0.0
-    for N, x, y in a0_grid():
-        best = max(best, _window_counts(N, x, y, True).count(0, 1) * math.log(2 * y) / (N * math.log(2 * x)))
+    for N, triples in itertools.groupby(a0_grid(), key=lambda t: t[0]):
+        windows = [(x, y) for _, x, y in triples]
+        for i in range(0, len(windows), 8):
+            run = windows[i : i + 8]
+            for (x, y), size in zip(run, _a0_sizes(N, run)):
+                best = max(best, size * math.log(2 * y) / (N * math.log(2 * x)))
     out["a0_C"] = best
     sums = tau_grid_sums()
     for s in (2, 3, 4):

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import operator
 import pathlib
 import random
 import tracemalloc
@@ -28,7 +29,7 @@ from detsums.characters import (
     shifted_sum_blocks,
     shifted_sums,
 )
-from detsums.fp_arith import prime_factor_tally
+from detsums.fp_arith import prime_factor_tally, step_tables
 
 from conftest import HIGH_ORDER_PAIRS, dlog_by_loop, field, primes_upto, shifted_sums_by_add_at
 
@@ -134,7 +135,7 @@ def test_index_table_order_two_is_euler_at_a_million():
     power mod p enters it."""
     p = 1_000_003
     tab = make_character(field(p), 2).index_table()
-    walk = prime_factor_tally(residues._nonresidue_primes(p, p - 1), p - 1, residues._FLIP)
+    walk = prime_factor_tally(residues._nonresidue_primes((p,), (p - 1,)), p - 1, step_tables(operator.xor))
     assert tab[0] == -1
     assert tab[1:].tobytes() == walk[1:]
 

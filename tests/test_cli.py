@@ -370,6 +370,23 @@ def test_start_without_numpy(code, printed, tmp_path):
         assert lines[-2] == printed
 
 
+@pytest.mark.parametrize(
+    "code, built",
+    [
+        ("import detsums.cli", "0"),
+        (main_exit("scan", "--kind", "census", "--p", "31", "--out", "-"), "0"),
+        (main_exit("scan", "--kind", "s", "--p", "10009", "--n-grid", "50", "--out", "-"), "0"),
+        (main_exit("scan", "--kind", "nonresidue", "--p", "101", "--out", "-"), "1"),  # the probe sees a build
+    ],
+    ids=["import-cli", "census", "charsum", "nonresidue"],
+)
+def test_step_tables_built_on_first_use(code, built):
+    """Importing the CLI and the scans that run no prime-power walk build none of the 256-entry step tables;
+    a nonresidue scan builds the xor ones."""
+    probe = "\nfrom detsums.fp_arith import step_tables\nprint(step_tables.cache_info().currsize)"
+    assert fresh_python(code + probe)[-1] == built
+
+
 @pytest.mark.parametrize("module", ["errors", "fp_arith", "mat2", "residues", "sifter"])
 def test_scalar_modules_import_no_numpy(module):
     """The scalar layers import numpy nowhere, not even inside a function: only characters and sums do."""
@@ -504,6 +521,27 @@ def test_nonresidue_scan(tmp_path):
     assert rows[0]["z_p"] == "3"
     for r in rows:
         assert math.isclose(float(r["density"]), int(r["count"]) / int(r["X"]))
+
+
+def test_nonresidue_scan_runs_of_eight(tmp_path):
+    """A --p-range becomes tasks of eight consecutive primes, the last one short, and each row equals the
+    one-prime report, serially and across two workers."""
+    args = cli.build_parser().parse_args(["scan", "--kind", "nonresidue", "--p-range", "3:200", "--x-limit", "5"])
+    tasks, _ = cli._build_tasks(args)
+    assert [len(run) for _, run, _ in tasks] == [8] * 5 + [5]
+    ps = [p for _, run, _ in tasks for p in run]
+    assert ps == sorted(ps) and len(ps) == 45
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / ("nr%s.csv" % workers)
+        argv = ["scan", "--kind", "nonresidue", "--p-range", "3:200", "--x-limit", "5", "--workers", workers]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    for row, p in zip(read_rows(tmp_path / "nr1.csv"), ps):
+        rep = residues.nonresidue_report(p, min(5, p - 1))
+        want = [rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X]
+        assert row == {k: str(v) for k, v in zip(cli.HEADERS["nonresidue"], want)}
 
 
 def test_sift_scan(tmp_path):

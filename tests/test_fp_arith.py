@@ -2,6 +2,7 @@
 their oracles."""
 
 import math
+import operator
 import random
 
 import numpy as np
@@ -10,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detsums import NotPrime, TooLarge, ZeroInverse, count_nonresidues, make_character, make_field
-from detsums import fp_arith
+from detsums import fp_arith, residues, sifter
 from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, prime_factor_tally, prime_flags
-from detsums.residues import _FLIP, _nonresidue_primes
-from detsums.sifter import _INC
+from detsums.fp_arith import BIT_TABLES, step_tables
+from detsums.residues import _nonresidue_primes
 from detsums.sums import ratio_bins
 
 from conftest import dlog_by_loop, field, legendre_oracle, primes_upto
@@ -132,7 +133,8 @@ def test_dlog_parity_crosscheck():
         F = field(p) if p <= 101 else make_field(p)
         ktab = make_character(F, 2).index_table()[1:]
         assert np.array_equal(ktab, dlog_by_loop(p, F.g)[1:] & 1)
-        assert ktab.tobytes() == prime_factor_tally(_nonresidue_primes(p, p - 1), p - 1, _FLIP)[1:]
+        walk = prime_factor_tally(_nonresidue_primes((p,), (p - 1,)), p - 1, step_tables(operator.xor))
+        assert ktab.tobytes() == walk[1:]
         parity = np.where(ktab & 1, -1, 1)
         xs = range(1, p) if p < 500 else [rng.randrange(1, p) for _ in range(20)]
         for x in xs:
@@ -240,20 +242,27 @@ def tally_windows(N, rng):
         yield window
 
 
+def tally_by_factorize(factors, window, steps, distinct):
+    """steps[b] applied once per prime factor q of each n with window byte b != 0 (per distinct q if `distinct`),
+    read off `factorize`."""
+    want = [0] * len(factors)
+    for n in range(1, len(factors)):
+        for q, e in factors[n]:
+            if q < len(window) and window[q]:
+                for _ in range(1 if distinct else e):
+                    want[n] = steps[window[q]][want[n]]
+    return want
+
+
 def assert_tally_matches_factorize(N, rng):
-    """Every byte of the tally equals `step` applied once per flagged prime factor of n, read off `factorize`."""
+    """Every byte of the tally equals the step applied once per flagged prime factor of n, read off `factorize`."""
     factors = [[]] + [factorize(n) for n in range(1, N + 1)]
     for window in tally_windows(N, rng):
-        for step in (_INC, _FLIP):
+        for op in (operator.add, operator.xor):
             for distinct in (False, True):
-                want = [0] * (N + 1)
-                for n in range(1, N + 1):
-                    for q, e in factors[n]:
-                        if q < len(window) and window[q]:
-                            for _ in range(1 if distinct else e):
-                                want[n] = step[want[n]]
-                got = prime_factor_tally(window, N, step, distinct)
-                assert list(got) == want, (N, list(window), step == _INC, distinct)
+                want = tally_by_factorize(factors, window, step_tables(op), distinct)
+                got = prime_factor_tally(window, N, step_tables(op), distinct)
+                assert list(got) == want, (N, list(window), op, distinct)
 
 
 def test_prime_factor_tally_matches_factorize():
@@ -266,6 +275,60 @@ def test_prime_factor_tally_matches_factorize():
 @given(st.integers(1, 3000), st.randoms(use_true_random=False))
 def test_prime_factor_tally_property(N, rng):
     assert_tally_matches_factorize(N, rng)
+
+
+def random_byte_windows(N, rng):
+    """Windows with a random byte 0..255 at each prime (0 at the composites), reaching short of, to and past N."""
+    for top in (N // 3, N, N + 5, rng.randint(0, N + 5)):
+        window = prime_flags(top)
+        for q in range(len(window)):
+            window[q] *= rng.randrange(256)
+        yield window
+
+
+@pytest.mark.parametrize("op", [operator.xor, operator.or_, operator.add], ids=["xor", "or", "add"])
+def test_prime_factor_tally_byte_windows_match_factorize(op):
+    """Eight tallies in one byte: random 8-bit window bytes under each op's tables, with and without `distinct`,
+    around sqrt(N) = 97 and at small N."""
+    rng = random.Random(op.__name__)
+    for N in (1, 2, 30, 97 * 97 - 1, 97 * 97, 97 * 97 + 1):
+        factors = [[]] + [factorize(n) for n in range(1, N + 1)]
+        for window in random_byte_windows(N, rng):
+            for distinct in (False, True):
+                got = prime_factor_tally(window, N, step_tables(op), distinct)
+                assert list(got) == tally_by_factorize(factors, window, step_tables(op), distinct), (N, distinct)
+
+
+def test_step_and_bit_tables():
+    """Table b of each op maps x to op(x, b) mod 256, so to b at 0; bit table j maps x to bit j of x."""
+    for op in (operator.xor, operator.or_, operator.add):
+        tables = step_tables(op)
+        assert len(tables) == 256 and step_tables(op) is tables  # built once
+        for b, table in enumerate(tables):
+            assert list(table) == [op(x, b) & 255 for x in range(256)], (op, b)
+    assert [list(bit) for bit in BIT_TABLES] == [[x >> j & 1 for x in range(256)] for j in range(8)]
+
+
+def test_every_steps_src_passes_maps_zero_to_its_byte(monkeypatch):
+    """The large-prime start writes a prime's window byte b where the walk would apply steps[b] to 0: every
+    `steps` that a caller in src passes has steps[b][0] == b for each byte b."""
+    seen = []
+
+    def spy(window, N, steps, distinct=False):
+        seen.append(steps)
+        return prime_factor_tally(window, N, steps, distinct)
+
+    for module in (residues, sifter):
+        monkeypatch.setattr(module, "prime_factor_tally", spy)
+    residues.nonresidue_counts([3, 101, 2147398009], [2, 10, 1000])
+    sifter.sift(1000, 2, 30)
+    sifter.sift(1000, 2, 30, multiplicity=False)
+    sifter.a0_bound_check(1000, 5, 100, 1.0)
+    sifter.tau_square_average(100, 2)
+    sifter.measure_constants()
+    assert len(seen) == 1 + 2 + 1 + 1 + (9 + 1)
+    for steps in seen:
+        assert len(steps) == 256 and all(steps[b][0] == b for b in range(256))
 
 
 def test_checked_prime_is_tested_once(monkeypatch):

@@ -139,13 +139,57 @@ def test_count_matches_euler_sampled(p, top):
     assert {X: count_nonresidues(p, X) for X in xs} == {X: want[X] for X in xs}
 
 
+def odd_primes(lo, count):
+    """The first `count` primes >= lo, as checked odd primes."""
+    out, p = [], lo
+    while len(out) < count:
+        if is_prime(p):
+            out.append(fp_arith.check_odd_prime(p))
+        p += 1
+    return out
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_batched_counts_match_euler(size):
+    """A run of `size` consecutive primes from 3 (so 3, 5 and 7 with X as small as 1 and 2), one bit of the byte
+    each and a ninth on a second walk: every count on its own prefix [1, X_j], at random X_j and at the CLI's
+    --x-limit X_j = min(limit, p - 1), which differ across the run."""
+    rng = random.Random(size)
+    for lo in (3, 1000, 1000003):
+        ps = odd_primes(lo, size)
+        wants = [euler_counts(p, min(p - 1, 3000)) for p in ps]
+        draws = [[rng.randint(1, min(p - 1, 3000)) for p in ps] for _ in range(3)]
+        limits = [[min(limit, p - 1) for p in ps] for limit in (1, 2, 5, 50)]
+        for Xs in draws + limits + [[min(max(2, math.isqrt(p)), p - 1) for p in ps]]:
+            assert residues.nonresidue_counts(ps, Xs) == [want[X] for want, X in zip(wants, Xs)], (ps, Xs)
+
+
+def test_batched_reports_match_one_by_one():
+    """The CLI's runs of eight: each report equals the batch-of-one report, fields and int paths alike."""
+    ps = odd_primes(3, 8) + [2147398009]
+    Xs = [min(5, p - 1) for p in ps[:8]] + [46340]
+    reports = residues.nonresidue_reports([*ps[:4], *map(field, ps[4:8]), ps[8]], Xs)
+    assert reports == [nonresidue_report(p, X) for p, X in zip(ps, Xs)]
+    assert reports[-1].count == count_nonresidues(2147398009, 46340) == 21174  # the pinned worst prime
+
+
+def test_batched_counts_check_each_prime_in_order():
+    """A bad entry of a run raises what a count of one raises, the first bad one in order."""
+    with pytest.raises(NotPrime):
+        residues.nonresidue_counts([7, 9, 2147483659], [3, 2, 10])
+    with pytest.raises(TooLarge):
+        residues.nonresidue_counts([7, 2147483659, 9], [3, 10, 2])
+    with pytest.raises(ValueError, match="X=7"):
+        residues.nonresidue_counts([11, 7], [3, 7])
+
+
 def euler_nonresidue_primes(p, X):
     """The primes q <= X with q^((p-1)/2) != 1 mod p: Euler's criterion mod p at each."""
     return [q for q in primes_upto(X).tolist() if pow(q, (p - 1) // 2, p) != 1]
 
 
 def reciprocity_nonresidue_primes(p, X):
-    window = residues._nonresidue_primes(fp_arith.check_odd_prime(p), X)
+    window = residues._nonresidue_primes((fp_arith.check_odd_prime(p),), (X,))
     assert len(window) == X + 1
     return [q for q, flag in enumerate(window) if flag]
 
@@ -161,7 +205,8 @@ def test_reciprocity_two_in_every_odd_class_mod_8():
     seen = Counter()
     for p in [*primes_upto(200)[1:].tolist(), 1000003, 2147398009, 2147483629, 2147483647, 2147483587]:
         seen[p % 8] += 1
-        assert bool(residues._nonresidue_primes(fp_arith.check_odd_prime(p), 2)[2]) == (pow(2, (p - 1) // 2, p) != 1), p
+        window = residues._nonresidue_primes((fp_arith.check_odd_prime(p),), (2,))
+        assert bool(window[2]) == (pow(2, (p - 1) // 2, p) != 1), p
     assert sorted(seen) == [1, 3, 5, 7]
 
 

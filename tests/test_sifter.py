@@ -222,6 +222,36 @@ def test_a0_bound_examples():
     assert not a0_bound_check(30, 2, 30, 0.01)
 
 
+def a0_oracle(N, x, y):
+    return sifter._window_counts(N, x, y, True).count(0, 1)
+
+
+def test_a0_sizes_match_window_count():
+    """#A_0 from a bit of the byte equals the count of zeros of the multiplicity tally: on every a0_grid()
+    triple, one at a time and packed eight to a walk as the calibration packs them, and at x = y, y = N
+    and real x, y around sqrt(N) = 97."""
+    grid = a0_grid()
+    for N, x, y in grid:
+        assert sifter._a0_sizes(N, [(x, y)]) == [a0_oracle(N, x, y)], (N, x, y)
+    for N in sorted({N for N, _, _ in grid}):
+        windows = [(x, y) for M, x, y in grid if M == N]
+        for i in range(0, len(windows), 8):
+            run = windows[i : i + 8]
+            assert sifter._a0_sizes(N, run) == [a0_oracle(N, x, y) for x, y in run], (N, run)
+    for N in (97 * 97 - 1, 97 * 97, 97 * 97 + 1):
+        windows = [(2, 2), (97, 97), (2, N), (96, N), (97, N), (98, N), (2.5, 96.5), (5, 97)]
+        assert sifter._a0_sizes(N, windows) == [a0_oracle(N, x, y) for x, y in windows], N
+        for x, y in windows:
+            assert sifter._a0_sizes(N, [(x, y)]) == [a0_oracle(N, x, y)], (N, x, y)
+
+
+def test_a0_sizes_check_every_window():
+    with pytest.raises(BadWindow):
+        sifter._a0_sizes(100, [(2, 10), (20, 10)])
+    with pytest.raises(BadWindow):
+        a0_bound_check(100, 2, 101, 1.0)
+
+
 def test_tau_values():
     assert tau(6, 2) == 4
     assert tau(1, 4) == 1
@@ -333,24 +363,27 @@ def test_prime_tails_match_numpy_sum():
         assert tail == correctly_rounded_sum(1.0 / (q * q) for q in qs if q >= x), x
 
 
-@pytest.mark.parametrize("P", (1, 2, 3, 4, 10, 97))
+@pytest.mark.parametrize("P", (1, 2, 3, 4, 10, 97, 29, 30, 31, 59, 60, 61))
 def test_prime_tails_small_P_match_numpy_sum(P):
-    """Small sieves, tails from the prime 2 on to tails that hold no prime, correctly rounded."""
-    xs = (2, 3, 4, 11, 98, 1000)
+    """Small sieves, tails from the prime 2 on to tails that hold no prime, correctly rounded; P and x on
+    and between the spokes mod 30 where the ordered terms hand over to the wheel."""
+    xs = (2, 3, 4, 11, 98, 1000, 29.5, 30, 32, 60)
     qs = primes_upto(P).tolist()
     for x, tail in zip(xs, sifter._prime_tails(P, xs)):
         assert tail == correctly_rounded_sum(1.0 / (q * q) for q in qs if q >= x), x
+        assert sifter._prime_tails(P, (x,)) == [tail], x  # alone, x sets where the wheel takes over
 
 
-@pytest.mark.parametrize("P", (2, 10, 97, 100, 1000))
+@pytest.mark.parametrize("P", (2, 10, 97, 100, 1000, 29, 30, 31, 59, 60, 61))
 def test_prime_tails_within_2_52_of_exact(P):
     """Each tail is within 2^-52 relative of the exact rational sum of 1/q^2: one rounding per term and
     one for the sum."""
-    xs = (2, 2.5, 3, 11, 98, 500, 1000, 1001)
+    xs = (2, 2.5, 3, 11, 98, 500, 1000, 1001, 29.5, 30, 32, 60)
     qs = primes_upto(P).tolist()
     for x, tail in zip(xs, sifter._prime_tails(P, xs)):
         exact = sum(Fraction(1, q * q) for q in qs if q >= x)
         assert abs(Fraction(tail) - exact) <= exact * Fraction(1, 2**52), x
+        assert sifter._prime_tails(P, (x,)) == [tail], x  # alone, x sets where the wheel takes over
 
 
 def test_prime_tail_real_x():
