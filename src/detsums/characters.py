@@ -1,12 +1,12 @@
 """Multiplicative characters mod p of order d, as exact root-of-unity indices.
 
-A character value is either Zero (argument divisible by p) or an index
-k in [0, d-1] standing for e(k/d) = exp(2*pi*i*k/d).  All sums are
-tallied as integer counts per index and only converted to complex at
-readout, so every identity that holds in exact arithmetic can be tested
-exactly; order-2 sums never leave integer arithmetic.  An index table
-holds one entry per residue in the narrowest signed type for -1..d-1:
-one byte for d <= 128, two up to 32768, four above.
+A character value is 0 (argument divisible by p, marked -1 in an index
+table) or an index k in [0, d-1] standing for e(k/d) = exp(2*pi*i*k/d).
+All sums are tallied as integer counts per index and only converted to
+complex at readout, so every identity that holds in exact arithmetic can
+be tested exactly; order-2 sums never leave integer arithmetic.  An
+index table holds one entry per residue in the narrowest signed type for
+-1..d-1: one byte for d <= 128, two up to 32768, four above.
 """
 
 import math
@@ -190,13 +190,12 @@ class Character:
         k < p - 1 is taken in blocks of rows, about _WALK_BLOCK entries
         each: one outer product mod p (below p^2 < 2^62) per block, onto
         which the period-d pattern (k mod d) * power mod d is scattered.
-        A block holds a multiple of d / gcd(B, d) rows, so it starts at
-        k = 0 mod d and reads one pre-tiled slice of the pattern; a tile
-        capped at p - 1 entries spans the walk, and any block reads its own
-        slice.  Beyond the table, memory is one block of int64 walk, its
-        tile in the table's dtype and one int64 period of the pattern.  g is
-        certified primitive by every unit getting written, read as the
-        minimum of tab[1:] with no p-length mask, else
+        The pattern is tiled to the whole periods that cover one block plus
+        d - 1 entries, at most p - 1, and the block starting at k reads the
+        slice at k mod d.  Beyond the table, memory is one block of int64
+        walk, the tile in the table's dtype and one int64 period of the
+        pattern.  g is certified primitive by every unit getting written,
+        read as the minimum of tab[1:] with no p-length mask, else
         InternalInvariantViolation (the missed units are counted only then).
         """
         if self._ktab is None:
@@ -206,23 +205,20 @@ class Character:
             B = math.isqrt(p - 2) + 1
             rows = [pow(g, i * B, p) for i in range(-(-n // B))]
             cols = np.array([pow(g, j, p) for j in range(B)], dtype=np.int64)
-            period = d // math.gcd(B, d)  # rows per whole number of pattern periods
-            step = max(1, _WALK_BLOCK // (B * period)) * period
+            step = max(1, _WALK_BLOCK // B)
             dtype = np.min_scalar_type(-d)  # the narrowest signed type holding -1..d-1
             pattern = np.arange(d, dtype=np.int64)  # built in place: one int64 period, then the table's dtype
             pattern *= self.power
             pattern %= d
             pattern = pattern.astype(dtype)
-            tile = np.tile(pattern, min(step * B, n) // d)
+            tile = np.tile(pattern, -(-min(step * B + d - 1, n) // d))
             del pattern  # a one-period tile is a copy
-            if tile.size == n:
-                step = max(1, _WALK_BLOCK // B)
             tab = np.full(p, -1, dtype=dtype)
             for lo in range(0, len(rows), step):
                 walk = np.multiply.outer(np.array(rows[lo : lo + step], dtype=np.int64), cols)
                 walk %= p
                 size = min(walk.size, n - lo * B)
-                k = lo * B % tile.size  # 0 unless the tile spans the whole walk
+                k = lo * B % d  # k <= lo * B, so the slice stays inside a tile of n entries too
                 tab[walk.ravel()[:size]] = tile[k : k + size]
             if tab[1:].min() < 0:
                 missed = int(np.count_nonzero(tab[1:] < 0))

@@ -14,7 +14,7 @@ class NotPrime(DetsumsError):
 
 
 class TooLarge(DetsumsError):
-    """Input exceeds a size bound: the table cap on a dense table, or the hard cap 2^31 on p."""
+    """Input exceeds a size bound: the table cap on a dense table, the hard cap 2^31 on p, or the primality bound."""
 
 
 class ZeroInverse(DetsumsError):

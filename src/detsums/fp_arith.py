@@ -31,14 +31,16 @@ HARD_CAP = 2**31
 # BIT_TABLES[j] is the `bytes.translate` table x -> bit j of x: it reads one tally of a byte that holds eight.
 BIT_TABLES = tuple((bytes(1 << j) + b"\x01" * (1 << j)) * (128 >> j) for j in range(8))
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
+# Deterministic Miller-Rabin witness set, valid for all n < _MR_LIMIT.
 # The bases 2..37 alone stop at 3.18 * 10^23: they pass the composite
 # 318665857834031151167461 = 399165290221 * 798330580441.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _MR_BASES: 1287836182261 * 2575672364521.
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin primality test for n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin primality test, proven only for n < _MR_LIMIT = psi_13 (about 3.3 * 10^24)."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -71,12 +73,15 @@ class _OddPrime(int):
 def check_odd_prime(p):
     """p as an int known to be an odd prime; NotPrime unless it is one.
 
-    The result is an `_OddPrime`, so checking it again runs no primality
+    TooLarge from _MR_LIMIT up, where `is_prime` is not proven.  The
+    result is an `_OddPrime`, so checking it again runs no primality
     test: a prime is tested once, however many calls it passes through.
     """
     if type(p) is _OddPrime:
         return p
     p = int(p)
+    if p >= _MR_LIMIT:
+        raise TooLarge("p=%d is at or above %d, the bound below which primality is proven" % (p, _MR_LIMIT))
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise NotPrime("p must be an odd prime, got %d" % p)
     return _OddPrime(p)

@@ -3,15 +3,16 @@
 The decision procedure follows the trace identity for B with B*B = A:
 with s = det B and t = Tr B (t nonzero), t*B = A + s*I and t^2 = Tr A + 2s,
 so all candidate roots come from the square roots of det A.  Scalar
-matrices u*I fall outside that derivation (t can be 0) and get their own
-fallback; every witness the procedure returns is re-verified by an
-actual matrix product, so an incomplete candidate list can only produce
-a wrong "not found", and the tests pin that down on every matrix for
-small p.  The census counts the conjugacy classes of each kind in closed
-form, from an eigenvalue rule on their characteristic polynomials; the
-tests check those counts against `has_square_root` on every class and
-the census against squaring all p^4 matrices.  The pair census is a
-closed form too, and the decision's roots are Tonelli-Shanks: no tables.
+matrices u*I fall outside that derivation (t can be 0); each is the
+square of [[0,1],[u,0]].  Every witness the procedure returns is
+re-verified by an actual matrix product, so an incomplete candidate
+list can only produce a wrong "not found", and the tests pin that down
+on every matrix for small p.  The census counts the conjugacy classes
+of each kind in closed form, from an eigenvalue rule on their
+characteristic polynomials; the tests check those counts against
+`has_square_root` on every class and the census against squaring all
+p^4 matrices.  The pair census is a closed form too, and the decision's
+roots are Tonelli-Shanks: no tables.
 """
 
 from typing import NamedTuple, Optional
@@ -69,17 +70,12 @@ def has_square_root(A, F):
     p = F.p
 
     if A.b == 0 and A.c == 0 and A.a == A.d:
-        # Scalar A = u*I.  Scalar roots w*I need w^2 = u; the trace-zero
-        # matrix [[0,1],[u,0]] squares to u*I for every u, 0 included.
+        # Scalar A = u*I: [[0,1],[u,0]] squares to u*I for every u, 0 included.
         u = A.a
-        for w in F.sqrt_roots(u):
-            hit = _verified(A, Mat2(w, 0, 0, w), F)
-            if hit:
-                return hit
         hit = _verified(A, Mat2(0, 1, u, 0), F)
         if hit:
             return hit
-        raise InternalInvariantViolation("scalar fallback failed for u=%d, p=%d" % (u, p))
+        raise InternalInvariantViolation("scalar root [[0,1],[u,0]] failed for u=%d, p=%d" % (u, p))
 
     tA = trace(A, F)
     for s in F.sqrt_roots(det(A, F)):

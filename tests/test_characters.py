@@ -87,7 +87,8 @@ def test_index_is_multiplicative():
             assert tab[x * y % 13] == (tab[x] + tab[y]) % 4
 
 
-# (p, d) with gcd(B, d) > 1 for B = ceil(sqrt(p - 1)), and d * B above the smaller walk blocks
+# (p, d) with gcd(B, d) > 1 for B = ceil(sqrt(p - 1)), and d * B above the smaller walk blocks,
+# so blocks start at k with k mod d running through more than one offset
 SHARED_FACTOR_ORDERS = ((37, 4), (37, 18), (101, 20), (101, 50), (4801, 20), (4817, 56))
 
 
@@ -182,8 +183,8 @@ def test_index_table_build_peak_memory(p, bound_mib):
 @pytest.mark.parametrize("block", (1, 5, 64))
 @pytest.mark.parametrize("p, d", ((101, 100), (4999, 4998), (4999, 2499), (4999, 1666)))
 def test_index_table_full_tile_blocks_match_dlog(block, p, d):
-    """A tile capped at p - 1 entries spans the whole walk, so blocks of any row count read
-    their own slices of it, at offsets that are not multiples of d."""
+    """A tile capped at p - 1 entries spans the whole walk; blocks of any row count read
+    their own slices of it, each at its start k mod d."""
     F = field(p)
     dlog = dlog_by_loop(p, F.g).astype(np.int64)
     with pytest.MonkeyPatch.context() as mp:
@@ -205,6 +206,21 @@ def test_index_table_full_order_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 26 * 2**20
+
+
+def test_index_table_large_order_build_peak_memory():
+    """At p = 1000003, d = 166667 the int32 tile covers one walk block plus d - 1 entries
+    (about 0.9 MiB), not the whole walk (3.8 MiB): the build peaks near 6.25 MiB, where a tile
+    of the whole walk peaked near 8.8 MiB."""
+    p = 1_000_003
+    chi = make_character(field(p), 166_667)
+    tracemalloc.start()
+    try:
+        chi.index_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2**20
 
 
 @given(st.data())
@@ -422,6 +438,8 @@ def test_exact_zero_detection():
     assert CharSumAccumulator(2, [5, 5], 3).is_exactly_zero()
     assert not CharSumAccumulator(2, [5, 4], 0).is_exactly_zero()
     assert CharSumAccumulator(4, [2, 7, 2, 7], 0).is_exactly_zero()
+    assert CharSumAccumulator(3, [4, 4, 4], 0).is_exactly_zero()  # odd d: only all counts equal
+    assert not CharSumAccumulator(3, [4, 4, 5], 0).is_exactly_zero()
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10, 12, 16, 30, 1000, 65536])

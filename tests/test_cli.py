@@ -587,6 +587,18 @@ def test_calibrate_roundtrip(tmp_path, capsys):
     assert "->" in third
 
 
+def test_calibrate_drops_stale_constant(tmp_path, capsys):
+    """A constant the grid no longer measures is printed as stale and left out of the rewritten file."""
+    path = tmp_path / "cal.txt"
+    pinned = pathlib.Path(cli.default_calibration_path()).read_text()
+    path.write_text(pinned + "old_C 2.0\n")
+    assert run_cli(["calibrate", "--calibration-file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "old_C 2.0 (stale, dropped)" in out
+    assert out.count("(unchanged)") == 5
+    assert path.read_text() == pinned
+
+
 def test_stdout_output(capsys):
     assert run_cli(["scan", "--kind", "census", "--p", "3"]) == 0
     captured = capsys.readouterr()

@@ -346,7 +346,21 @@ def test_is_prime_beyond_bases_2_to_37():
     n = 318665857834031151167461
     assert n == 399165290221 * 798330580441
     assert not is_prime(n)
-    assert is_prime(2**89 - 1)  # a Mersenne prime inside the documented range, n < 3.3 * 10^24
+    assert is_prime(2**89 - 1)  # a Mersenne prime, about 6.2 * 10^26: above the proven range n < 3.3 * 10^24
+
+
+def test_modulus_held_below_proven_primality_range():
+    """psi_13 = 1287836182261 * 2575672364521 passes every Miller-Rabin base of is_prime, so a modulus
+    at or above it is refused as TooLarge before it is tested, prime (2^89 - 1) or not."""
+    psi13 = fp_arith._MR_LIMIT
+    assert psi13 == 3317044064679887385961981 == 1287836182261 * 2575672364521
+    assert is_prime(psi13)  # the composite the bases cannot tell from a prime
+    for n in (psi13, 2**89 - 1):
+        with pytest.raises(TooLarge, match="3317044064679887385961981"):
+            residues.least_nonresidue(n)
+        with pytest.raises(TooLarge):
+            check_odd_prime(n)
+    assert residues.least_nonresidue(2**61 - 1) == 3
 
 
 def test_factorize():

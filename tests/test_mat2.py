@@ -86,6 +86,7 @@ def test_scalar_matrices_always_decided():
         for u in range(p):
             w = has_square_root(Mat2(u, 0, 0, u), F)
             assert w.found
+            assert w.B == Mat2(0, 1, u, 0)
             assert mul(w.B, w.B, F) == Mat2(u, 0, 0, u)
 
 

@@ -428,6 +428,12 @@ def test_bad_arguments_raise_detsums_error(call, args):
     assert isinstance(info.value, ValueError)
 
 
+def test_read_calibration_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "cal.txt"
+    path.write_text("# measured constants\n\na0_C 1.5\n   \n  # indented comment\ntau2_C 0.25\n")
+    assert read_calibration(path) == {"a0_C": 1.5, "tau2_C": 0.25}
+
+
 def test_calibration_pinned():
     """The packaged constants reproduce exactly and still dominate the grid."""
     stored = read_calibration(default_calibration_path())

@@ -16,6 +16,7 @@ from detsums import (
     InternalInvariantViolation,
     Overflow,
     TooLarge,
+    ValidationError,
     WeightOutOfRange,
     WeightSeq,
     de_moment,
@@ -516,6 +517,16 @@ def test_t_abs_zero_weights():
     assert t_abs_sum(chi, 2, 2, 2, {1, 2}, {1: 0.0, 2: 0.0}) == 0.0
 
 
+@pytest.mark.parametrize("shift", (0, 11))
+def test_shifts_outside_units_rejected(shift):
+    """A shift of 0 or of p is not a residue in [1, p-1]: de_moment and t_abs_sum both refuse it."""
+    chi = make_character(field(11), 2)
+    with pytest.raises(ValidationError, match=r"shifts must be residues in \[1, p-1\], got %d with p=11" % shift):
+        de_moment(chi, {1, shift}, {1: 1.0, shift: 1.0}, 1)
+    with pytest.raises(ValidationError, match="got %d with p=11" % shift):
+        t_abs_sum(chi, 2, 2, 2, {shift, 3}, {shift: 1.0, 3: 1.0})
+
+
 def test_t_abs_single_shift_identity():
     for p, (A, B, C), d0 in ((11, (2, 2, 2), 1), (31, (3, 2, 4), 7)):
         chi = make_character(field(p), 2)
@@ -591,6 +602,8 @@ def test_t_abs_domain_guard():
 def test_t_n_small():
     chi = make_character(field(11), 2)
     assert t_n_sum(chi, 1) == 0.0  # |chi(1*1 - 1*1)| = |chi(0)| = 0
+    with pytest.raises(ValidationError, match="N must be >= 1, got 0"):
+        t_n_sum(chi, 0)
     chi97 = make_character(field(97), 2)
     for N in (2, 3, 4):
         got = t_n_sum(chi97, N)
