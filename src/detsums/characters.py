@@ -5,14 +5,16 @@ table) or an index k in [0, d-1] standing for e(k/d) = exp(2*pi*i*k/d).
 All sums are tallied as integer counts per index and only converted to
 complex at readout, so every identity that holds in exact arithmetic can
 be tested exactly; order-2 sums never leave integer arithmetic.  An
-index table holds one entry per residue in the narrowest signed type for
--1..d-1: one byte for d <= 128, two up to 32768, four above.
+index table, the one reader of the least primitive root g, holds one
+entry per residue in the narrowest signed type for -1..d-1: one byte for
+d <= 128, two up to 32768, four above.
 """
 
 import math
 
 import numpy as np
 
+from . import fp_arith
 from .errors import BadOrder, InternalInvariantViolation, ValidationError, WeightOutOfRange
 from .fp_arith import _check_hard_cap, _check_table_size
 
@@ -166,7 +168,7 @@ class CharSumAccumulator:
 
 
 class Character:
-    """Character chi of order d mod p with chi(g) = e(power/d), gcd(power, d) = 1."""
+    """Character chi of order d mod p with chi(g) = e(power/d), g the least primitive root, gcd(power, d) = 1."""
 
     __slots__ = ("field", "d", "power", "_ktab")
 
@@ -185,7 +187,8 @@ class Character:
         That is int8 for d <= 128, int16 up to d = 32768 and int32 above,
         so at order 2 the table is one byte per residue.
 
-        p is held to the table cap first.  With B = ceil(sqrt(p-1)), about
+        p is held to the table cap, then g found by
+        `fp_arith.find_primitive_root`.  With B = ceil(sqrt(p-1)), about
         2 sqrt(p) pows give g^(iB) and g^j for j < B.  The walk g^k for
         k < p - 1 is taken in blocks of rows, about _WALK_BLOCK entries
         each: one outer product mod p (below p^2 < 2^62) per block, onto
@@ -199,8 +202,9 @@ class Character:
         InternalInvariantViolation (the missed units are counted only then).
         """
         if self._ktab is None:
-            p, g, d = self.field.p, self.field.g, self.d
+            p, d = self.field.p, self.d
             _check_table_size(p)
+            g = fp_arith.find_primitive_root(p)
             n = p - 1
             B = math.isqrt(p - 2) + 1
             rows = [pow(g, i * B, p) for i in range(-(-n // B))]
@@ -291,8 +295,7 @@ def shifted_sums(chi, lams, terms):
     len(terms) < 2^15 in absolute value and exact.  Otherwise it is
     float64, since at d > 2 an integer tally would be cast whole for the
     contraction; its sums of +-1 are exact integers too.  The tally's
-    d*len(lams) cells, and its bytes, are held to the hard cap 2^31 before
-    anything is allocated.
+    bytes are held to the hard cap 2^31 before anything is allocated.
     """
     p = chi.field.p
     return _tally(chi, len(lams), terms, lambda ktab, s: ktab[(lams + s) % p])
@@ -317,11 +320,10 @@ def _tally(chi, n, terms, indices):
     """The contracted per-index tally of n cells, the one tally of the shifted sums.
 
     indices(ktab, s) reads the index table ktab at lam + s over the n
-    cells.  The tally's d*n cells, then its bytes, are held to the hard
-    cap before the index table or the tally is built.
+    cells.  The tally's bytes, at least 2 a cell, are held to the hard cap
+    before the index table or the tally is built.
     """
     p, d = chi.field.p, chi.d
-    _check_hard_cap(d * n, "tally size at d=%d, p=%d: d*n" % (d, p))
     terms = [(s % p, w) for s, w in terms if w != 0.0]
     int_tally = d == 2 and len(terms) < 2**15 and all(abs(w) == 1.0 for _, w in terms)
     dtype = np.dtype(np.int16 if int_tally else np.float64)

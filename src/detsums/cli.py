@@ -28,7 +28,7 @@ import time
 
 from . import __version__, mat2
 from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
-from .fp_arith import _check_hard_cap, _check_length, _check_table_size, _OddPrime, check_odd_prime
+from .fp_arith import _check_length, _check_table_size, _OddPrime, check_odd_prime
 from .fp_arith import make_field, prime_flags
 
 SUM_KINDS = ("s", "u", "t_abs", "t_n", "de_moment")
@@ -50,10 +50,10 @@ def _parse_int_list(flag, text):
         raise ValidationError("%s wants comma-separated integers, got %r" % (flag, text)) from None
 
 
-def _check_capped(flag, n, name, check=_check_table_size):
-    """ValidationError naming `flag` unless n passes `check`, by default the table cap on a table of length n."""
+def _check_capped(flag, n, name):
+    """ValidationError naming `flag` unless a table of length n, labelled `name`, fits the table cap."""
     try:
-        check(n, name)
+        _check_table_size(n, name)
     except TooLarge as exc:
         raise ValidationError("%s: %s" % (flag, exc)) from None
 
@@ -61,15 +61,15 @@ def _check_capped(flag, n, name, check=_check_table_size):
 def _collect_primes(args):
     """Sorted distinct primes from --p and --p-range; NotPrime for one that is not an odd prime.
 
-    Each --p value is tested once and held, before any task runs, to the
-    table cap for a sums kind (its tasks build p-entry tables), else to the hard cap.  A
-    prime sifted from --p-range needs no test, but 2 still raises, so
-    `--p-range 1:100` exits 2 with "got 2"; a range with LO > HI is empty.  Every prime
-    returned is a checked `_OddPrime`, which no later layer tests again.
+    Each --p value is tested once, and for a sums kind (its tasks build p-entry tables) held to the
+    table cap before any task runs; any kind takes p below psi_13.  A prime sifted from --p-range
+    needs no test, but 2 still raises, so `--p-range 1:100` exits 2 with "got 2"; a range with
+    LO > HI is empty.  Every prime returned is a checked `_OddPrime`, which no later layer tests again.
     """
     ps = []
     for p in _parse_int_list("--p", args.p):
-        _check_capped("--p", p, "p", _check_table_size if args.kind in SUM_KINDS else _check_hard_cap)
+        if args.kind in SUM_KINDS:
+            _check_capped("--p", p, "p")
         ps.append(p)
     sieved = set()
     if args.p_range:
@@ -146,8 +146,7 @@ def _run_task(task):
         return [[cen.p, cen.n_total, cen.n_square, cen.n_nonsquare_invertible, cen.ratio]]
     if kind == "nonresidue":
         from . import residues
-        _, ps, x_limit = task
-        Xs = [min(x_limit if x_limit > 0 else max(2, math.isqrt(p)), p - 1) for p in ps]
+        _, ps, Xs = task
         reports = residues.nonresidue_reports(ps, Xs)  # int path: no field per prime, one walk per run
         return [[rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X] for rep in reports]
     if kind == "sift":
@@ -194,9 +193,10 @@ def _build_tasks(args):
     if kind == "census":
         return [("census", p) for p in ps], "census"
     if kind == "nonresidue":
-        _check_capped("--x-limit", args.x_limit, "X")  # the count holds X + 1 parity bytes
-        runs = [tuple(ps[i : i + 8]) for i in range(0, len(ps), 8)]  # eight primes to a walk, a bit of its byte each
-        return [("nonresidue", run, args.x_limit) for run in runs], "nonresidue"
+        Xs = [min(args.x_limit or max(2, math.isqrt(p)), p - 1) for p in ps]
+        _check_capped("--x-limit", max(args.x_limit, *Xs), "X")  # the count holds X + 1 parity bytes, default X too
+        starts = range(0, len(ps), 8)  # eight primes to a walk, a bit of its byte each
+        return [("nonresidue", tuple(ps[i : i + 8]), tuple(Xs[i : i + 8])) for i in starts], "nonresidue"
 
     d = args.order
     for p in ps:

@@ -1,20 +1,20 @@
 """Exact arithmetic in F_p: primality, sieve, factorization, inverses, Legendre symbol, square roots.
 
-A PrimeField holds only p and a primitive root g, so building one costs
-the factorization of p - 1 by `factorize`, the package's one trial
-division (`sifter.tau` takes its primes from it too).  `prime_flags` is
-the one sieve, a bytearray, and `prime_factor_tally` the one walk over
-prime powers into bytes: up to eight completely additive functions on
-[1, N], one per bit of a window byte, applied through the translate
-table that `step_tables` keeps for each byte.  It serves `sifter.sift`
-and the tau signature walk (add), the non-residue parities of up to
-eight primes in `residues.nonresidue_counts` (xor) and eight #A_0
-windows of the calibration grid (or).  Legendre symbols are Euler's
-criterion by `pow` (the non-residue count takes them mod q by
-reciprocity), and square roots Tonelli-Shanks with g as the known
-non-residue.  p is held to the hard cap 2^31; a table or array of length
-n to the table cap (default 2*10^6, env DETSUM_MAX_TABLE).  Scalar only:
-no numpy.
+A PrimeField holds only p, an odd prime below psi_13 (`check_odd_prime`),
+and costs O(log p).  The least primitive root g factors p - 1 by
+`factorize`, the one trial division (`sifter.tau` uses it too), and only
+a character's index table (`characters`) finds it, past the table cap.
+`prime_flags` is the one sieve, a bytearray, and `prime_factor_tally` the
+one walk over prime powers into bytes: up to eight completely additive
+functions on [1, N], a bit of a window byte each, applied through the
+`step_tables` translate tables: `sifter.sift` and the tau signature walk
+(add), the non-residue parities of eight primes in
+`residues.nonresidue_counts` (xor), eight #A_0 windows of the calibration
+grid (or).  Legendre symbols are Euler's criterion by `pow`, the least
+non-residue z_p one Euler scan, and square roots Tonelli-Shanks with z_p
+as the non-residue.  A table of length n is held to the table cap
+(default 2*10^6, env DETSUM_MAX_TABLE) and the hard cap 2^31, p only
+where an array's dtype needs it.  Scalar only: no numpy.
 """
 
 import functools
@@ -23,10 +23,9 @@ import math
 import operator
 import os
 
-from .errors import NotPrime, TooLarge, ValidationError, ZeroInverse
+from .errors import InternalInvariantViolation, NotPrime, TooLarge, ValidationError, ZeroInverse
 
 DEFAULT_MAX_TABLE = 2_000_000
-HARD_CAP = 2**31
 
 # BIT_TABLES[j] is the `bytes.translate` table x -> bit j of x: it reads one tally of a byte that holds eight.
 BIT_TABLES = tuple((bytes(1 << j) + b"\x01" * (1 << j)) * (128 >> j) for j in range(8))
@@ -178,7 +177,7 @@ def factorize(n):
     """Prime factorization of n >= 1 as [(q, e), ...], primes increasing, by trial division.
 
     The one trial-division loop in the package: O(sqrt n) steps, fine at
-    desk scale (p - 1 for p below the hard cap 2^31, single tau values).
+    desk scale (p - 1 for p below the table cap, single tau values).
     """
     n = int(n)
     if n < 1:
@@ -208,20 +207,31 @@ def find_primitive_root(p):
         g += 1
 
 
+def _as_modulus(F):
+    """p from a PrimeField, or F checked to be an odd prime (a checked prime passes untested)."""
+    return F.p if isinstance(F, PrimeField) else check_odd_prime(F)
+
+
+def least_nonresidue(F):
+    """z_p, the smallest n >= 2 with (n/p) = -1, by linear scan with the Euler criterion; F a PrimeField or p."""
+    p = _as_modulus(F)
+    e = (p - 1) // 2
+    for n in range(2, p):
+        if pow(n, e, p) != 1:
+            return n
+    raise InternalInvariantViolation("no non-residue below p=%d" % p)  # pragma: no cover
+
+
 class PrimeField:
-    """Immutable arithmetic context for a fixed odd prime p.
+    """Immutable arithmetic context for a fixed odd prime p; build it by make_field, which validates p."""
 
-    Do not construct directly; use make_field, which validates p, checks
-    the hard cap and finds the primitive root g.  Nothing is tabulated.
-    """
+    __slots__ = ("p",)
 
-    __slots__ = ("p", "g")
-
-    def __init__(self, p, g):
-        self.p, self.g = p, g
+    def __init__(self, p):
+        self.p = p
 
     def __repr__(self):
-        return "PrimeField(p=%d, g=%d)" % (self.p, self.g)
+        return "PrimeField(p=%d)" % self.p
 
     def _check_residue(self, x):
         if not 0 <= x < self.p:
@@ -244,8 +254,9 @@ class PrimeField:
     def sqrt_roots(self, x):
         """All square roots of x mod p: (), (0,), or a pair (r, p-r) with r <= (p-1)/2.
 
-        Tonelli-Shanks with p - 1 = q 2^e, q odd, reading the Euler symbol off t = x^q.  g is
-        primitive, so a non-residue, and g^q generates the 2-Sylow subgroup: no search, O(log^2 p).
+        Tonelli-Shanks with p - 1 = q 2^e, q odd, reading the Euler symbol off t = x^q.  Unless t = 1,
+        z_p^q generates the 2-Sylow subgroup; the sorted pair does not depend on the non-residue.
+        O(log^2 p), plus z_p pows when t != 1 (never at e = 1).
         """
         self._check_residue(x)
         if x == 0:
@@ -256,19 +267,20 @@ class PrimeField:
         r, t = x * w % p, x * w * w % p  # x^((q+1)/2), x^q
         if pow(t, 1 << (e - 1), p) != 1:  # t^(2^(e-1)) = x^((p-1)/2)
             return ()
-        c, m = pow(self.g, (p - 1) >> e, p), e
-        while t != 1:  # invariant: r^2 = x t, c of order 2^m, t of order below 2^m
-            i, u = 0, t
-            while u != 1:  # the least i with t^(2^i) = 1
-                u, i = u * u % p, i + 1
-            b = pow(c, 1 << (m - i - 1), p)
-            r, t, c, m = r * b % p, t * b * b % p, b * b % p, i
+        if t != 1:  # else r is a root already, and no non-residue is needed
+            c, m = pow(least_nonresidue(self), (p - 1) >> e, p), e
+            while t != 1:  # invariant: r^2 = x t, c of order 2^m, t of order below 2^m
+                i, u = 0, t
+                while u != 1:  # the least i with t^(2^i) = 1
+                    u, i = u * u % p, i + 1
+                b = pow(c, 1 << (m - i - 1), p)
+                r, t, c, m = r * b % p, t * b * b % p, b * b % p, i
         return (min(r, p - r), max(r, p - r))
 
 
 def _check_hard_cap(n, name="p"):
     """TooLarge if n exceeds the hard cap 2^31; `name` labels n in the message."""
-    if n > HARD_CAP:
+    if n > 2**31:
         raise TooLarge("%s=%d exceeds the hard cap 2^31" % (name, n))
 
 
@@ -298,11 +310,9 @@ def _check_table_size(n, name="p"):
 
 
 def make_field(p):
-    """Build a PrimeField for an odd prime p: validate p, find its primitive root.
+    """Build a PrimeField for an odd prime p, by `check_odd_prime` alone.
 
-    Raises NotPrime for composite or even input, TooLarge above the hard cap
-    2^31.  O(sqrt p), factoring p - 1; immutable and safe to share across workers.
+    Raises NotPrime for composite or even input, TooLarge from psi_13 up.
+    O(log p); immutable and safe to share across workers.
     """
-    p = int(check_odd_prime(p))  # an exact int: numpy reads an int subclass as int64, not as a Python int
-    _check_hard_cap(p)
-    return PrimeField(p, find_primitive_root(p))
+    return PrimeField(int(check_odd_prime(p)))  # numpy reads an int subclass as int64, not as a Python int

@@ -1,9 +1,10 @@
 """Least quadratic non-residue machinery and the small non-square matrix.
 
-Operations accept either a PrimeField or a plain int modulus, so a scan
-over many primes (say every p up to 10^6) needs no field per prime and
-so no primitive-root search.  Every Legendre symbol is Euler's criterion
-by scalar `pow`: the least non-residue tries n = 2, 3, ... in turn mod p.
+Operations accept a PrimeField or a plain int modulus, any odd prime
+below psi_13, so a scan over many primes needs no field per prime, and
+no p-length table is built.  Every Legendre symbol is Euler's criterion
+by scalar `pow`; the least non-residue is `fp_arith.least_nonresidue`,
+re-exported here, the one Euler scan, which square roots share.
 The count up to X takes the symbol only at the primes q <= X, by
 quadratic reciprocity as Euler's criterion mod q (with (2/p) read off
 p mod 8), and extends it to 1..X as a parity bit per n, by the one
@@ -21,27 +22,12 @@ from typing import NamedTuple
 
 from . import mat2
 from .errors import InternalInvariantViolation
-from .fp_arith import BIT_TABLES, PrimeField, _check_hard_cap, _check_length, check_odd_prime, prime_factor_tally
-from .fp_arith import prime_flags, step_tables
-
-
-def _as_modulus(F):
-    """p from a PrimeField, or F checked to be an odd prime (a checked prime passes untested)."""
-    return F.p if isinstance(F, PrimeField) else check_odd_prime(F)
-
-
-def least_nonresidue(F):
-    """Smallest n >= 2 with (n/p) = -1, by linear scan with the Euler criterion."""
-    p = _as_modulus(F)
-    e = (p - 1) // 2
-    for n in range(2, p):
-        if pow(n, e, p) != 1:
-            return n
-    raise InternalInvariantViolation("no non-residue below p=%d" % p)  # pragma: no cover
+from .fp_arith import BIT_TABLES, PrimeField, _as_modulus, _check_length, check_odd_prime, least_nonresidue
+from .fp_arith import prime_factor_tally, prime_flags, step_tables
 
 
 def count_nonresidues(F, X):
-    """Exact #{1 <= n <= X : (n/p) = -1}; 1 <= X < p, p held to the hard cap and X to the table cap.
+    """Exact #{1 <= n <= X : (n/p) = -1}; 1 <= X < p, X held to the table cap.
 
     A batch of one of `nonresidue_counts`.
     """
@@ -65,7 +51,6 @@ def nonresidue_counts(Fs, Xs):
     ps, checked = [], []
     for F, X in zip(Fs, Xs, strict=True):
         p = _as_modulus(F)
-        _check_hard_cap(p)
         ps.append(p)
         checked.append(_check_length(X, p, "X"))
     counts = []

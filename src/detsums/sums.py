@@ -26,7 +26,7 @@ import numpy as np
 
 from .characters import CharSumAccumulator, as_weights, check_shifts, contract, de_moment, shifted_sums
 from .errors import DomainTooLarge, InternalInvariantViolation, Overflow, ValidationError
-from .fp_arith import _check_length, _check_table_size
+from .fp_arith import _check_hard_cap, _check_length, _check_table_size
 
 _DIRECT_CHUNK = 4_000_000  # cap on scratch entries per block in direct sums
 
@@ -287,9 +287,10 @@ def ratio_bins(F, A, B, C):
     are sorted and equal ones grouped, their class sizes added in int64:
     O(AB + CS log CS) time and a peak near 28 bytes per target (1.8 MiB
     for a 60^3 box), the A*B products and the C*S targets held to the
-    table cap, and no array of length p.
+    table cap, and no array of length p.  p < 2^31, the hard cap: the keys are int32, products int64.
     """
     p = F.p
+    _check_hard_cap(p)
     A, B, C = int(A), int(B), int(C)
     if not (1 <= A < p and 1 <= B < p and 1 <= C < p):
         raise ValidationError("need 1 <= A, B, C < p, got %d, %d, %d with p=%d" % (A, B, C, p))
@@ -298,7 +299,7 @@ def ratio_bins(F, A, B, C):
     support = np.flatnonzero(table)
     _check_table_size(C * len(support), "C*S")
     inverses = np.array([F.inv(c) for c in range(1, C + 1)], dtype=np.int64)
-    targets = (np.outer(inverses, support) % p).astype(np.int32).ravel()  # entry c*S + s; p < 2^31
+    targets = (np.outer(inverses, support) % p).astype(np.int32).ravel()  # entry c*S + s
     order = np.argsort(targets)
     keys = targets[order]
     del targets

@@ -48,7 +48,7 @@ def full_range(chi, terms):
 
 def test_make_character_order_three():
     chi = make_character(field(7), 3)
-    g, tab = chi.field.g, chi.index_table()
+    g, tab = fp_arith.find_primitive_root(7), chi.index_table()
     assert tab[g] == 1  # chi(g) = e(1/3), not 1
     assert tab[g * g % 7] == 2
     assert tab[pow(g, 3, 7)] == 0  # chi(g)^3 = 1: exact order 3
@@ -107,7 +107,7 @@ def test_index_table_matches_dlog_oracle(data):
     power = data.draw(st.sampled_from([k for k in range(1, d) if math.gcd(k, d) == 1]))
     F = field(p)
     chi = make_character(F, d, power)
-    dlog = dlog_by_loop(p, F.g).astype(np.int64)
+    dlog = dlog_by_loop(p, fp_arith.find_primitive_root(p)).astype(np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "_WALK_BLOCK", block)
         tab = chi.index_table()
@@ -123,7 +123,7 @@ def test_index_table_dtype_boundaries(p, d, dtype):
     (up to d - 1, the top of the type for int8 and int16) are the oracle's."""
     F = field(p)
     tab = make_character(F, d).index_table()
-    dlog = dlog_by_loop(p, F.g).astype(np.int64)
+    dlog = dlog_by_loop(p, fp_arith.find_primitive_root(p)).astype(np.int64)
     assert tab.dtype == dtype == index_dtype(d)
     assert np.array_equal(tab, np.where(dlog < 0, -1, dlog % d))
     assert tab.max() == d - 1
@@ -186,7 +186,7 @@ def test_index_table_full_tile_blocks_match_dlog(block, p, d):
     """A tile capped at p - 1 entries spans the whole walk; blocks of any row count read
     their own slices of it, each at its start k mod d."""
     F = field(p)
-    dlog = dlog_by_loop(p, F.g).astype(np.int64)
+    dlog = dlog_by_loop(p, fp_arith.find_primitive_root(p)).astype(np.int64)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "_WALK_BLOCK", block)
         tab = make_character(F, d).index_table()

@@ -59,11 +59,15 @@ def test_census_scan_above_table_cap(capsys):
     assert row == {k: str(getattr(cen, k)) for k in ("p", "n_total", "n_square", "n_nonsquare_invertible", "ratio")}
 
 
-def test_census_p_above_hard_cap_named_before_tasks_run(capsys, monkeypatch):
+def test_census_p_at_psi13_named_before_tasks_run(capsys, monkeypatch):
+    """A census holds p only below psi_13, where primality is proven; 2^31 is no cap for it."""
     ran = []
     monkeypatch.setattr(cli, "_run_task", ran.append)
-    assert run_cli(["scan", "--kind", "census", "--p", "2147483659"]) == 2
-    assert capsys.readouterr().err == "error: --p: p=2147483659 exceeds the hard cap 2^31\n"
+    assert run_cli(["scan", "--kind", "census", "--p", "3317044064679887385961981"]) == 2
+    assert capsys.readouterr().err == (
+        "error: p=3317044064679887385961981 is at or above 3317044064679887385961981,"
+        " the bound below which primality is proven\n"
+    )
     assert ran == []
 
 
@@ -114,10 +118,10 @@ def test_invalid_order_exit_2(capsys):
 )
 def test_huge_order_tally_exits_2(capsys, extra, n, bound_mib):
     """Order 166667 divides p - 1 at p = 1000003.  de_moment tallies blocks of n = 2^16 lams,
-    t_abs over a 60^3 box the n = 32590 occupied ratio bins; either way the d*n tally cells
-    pass the hard cap 2^31: TooLarge, exit 2 and one error line naming d and p, before the
-    index table or any tally is allocated (t_abs has built its ratio bins, the occupied
-    (lam, I(lam)) pairs, by then)."""
+    t_abs over a 60^3 box the n = 32590 occupied ratio bins; either way the d*n float64 tally
+    cells take more bytes than the hard cap 2^31: TooLarge, exit 2 and one error line naming
+    d and p, before the index table or any tally is allocated (t_abs has built its ratio bins,
+    the occupied (lam, I(lam)) pairs, by then)."""
     tracemalloc.start()
     try:
         code = run_cli(["scan", *extra, "--p", "1000003", "--order", "166667"])
@@ -126,17 +130,17 @@ def test_huge_order_tally_exits_2(capsys, extra, n, bound_mib):
         tracemalloc.stop()
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: tally size at d=166667, p=1000003: d*n=%d exceeds the hard cap 2^31" % (166667 * n)
+        "error: tally bytes at d=166667, p=1000003: 8*d*n=%d exceeds the hard cap 2^31" % (8 * 166667 * n)
     ]
     assert peak < bound_mib * 2**20
 
 
 def test_tally_bytes_exit_2(monkeypatch, capsys):
-    """Order 16384 at p = 65537: a de_moment block's d*n = 2^30 tally cells pass the cell cap,
-    but as float64 they are 8 GiB.  The tally's bytes are held to the hard cap too: TooLarge,
-    exit 2 and one error line naming d and p, before the index table or the tally is
-    allocated.  np.zeros is made to refuse any shape above 2^28 cells, so that a tally
-    allocated before the check fails the test instead of asking for the 8 GiB."""
+    """Order 16384 at p = 65537: a de_moment block's d*n = 2^30 tally cells are 8 GiB as
+    float64.  The tally's bytes are held to the hard cap: TooLarge, exit 2 and one error
+    line naming d and p, before the index table or the tally is allocated.  np.zeros is made
+    to refuse any shape above 2^28 cells, so that a tally allocated before the check fails the
+    test instead of asking for the 8 GiB."""
     real_zeros = np.zeros
 
     def guarded_zeros(shape, *args, **kwargs):
@@ -226,7 +230,7 @@ def test_bad_input_exit_2_without_traceback(argv, env, tmp_path, capsys, monkeyp
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_nonresidue_prime_held_to_hard_cap_only(capsys, monkeypatch):
+def test_nonresidue_prime_meets_no_table_cap(capsys, monkeypatch):
     """A nonresidue scan builds no p-entry table; only --x-limit, its arrays' length, meets the table cap."""
     monkeypatch.setenv("DETSUM_MAX_TABLE", "50")
     assert run_cli(["scan", "--kind", "nonresidue", "--p", "101"]) == 0
@@ -238,6 +242,45 @@ def test_nonresidue_prime_held_to_hard_cap_only(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_task", ran.append)
     assert run_cli(["scan", "--kind", "nonresidue", "--p", "101", "--x-limit", "51"]) == 2
     assert capsys.readouterr().err == "error: --x-limit: X=51 exceeds the table cap 50 (DETSUM_MAX_TABLE)\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("p, z", [(2305843009213693973, 2), (2305843009878671041, 131)])
+def test_nonresidue_scan_near_2_61(capsys, monkeypatch, p, z):
+    """Near 2^61 the scan runs with an --x-limit under the table cap.  The default X = isqrt(p) is held to the
+    cap before any task runs, and a failure names --x-limit in one error line."""
+    assert run_cli(["scan", "--kind", "nonresidue", "--p", str(p), "--x-limit", "1000"]) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    rep = residues.nonresidue_report(p, 1000)
+    assert (row["p"], row["z_p"], row["count"]) == (str(p), str(z), str(rep.count)) and rep.z_p == z
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", "nonresidue", "--p", "101,%d" % p]) == 2
+    assert capsys.readouterr().err == "error: --x-limit: X=%d exceeds the table cap 2000000 (DETSUM_MAX_TABLE)\n" % (
+        math.isqrt(p)
+    )
+    assert ran == []
+
+
+@pytest.mark.parametrize("kind", cli.SUM_KINDS)
+def test_sums_kinds_held_to_hard_cap(capsys, monkeypatch, kind):
+    """The sums kinds build p-entry index tables, so above 2^31 they exit 2 naming --p, with the table cap raised."""
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    monkeypatch.setenv("DETSUM_MAX_TABLE", str(2**62))
+    assert run_cli(["scan", "--kind", kind, "--p", "2305843009213693973", "--n-grid", "5"]) == 2
+    assert capsys.readouterr().err == "error: --p: p=2305843009213693973 exceeds the hard cap 2^31\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("kind", cli.SUM_KINDS + ("census", "nonresidue"))
+def test_every_prime_kind_exits_2_at_psi13(capsys, monkeypatch, kind):
+    """psi_13 is the bound below which primality is proven: every kind that takes --p exits 2 there."""
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", kind, "--p", "3317044064679887385961981", "--n-grid", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "3317044064679887385961981" in err
     assert ran == []
 
 

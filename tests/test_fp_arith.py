@@ -1,8 +1,10 @@
 """Field construction, Legendre symbol, inverses, square roots, the index table and the prime-factor tally against
 their oracles."""
 
+import ast
 import math
 import operator
+import pathlib
 import random
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from detsums import NotPrime, TooLarge, ZeroInverse, count_nonresidues, make_character, make_field
+from detsums import NotPrime, TooLarge, ZeroInverse, census, construct_nonsquare, count_nonresidues, make_character
+from detsums import make_field, nonresidue_report
 from detsums import fp_arith, residues, sifter
 from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, prime_factor_tally, prime_flags
 from detsums.fp_arith import BIT_TABLES, step_tables
@@ -36,24 +39,23 @@ def test_two_rejected():
 
 
 def test_p3_has_generator_two():
-    F = field(3)
-    assert F.g == 2
+    assert find_primitive_root(3) == 2
     assert pow(2, 1, 3) == 2 and pow(2, 2, 3) == 1
 
 
 def test_dlog_defining_property():
     """The dlog oracle inverts g^k, and the order p-1 index table, which pins the whole power walk, is the dlog."""
     for p in (7, 101):
-        F = field(p)
-        dlog = dlog_by_loop(p, F.g)
+        g = find_primitive_root(p)
+        dlog = dlog_by_loop(p, g)
         for k in range(p - 1):
-            assert dlog[pow(F.g, k, p)] == k
-        assert np.array_equal(make_character(F, p - 1).index_table(), dlog)
+            assert dlog[pow(g, k, p)] == k
+        assert np.array_equal(make_character(field(p), p - 1).index_table(), dlog)
 
 
 def test_generator_enumerates_units():
-    F = field(31)
-    seen = {pow(F.g, k, 31) for k in range(30)}
+    g = find_primitive_root(31)
+    seen = {pow(g, k, 31) for k in range(30)}
     assert seen == set(range(1, 31))
 
 
@@ -74,11 +76,12 @@ def test_table_cap_env(monkeypatch):
     assert make_character(F, 2).index_table().size == 7
 
 
-def test_field_held_to_hard_cap_only():
-    F = make_field(2147483647)
-    assert (F.p, F.g) == (2147483647, 7)
-    with pytest.raises(TooLarge, match="p=2147483659 exceeds the hard cap 2"):
-        make_field(2147483659)
+def test_field_held_below_psi13_only():
+    """A field is a checked prime: no cap at 2^31, TooLarge only at psi_13, where primality stops being proven."""
+    assert (make_field(2147483647).p, find_primitive_root(2147483647)) == (2147483647, 7)
+    assert make_field(2147483659).p == 2147483659
+    with pytest.raises(TooLarge, match="p=3317044064679887385961981 is at or above"):
+        make_field(fp_arith._MR_LIMIT)
 
 
 def test_legendre_examples():
@@ -132,7 +135,7 @@ def test_dlog_parity_crosscheck():
         p = int(p)
         F = field(p) if p <= 101 else make_field(p)
         ktab = make_character(F, 2).index_table()[1:]
-        assert np.array_equal(ktab, dlog_by_loop(p, F.g)[1:] & 1)
+        assert np.array_equal(ktab, dlog_by_loop(p, find_primitive_root(p))[1:] & 1)
         walk = prime_factor_tally(_nonresidue_primes((p,), (p - 1,)), p - 1, step_tables(operator.xor))
         assert ktab.tobytes() == walk[1:]
         parity = np.where(ktab & 1, -1, 1)
@@ -386,3 +389,30 @@ def test_primitive_root_order():
         g = find_primitive_root(p)
         seen = {pow(g, k, p) for k in range(p - 1)}
         assert len(seen) == p - 1
+
+
+def test_only_the_index_table_finds_a_primitive_root(monkeypatch):
+    """Trial division of p - 1 near 2^61 could take 10^9 steps, so no route but the index table factors it:
+    with `factorize` made to raise, a field, its census, square roots, non-residue report and small non-square
+    all run at p = 2305843009878671041, and characters is the one src module that calls find_primitive_root."""
+
+    def no_factorize(n):
+        raise AssertionError("factorize(%d) was called" % n)
+
+    monkeypatch.setattr(fp_arith, "factorize", no_factorize)
+    p = 2305843009878671041
+    F = make_field(p)
+    assert census(F).n_total == p**4
+    for x in (2, 131, 2**40 + 7, p - 1):
+        roots = F.sqrt_roots(x)
+        assert (roots == ()) == (F.legendre(x) == -1) and all(r * r % p == x for r in roots)
+    assert nonresidue_report(p, 1000).z_p == nonresidue_report(F, 1000).z_p == 131
+    assert construct_nonsquare(F).det_value == 131
+
+    callers = {
+        path.stem
+        for path in pathlib.Path(fp_arith.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "find_primitive_root" in (getattr(node.func, a, None) for a in ("id", "attr"))
+    }
+    assert callers == {"characters"}

@@ -1,6 +1,7 @@
 """Matrix products, the square-root decision, and the exact censuses."""
 
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -221,7 +222,7 @@ def test_census_p1999993():
 
 
 def test_census_at_hard_cap():
-    """The census row at p = 2147483629, pinned: the class tally is Python ints, exact at any p below 2^31."""
+    """The census row at p = 2147483629, pinned: the class tally is Python ints, exact at every p."""
     F = make_field(2147483629)
     assert all(type(c) is int for cells in mat2._class_tally(F) for pair in cells for c in pair)
     assert census(F) == (
@@ -232,6 +233,30 @@ def test_census_at_hard_cap():
         13292279483718130019193977032157513370,
         0.624999999825377,
     )
+
+
+def test_census_rule_matches_decision_near_2_61(rng):
+    """At p = 2305843009213693973 the eigenvalue rule behind the closed form agrees with one `has_square_root`
+    decision per sampled class: split, non-split, repeated and singular characteristic polynomials x^2 - t x + n."""
+    F = make_field(2305843009213693973)
+    p, half = F.p, F.inv(2)
+    cen = census(F)  # both certificates run
+    assert cen.n_total == p**4 and abs(cen.ratio - 5 / 8) < 1e-15
+    kinds = Counter()
+    for i in range(240):
+        t = rng.randrange(p)
+        n = (0, t * t * F.inv(4) % p, rng.randrange(1, p), rng.randrange(1, p))[i % 4]
+        disc = F.legendre((t * t - 4 * n) % p)
+        if disc == 1:  # a square iff both eigenvalues (t +- sqrt(disc)) / 2 are squares, 0 included
+            r = F.sqrt_roots((t * t - 4 * n) % p)[0]
+            square = all(F.legendre((t + s) * half % p) >= 0 for s in (r, -r))
+        elif disc == -1:  # a square iff the norm n is
+            square = F.legendre(n) == 1
+        else:  # a square iff the eigenvalue t/2 is a nonzero square
+            square = F.legendre(t * half % p) == 1
+        kinds[disc, square, n == 0] += 1
+        assert has_square_root(Mat2(0, -n % p, 1, t), F).found == square, (t, n)
+    assert len(kinds) == 8  # all 12 cells but the singular non-split (none exist) and singular repeated (t = n = 0)
 
 
 def test_pair_image_fixtures():

@@ -50,8 +50,8 @@ def test_int_path_validates():
         least_nonresidue(15)
     with pytest.raises(NotPrime):
         least_nonresidue(2)
-    with pytest.raises(TooLarge, match="p=2147483659 exceeds the hard cap"):
-        count_nonresidues(2147483659, 10)  # the documented hard cap p <= 2^31, though the count is scalar
+    with pytest.raises(TooLarge, match="p=3317044064679887385961981 is at or above"):
+        count_nonresidues(fp_arith._MR_LIMIT, 10)  # psi_13, the bound below which primality is proven
 
 
 @pytest.fixture
@@ -176,9 +176,9 @@ def test_batched_reports_match_one_by_one():
 def test_batched_counts_check_each_prime_in_order():
     """A bad entry of a run raises what a count of one raises, the first bad one in order."""
     with pytest.raises(NotPrime):
-        residues.nonresidue_counts([7, 9, 2147483659], [3, 2, 10])
+        residues.nonresidue_counts([7, 9, fp_arith._MR_LIMIT], [3, 2, 10])
     with pytest.raises(TooLarge):
-        residues.nonresidue_counts([7, 2147483659, 9], [3, 10, 2])
+        residues.nonresidue_counts([7, fp_arith._MR_LIMIT, 9], [3, 10, 2])
     with pytest.raises(ValueError, match="X=7"):
         residues.nonresidue_counts([11, 7], [3, 7])
 
@@ -296,3 +296,10 @@ def test_worst_prime_near_2_31(capsys):
 def test_construct_above_table_cap():
     """The square-root decision builds no table, so the construction runs above the 2*10^6 table cap."""
     assert construct_nonsquare(make_field(3000017)).det_value == least_nonresidue(3000017)
+
+
+def test_construct_near_2_61():
+    """Above 2^31 too: at p = 2305843009878671041, z_p = 131, and the verified matrix is (12, 1, 1, 11)."""
+    F = make_field(2305843009878671041)
+    assert construct_nonsquare(F) == SmallNonSquareMatrix(12, 1, 1, 11, 131)
+    assert F.legendre(131) == -1 and all(F.legendre(n) == 1 for n in range(2, 131))

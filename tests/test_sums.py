@@ -512,6 +512,12 @@ def test_ratio_bins_caps_products(monkeypatch):
     assert ratio_bins(F, 10, 100, 1).total() == 1000
 
 
+def test_ratio_bins_held_below_2_31():
+    """Above 2^31 the int32 keys and the int64 products of residues would wrap: ratio_bins raises TooLarge itself."""
+    with pytest.raises(TooLarge, match="p=2147483659 exceeds the hard cap 2"):
+        ratio_bins(field(2147483659), 2, 2, 2)
+
+
 def test_t_abs_zero_weights():
     chi = make_character(field(11), 2)
     assert t_abs_sum(chi, 2, 2, 2, {1, 2}, {1: 0.0, 2: 0.0}) == 0.0
