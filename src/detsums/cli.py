@@ -28,8 +28,7 @@ import time
 
 from . import __version__, mat2
 from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
-from .fp_arith import _check_length, _check_table_size, _OddPrime, check_odd_prime
-from .fp_arith import make_field, prime_flags
+from .fp_arith import PrimeField, _check_length, _check_table_size, make_field, prime_flags
 
 SUM_KINDS = ("s", "u", "t_abs", "t_n", "de_moment")
 ALL_KINDS = SUM_KINDS + ("delta_profile", "census", "nonresidue", "sift")
@@ -59,12 +58,13 @@ def _check_capped(flag, n, name):
 
 
 def _collect_primes(args):
-    """Sorted distinct primes from --p and --p-range; NotPrime for one that is not an odd prime.
+    """Fields of the sorted distinct primes from --p and --p-range; NotPrime for one that is not an odd prime.
 
-    Each --p value is tested once, and for a sums kind (its tasks build p-entry tables) held to the
-    table cap before any task runs; any kind takes p below psi_13.  A prime sifted from --p-range
-    needs no test, but 2 still raises, so `--p-range 1:100` exits 2 with "got 2"; a range with
-    LO > HI is empty.  Every prime returned is a checked `_OddPrime`, which no later layer tests again.
+    Each --p value is tested once, by `make_field`, and for a sums kind (its tasks build p-entry
+    tables) held to the table cap before any task runs; any kind takes p below psi_13.  A prime
+    sifted from --p-range becomes a field untested, as the sieve has proven it, but 2 still raises,
+    so `--p-range 1:100` exits 2 with "got 2"; a range with LO > HI is empty.  No later layer tests
+    a field again.
     """
     ps = []
     for p in _parse_int_list("--p", args.p):
@@ -80,13 +80,13 @@ def _collect_primes(args):
         _check_capped("--p-range HI", hi, "p")  # before the sieve allocates HI + 1 bytes
         if lo <= hi:
             sieved = {q for q in itertools.compress(range(hi + 1), prime_flags(hi)) if q >= lo}
-    return [_OddPrime(p) if p in sieved and p != 2 else check_odd_prime(p) for p in sorted(sieved.union(ps))]
+    return [PrimeField(p) if p in sieved and p != 2 else make_field(p) for p in sorted(sieved.union(ps))]
 
 
-@functools.lru_cache(maxsize=1)  # _build_tasks groups sums tasks by p: one index table per (p, d)
-def _character(p, d):
+@functools.lru_cache(maxsize=1)  # one index table per (p, d): tasks come grouped by p, a field hashes by p
+def _character(F, d):
     from . import characters
-    return characters.make_character(make_field(p), d)
+    return characters.make_character(F, d)
 
 
 def _rng(*seed_parts):
@@ -127,13 +127,13 @@ def _run_task(task):
     """Compute one task tuple into CSV rows; must stay picklable for workers."""
     kind = task[0]
     if kind in SUM_KINDS:
-        _, p, d, params, seed = task
-        call, n_col = _sum_call(kind, _character(p, d), params, seed)
+        _, F, d, params, seed = task
+        call, n_col = _sum_call(kind, _character(F, d), params, seed)
         t0 = time.perf_counter()
         val = complex(call())
         ms = (time.perf_counter() - t0) * 1000.0
         mag = abs(val)
-        return [[p, d, n_col, kind, val.real, val.imag, mag, mag / n_col**4, "%.3f" % ms]]
+        return [[F.p, d, n_col, kind, val.real, val.imag, mag, mag / n_col**4, "%.3f" % ms]]
     if kind == "delta_profile":
         from . import sums
         _, N = task
@@ -141,13 +141,13 @@ def _run_task(task):
         nz = counts.nonzero()[0]
         return [[N, delta, c] for delta, c in zip((nz - (N * N - 1)).tolist(), counts[nz].tolist())]
     if kind == "census":
-        _, p = task
-        cen = mat2.census(make_field(p))
+        _, F = task
+        cen = mat2.census(F)
         return [[cen.p, cen.n_total, cen.n_square, cen.n_nonsquare_invertible, cen.ratio]]
     if kind == "nonresidue":
         from . import residues
-        _, ps, Xs = task
-        reports = residues.nonresidue_reports(ps, Xs)  # int path: no field per prime, one walk per run
+        _, Fs, Xs = task
+        reports = residues.nonresidue_reports(Fs, Xs)  # one walk per run
         return [[rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X] for rep in reports]
     if kind == "sift":
         from . import sifter
@@ -159,6 +159,9 @@ def _run_task(task):
 
 def _build_tasks(args):
     kind = args.kind
+    unused = [flag for flag, value in (("--p", args.p), ("--p-range", args.p_range)) if value]
+    if kind in ("sift", "delta_profile") and unused:  # neither kind reads a prime
+        raise ValidationError("kind %s takes no %s" % (kind, " or ".join(unused)))
     if args.workers < 1:
         raise ValidationError("--workers must be >= 1, got %d" % args.workers)
     if args.x_limit < 0:
@@ -185,44 +188,44 @@ def _build_tasks(args):
             raise ValidationError("delta_profile needs --n-grid")
         return [("delta_profile", N) for N in n_grid], "delta_profile"
 
-    ps = _collect_primes(args)
-    if not ps:
+    Fs = _collect_primes(args)
+    if not Fs:
         raise ValidationError(
             "--p-range %s holds no odd prime" % args.p_range if args.p_range else "kind %s needs --p or --p-range" % kind
         )
     if kind == "census":
-        return [("census", p) for p in ps], "census"
+        return [("census", F) for F in Fs], "census"
     if kind == "nonresidue":
-        Xs = [min(args.x_limit or max(2, math.isqrt(p)), p - 1) for p in ps]
+        Xs = [min(args.x_limit or max(2, math.isqrt(F.p)), F.p - 1) for F in Fs]
         _check_capped("--x-limit", max(args.x_limit, *Xs), "X")  # the count holds X + 1 parity bytes, default X too
-        starts = range(0, len(ps), 8)  # eight primes to a walk, a bit of its byte each
-        return [("nonresidue", tuple(ps[i : i + 8]), tuple(Xs[i : i + 8])) for i in starts], "nonresidue"
+        starts = range(0, len(Fs), 8)  # eight primes to a walk, a bit of its byte each
+        return [("nonresidue", tuple(Fs[i : i + 8]), tuple(Xs[i : i + 8])) for i in starts], "nonresidue"
 
     d = args.order
-    for p in ps:
-        if d < 2 or (p - 1) % d != 0:
-            raise ValidationError("order d=%d does not divide p-1 for p=%d" % (d, p))
+    for F in Fs:
+        if d < 2 or (F.p - 1) % d != 0:
+            raise ValidationError("order d=%d does not divide p-1 for p=%d" % (d, F.p))
     if kind == "de_moment":
-        return [("de_moment", p, d, (args.shift_count, args.nu), args.seed) for p in ps], "sums"
+        return [("de_moment", F, d, (args.shift_count, args.nu), args.seed) for F in Fs], "sums"
     if kind == "t_abs":
         abc = tuple(_parse_int_list("--abc", args.abc))
         if len(abc) != 3:
             raise ValidationError("--abc wants three comma-separated values")
         tasks = []
-        for p in ps:
-            if abc[0] * abc[1] * abc[2] >= p:
-                raise ValidationError("t_abs needs A*B*C < p, got %s with p=%d" % (list(abc), p))
-            tasks.append(("t_abs", p, d, (abc, args.shift_count), args.seed))
+        for F in Fs:
+            if abc[0] * abc[1] * abc[2] >= F.p:
+                raise ValidationError("t_abs needs A*B*C < p, got %s with p=%d" % (list(abc), F.p))
+            tasks.append(("t_abs", F, d, (abc, args.shift_count), args.seed))
         return tasks, "sums"
     if not n_grid:
         raise ValidationError("kind %s needs --n-grid" % kind)
     tasks = []
-    for p in ps:
+    for F in Fs:
         for N in n_grid:
-            _check_length(N, p)
-            if kind == "t_n" and N**3 >= p:
-                raise ValidationError("t_n needs N^3 < p, got N=%d with p=%d" % (N, p))
-            tasks.append((kind, p, d, N, args.seed))
+            _check_length(N, F.p)
+            if kind == "t_n" and N**3 >= F.p:
+                raise ValidationError("t_n needs N^3 < p, got N=%d with p=%d" % (N, F.p))
+            tasks.append((kind, F, d, N, args.seed))
     return tasks, "sums"
 
 

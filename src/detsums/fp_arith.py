@@ -1,20 +1,20 @@
 """Exact arithmetic in F_p: primality, sieve, factorization, inverses, Legendre symbol, square roots.
 
-A PrimeField holds only p, an odd prime below psi_13 (`check_odd_prime`),
-and costs O(log p).  The least primitive root g factors p - 1 by
-`factorize`, the one trial division (`sifter.tau` uses it too), and only
-a character's index table (`characters`) finds it, past the table cap.
-`prime_flags` is the one sieve, a bytearray, and `prime_factor_tally` the
-one walk over prime powers into bytes: up to eight completely additive
-functions on [1, N], a bit of a window byte each, applied through the
-`step_tables` translate tables: `sifter.sift` and the tau signature walk
-(add), the non-residue parities of eight primes in
-`residues.nonresidue_counts` (xor), eight #A_0 windows of the calibration
-grid (or).  Legendre symbols are Euler's criterion by `pow`, the least
-non-residue z_p one Euler scan, and square roots Tonelli-Shanks with z_p
-as the non-residue.  A table of length n is held to the table cap
-(default 2*10^6, env DETSUM_MAX_TABLE) and the hard cap 2^31, p only
-where an array's dtype needs it.  Scalar only: no numpy.
+A PrimeField is the one checked prime: it holds only p, an odd prime below
+psi_13 that `make_field` has tested once, and costs O(log p).  The least
+primitive root g factors p - 1 by `factorize`, the one trial division
+(`sifter.tau` uses it too), and only a character's index table
+(`characters`) finds it, past the table cap.  `prime_flags` is the one
+sieve, a bytearray, and `prime_factor_tally` the one walk over prime
+powers into bytes: up to eight completely additive functions on [1, N], a
+bit of a window byte each, applied through the `step_tables` translate
+tables: `sifter.sift` and the tau signature walk (add), the non-residue
+parities of eight primes in `residues.nonresidue_counts` (xor), eight #A_0
+windows of the calibration grid (or).  Legendre symbols are Euler's
+criterion by `pow`, the least non-residue z_p one Euler scan, and square
+roots Tonelli-Shanks with z_p as the non-residue.  A table of length n is
+held to the table cap (default 2*10^6, env DETSUM_MAX_TABLE) and the hard
+cap 2^31, p only where an array's dtype needs it.  Scalar only: no numpy.
 """
 
 import functools
@@ -22,6 +22,7 @@ import itertools
 import math
 import operator
 import os
+from typing import NamedTuple
 
 from .errors import InternalInvariantViolation, NotPrime, TooLarge, ValidationError, ZeroInverse
 
@@ -61,29 +62,6 @@ def is_prime(n):
         else:
             return False
     return True
-
-
-class _OddPrime(int):
-    """An int known to be an odd prime, so `check_odd_prime` passes it through untested."""
-
-    __slots__ = ()
-
-
-def check_odd_prime(p):
-    """p as an int known to be an odd prime; NotPrime unless it is one.
-
-    TooLarge from _MR_LIMIT up, where `is_prime` is not proven.  The
-    result is an `_OddPrime`, so checking it again runs no primality
-    test: a prime is tested once, however many calls it passes through.
-    """
-    if type(p) is _OddPrime:
-        return p
-    p = int(p)
-    if p >= _MR_LIMIT:
-        raise TooLarge("p=%d is at or above %d, the bound below which primality is proven" % (p, _MR_LIMIT))
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise NotPrime("p must be an odd prime, got %d" % p)
-    return _OddPrime(p)
 
 
 def prime_flags(n, name="n"):
@@ -207,14 +185,9 @@ def find_primitive_root(p):
         g += 1
 
 
-def _as_modulus(F):
-    """p from a PrimeField, or F checked to be an odd prime (a checked prime passes untested)."""
-    return F.p if isinstance(F, PrimeField) else check_odd_prime(F)
-
-
 def least_nonresidue(F):
-    """z_p, the smallest n >= 2 with (n/p) = -1, by linear scan with the Euler criterion; F a PrimeField or p."""
-    p = _as_modulus(F)
+    """z_p, the smallest n >= 2 with (n/p) = -1, by linear scan with the Euler criterion; F a field or an int."""
+    p = make_field(F).p
     e = (p - 1) // 2
     for n in range(2, p):
         if pow(n, e, p) != 1:
@@ -222,16 +195,10 @@ def least_nonresidue(F):
     raise InternalInvariantViolation("no non-residue below p=%d" % p)  # pragma: no cover
 
 
-class PrimeField:
-    """Immutable arithmetic context for a fixed odd prime p; build it by make_field, which validates p."""
+class PrimeField(NamedTuple):
+    """F_p for an odd prime p below psi_13, tested once: `make_field` builds it, and no layer tests it again."""
 
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        self.p = p
-
-    def __repr__(self):
-        return "PrimeField(p=%d)" % self.p
+    p: int
 
     def _check_residue(self, x):
         if not 0 <= x < self.p:
@@ -310,9 +277,17 @@ def _check_table_size(n, name="p"):
 
 
 def make_field(p):
-    """Build a PrimeField for an odd prime p, by `check_odd_prime` alone.
+    """p as a PrimeField: a field unchanged, an int tested once.
 
-    Raises NotPrime for composite or even input, TooLarge from psi_13 up.
-    O(log p); immutable and safe to share across workers.
+    NotPrime unless p is an odd prime; TooLarge from _MR_LIMIT = psi_13 up,
+    where `is_prime` is not proven.  O(log p); the field hashes by p and is
+    safe to share across workers.
     """
-    return PrimeField(int(check_odd_prime(p)))  # numpy reads an int subclass as int64, not as a Python int
+    if isinstance(p, PrimeField):
+        return p
+    p = int(p)
+    if p >= _MR_LIMIT:
+        raise TooLarge("p=%d is at or above %d, the bound below which primality is proven" % (p, _MR_LIMIT))
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise NotPrime("p must be an odd prime, got %d" % p)
+    return PrimeField(p)

@@ -1,18 +1,17 @@
 """Least quadratic non-residue machinery and the small non-square matrix.
 
-Operations accept a PrimeField or a plain int modulus, any odd prime
-below psi_13, so a scan over many primes needs no field per prime, and
-no p-length table is built.  Every Legendre symbol is Euler's criterion
-by scalar `pow`; the least non-residue is `fp_arith.least_nonresidue`,
-re-exported here, the one Euler scan, which square roots share.
-The count up to X takes the symbol only at the primes q <= X, by
-quadratic reciprocity as Euler's criterion mod q (with (2/p) read off
-p mod 8), and extends it to 1..X as a parity bit per n, by the one
-prime-power walk `fp_arith.prime_factor_tally`: one walk and one sieve
-serve a run of eight primes, a bit of the byte each.  No numpy.  An int
-p is tested for primality once per report, and not at all when it
-arrives checked (`fp_arith.check_odd_prime`), as a `--p-range` prime
-sifted by the CLI does.
+Each operation takes a PrimeField or an int, any odd prime below psi_13,
+and opens with `fp_arith.make_field`: an int is tested once per call, a
+field not at all, and no p-length table is built.  Every Legendre symbol
+is Euler's criterion by scalar `pow`; the least non-residue is
+`fp_arith.least_nonresidue`, re-exported here, the one Euler scan, which
+square roots share.  The count up to X takes the symbol only at the
+primes q <= X, by quadratic reciprocity as Euler's criterion mod q (with
+(2/p) read off p mod 8), and extends it to 1..X as a parity bit per n, by
+the one prime-power walk `fp_arith.prime_factor_tally`: one walk and one
+sieve serve a run of eight primes, a bit of the byte each.  No numpy.
+The CLI passes fields, so a `--p-range` prime, which its sieve has
+proven, is never tested.
 """
 
 import math
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 from . import mat2
 from .errors import InternalInvariantViolation
-from .fp_arith import BIT_TABLES, PrimeField, _as_modulus, _check_length, check_odd_prime, least_nonresidue
+from .fp_arith import BIT_TABLES, _check_length, least_nonresidue, make_field
 from .fp_arith import prime_factor_tally, prime_flags, step_tables
 
 
@@ -50,7 +49,7 @@ def nonresidue_counts(Fs, Xs):
     """
     ps, checked = [], []
     for F, X in zip(Fs, Xs, strict=True):
-        p = _as_modulus(F)
+        p = make_field(F).p
         ps.append(p)
         checked.append(_check_length(X, p, "X"))
     counts = []
@@ -97,12 +96,11 @@ def nonresidue_report(F, X):
 
 def nonresidue_reports(Fs, Xs):
     """A `NonResidueReport` for each p of Fs and X of Xs, the counts from `nonresidue_counts`."""
-    Fs = [F if isinstance(F, PrimeField) else check_odd_prime(F) for F in Fs]  # tested here at most once
+    Fs = [make_field(F) for F in Fs]  # an int is tested here, once per report
     reports = []
     for F, X, count in zip(Fs, Xs, nonresidue_counts(Fs, Xs)):
-        p = int(_as_modulus(F))  # the report holds a plain int
         z = least_nonresidue(F)
-        reports.append(NonResidueReport(p, z, X, count, math.log(z) / math.log(p)))
+        reports.append(NonResidueReport(F.p, z, X, count, math.log(z) / math.log(F.p)))
     return reports
 
 
@@ -121,10 +119,9 @@ def construct_nonsquare(F):
     in [1, a], c = 1, d = (z + b)/a.  Then ad - bc = z, all entries are
     at most ceil(sqrt(z)) + 1, and the reduction mod p has no matrix
     square root.  Every one of those facts is re-checked before
-    returning; a failure would be a build-stopping bug.
+    returning; a failure would be a build-stopping bug.  F a PrimeField or an int.
     """
-    if not isinstance(F, PrimeField):
-        raise TypeError("construct_nonsquare needs a PrimeField (the matrix check does)")
+    F = make_field(F)
     z = least_nonresidue(F)
     a = math.isqrt(z)
     if a * a < z:

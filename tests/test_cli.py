@@ -284,6 +284,24 @@ def test_every_prime_kind_exits_2_at_psi13(capsys, monkeypatch, kind):
     assert ran == []
 
 
+@pytest.mark.parametrize("kind", ["sift", "delta_profile"])
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--p", "3317044064679887385961981"], "--p"),
+        (["--p-range", "3:50"], "--p-range"),
+        (["--p", "7", "--p-range", "3:50"], "--p or --p-range"),
+    ],
+)
+def test_prime_flags_refused_where_unread(capsys, monkeypatch, kind, flags, named):
+    """sift and delta_profile read no prime, so a --p or --p-range given to them exits 2 naming it, before any task."""
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", kind, "--n-grid", "5", *flags]) == 2
+    assert capsys.readouterr().err == "error: kind %s takes no %s\n" % (kind, named)
+    assert ran == []
+
+
 def test_sift_n_cap_names_flag(capsys, monkeypatch):
     monkeypatch.setenv("DETSUM_MAX_TABLE", "1000")
     assert run_cli(["scan", "--kind", "sift", "--n-grid", "500,1001"]) == 2
@@ -572,7 +590,7 @@ def test_nonresidue_scan_runs_of_eight(tmp_path):
     args = cli.build_parser().parse_args(["scan", "--kind", "nonresidue", "--p-range", "3:200", "--x-limit", "5"])
     tasks, _ = cli._build_tasks(args)
     assert [len(run) for _, run, _ in tasks] == [8] * 5 + [5]
-    ps = [p for _, run, _ in tasks for p in run]
+    ps = [F.p for _, run, _ in tasks for F in run]
     assert ps == sorted(ps) and len(ps) == 45
     texts = []
     for workers in ("1", "2"):

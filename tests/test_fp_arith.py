@@ -5,6 +5,7 @@ import ast
 import math
 import operator
 import pathlib
+import pickle
 import random
 
 import numpy as np
@@ -13,9 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detsums import NotPrime, TooLarge, ZeroInverse, census, construct_nonsquare, count_nonresidues, make_character
-from detsums import make_field, nonresidue_report
+from detsums import PrimeField, make_field, nonresidue_report
 from detsums import fp_arith, residues, sifter
-from detsums.fp_arith import check_odd_prime, factorize, find_primitive_root, is_prime, prime_factor_tally, prime_flags
+from detsums.fp_arith import factorize, find_primitive_root, is_prime, prime_factor_tally, prime_flags
 from detsums.fp_arith import BIT_TABLES, step_tables
 from detsums.residues import _nonresidue_primes
 from detsums.sums import ratio_bins
@@ -337,11 +338,16 @@ def test_every_steps_src_passes_maps_zero_to_its_byte(monkeypatch):
 def test_checked_prime_is_tested_once(monkeypatch):
     tested = []
     monkeypatch.setattr(fp_arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
-    p = check_odd_prime(101)
-    assert p == 101 and check_odd_prime(p) is p and tested == [101]
-    F = make_field(p)
-    assert tested == [101]
+    F = make_field(101)
+    assert F.p == 101 and make_field(F) is F and tested == [101]
     assert type(F.p) is int  # numpy would read an int subclass as int64, not as a weak Python int
+
+
+def test_field_survives_pickling_with_its_hash():
+    """A worker's unpickled field must equal and hash as the sender's: the CLI's character cache keys on it."""
+    F = make_field(101)
+    G = pickle.loads(pickle.dumps(F))
+    assert G == F and hash(G) == hash(F) and type(G) is PrimeField and repr(G) == "PrimeField(p=101)"
 
 
 def test_is_prime_beyond_bases_2_to_37():
@@ -362,7 +368,7 @@ def test_modulus_held_below_proven_primality_range():
         with pytest.raises(TooLarge, match="3317044064679887385961981"):
             residues.least_nonresidue(n)
         with pytest.raises(TooLarge):
-            check_odd_prime(n)
+            make_field(n)
     assert residues.least_nonresidue(2**61 - 1) == 3
 
 
@@ -416,3 +422,26 @@ def test_only_the_index_table_finds_a_primitive_root(monkeypatch):
         if isinstance(node, ast.Call) and "find_primitive_root" in (getattr(node.func, a, None) for a in ("id", "attr"))
     }
     assert callers == {"characters"}
+
+
+def test_only_make_field_and_the_sieve_build_a_field():
+    """No layer builds an untested field: src calls PrimeField( only in make_field, after its primality test, and in
+    the CLI's _collect_primes, on the branch of a prime that the --p-range sieve has proven.  The named tuple's own
+    builders, _make and _replace, appear nowhere in src."""
+    builds, tuple_builders = [], []
+    for path in pathlib.Path(fp_arith.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        scope = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "PrimeField" in (getattr(node.func, a, None) for a in ("id", "attr")):
+                branch = parent[node]
+                test = ast.unparse(branch.test) if isinstance(branch, ast.IfExp) and branch.body is node else None
+                builds.append((path.stem, scope.get(node), test))
+            if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace"):
+                tuple_builders.append((path.stem, ast.unparse(node)))
+    assert sorted(builds, key=str) == [
+        ("cli", "_collect_primes", "p in sieved and p != 2"),
+        ("fp_arith", "make_field", None),
+    ]
+    assert tuple_builders == []

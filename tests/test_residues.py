@@ -74,8 +74,8 @@ def test_report_checks_an_int_prime_once(prime_checks):
         nonresidue_report(p, 10)
         assert prime_checks == {p: 1}
     prime_checks.clear()
-    nonresidue_report(fp_arith.check_odd_prime(211), 10)
-    assert prime_checks == {211: 1}  # by check_odd_prime; the report does not test a checked prime again
+    nonresidue_report(fp_arith.make_field(211), 10)
+    assert prime_checks == {211: 1}  # by make_field; the report does not test a field again
 
 
 def test_scan_checks_each_prime_at_most_twice(prime_checks, capsys):
@@ -120,8 +120,8 @@ def euler_counts(p, X):
 def test_count_matches_euler_every_X():
     """The parity walk equals the scalar Euler count at every X in [1, p - 1], every odd p < 300."""
     for p in primes_upto(300)[1:]:
-        p = fp_arith.check_odd_prime(p)
-        assert [count_nonresidues(p, X) for X in range(1, p)] == euler_counts(p, p - 1)[1:], p
+        F = fp_arith.make_field(p)
+        assert [count_nonresidues(F, X) for X in range(1, F.p)] == euler_counts(F.p, F.p - 1)[1:], p
 
 
 @pytest.mark.parametrize("p, top", [(1000003, 60000), (2147398009, 46340)])
@@ -135,16 +135,16 @@ def test_count_matches_euler_sampled(p, top):
         while qe <= top:
             xs |= {qe, qe - 1}
             qe *= q
-    p = fp_arith.check_odd_prime(p)
-    assert {X: count_nonresidues(p, X) for X in xs} == {X: want[X] for X in xs}
+    F = fp_arith.make_field(p)
+    assert {X: count_nonresidues(F, X) for X in xs} == {X: want[X] for X in xs}
 
 
 def odd_primes(lo, count):
-    """The first `count` primes >= lo, as checked odd primes."""
+    """The first `count` primes >= lo, as fields."""
     out, p = [], lo
     while len(out) < count:
         if is_prime(p):
-            out.append(fp_arith.check_odd_prime(p))
+            out.append(fp_arith.make_field(p))
         p += 1
     return out
 
@@ -157,16 +157,16 @@ def test_batched_counts_match_euler(size):
     rng = random.Random(size)
     for lo in (3, 1000, 1000003):
         ps = odd_primes(lo, size)
-        wants = [euler_counts(p, min(p - 1, 3000)) for p in ps]
-        draws = [[rng.randint(1, min(p - 1, 3000)) for p in ps] for _ in range(3)]
-        limits = [[min(limit, p - 1) for p in ps] for limit in (1, 2, 5, 50)]
-        for Xs in draws + limits + [[min(max(2, math.isqrt(p)), p - 1) for p in ps]]:
+        wants = [euler_counts(F.p, min(F.p - 1, 3000)) for F in ps]
+        draws = [[rng.randint(1, min(F.p - 1, 3000)) for F in ps] for _ in range(3)]
+        limits = [[min(limit, F.p - 1) for F in ps] for limit in (1, 2, 5, 50)]
+        for Xs in draws + limits + [[min(max(2, math.isqrt(F.p)), F.p - 1) for F in ps]]:
             assert residues.nonresidue_counts(ps, Xs) == [want[X] for want, X in zip(wants, Xs)], (ps, Xs)
 
 
 def test_batched_reports_match_one_by_one():
     """The CLI's runs of eight: each report equals the batch-of-one report, fields and int paths alike."""
-    ps = odd_primes(3, 8) + [2147398009]
+    ps = [F.p for F in odd_primes(3, 8)] + [2147398009]
     Xs = [min(5, p - 1) for p in ps[:8]] + [46340]
     reports = residues.nonresidue_reports([*ps[:4], *map(field, ps[4:8]), ps[8]], Xs)
     assert reports == [nonresidue_report(p, X) for p, X in zip(ps, Xs)]
@@ -189,7 +189,7 @@ def euler_nonresidue_primes(p, X):
 
 
 def reciprocity_nonresidue_primes(p, X):
-    window = residues._nonresidue_primes((fp_arith.check_odd_prime(p),), (X,))
+    window = residues._nonresidue_primes((fp_arith.make_field(p).p,), (X,))
     assert len(window) == X + 1
     return [q for q, flag in enumerate(window) if flag]
 
@@ -205,7 +205,7 @@ def test_reciprocity_two_in_every_odd_class_mod_8():
     seen = Counter()
     for p in [*primes_upto(200)[1:].tolist(), 1000003, 2147398009, 2147483629, 2147483647, 2147483587]:
         seen[p % 8] += 1
-        window = residues._nonresidue_primes((fp_arith.check_odd_prime(p),), (2,))
+        window = residues._nonresidue_primes((fp_arith.make_field(p).p,), (2,))
         assert bool(window[2]) == (pow(2, (p - 1) // 2, p) != 1), p
     assert sorted(seen) == [1, 3, 5, 7]
 
@@ -225,9 +225,9 @@ def test_count_takes_no_power_mod_p(monkeypatch):
         return pow(base, exp, mod)
 
     monkeypatch.setattr(residues, "pow", spy, raising=False)  # shadows the builtin in the module
-    p, X = fp_arith.check_odd_prime(2147483629), 500
-    assert count_nonresidues(p, X) == euler_counts(p, X)[X]
-    assert moduli and p not in moduli and max(moduli) <= X
+    F, X = fp_arith.make_field(2147483629), 500
+    assert count_nonresidues(F, X) == euler_counts(F.p, X)[X]
+    assert moduli and F.p not in moduli and max(moduli) <= X
 
 
 def test_count_full_range():
