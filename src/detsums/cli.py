@@ -14,10 +14,13 @@ census, nonresidue or sift scan, calibrate (its tau and prime-tail sums are plai
 --help and a validation failure found before the first task start without it.  Each layer
 is called as `module.function` (`sums.de_moment`, `mat2.census`), the names
 benchmark/trace_child.py wraps.
+At interpreter exit the heap is frozen, so shutdown's collections skip it; `main` freezes nothing.
 """
 
 import argparse
+import atexit
 import functools
+import gc
 import itertools
 import json
 import math
@@ -29,6 +32,10 @@ import time
 from . import __version__, mat2
 from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
 from .fp_arith import PrimeField, _check_length, _check_table_size, make_field, prime_flags
+
+# Run before finalization's full collections: every object the process loaded or built (numpy's
+# modules, the layers, a scan's tables) moves to the permanent generation, which those never traverse.
+atexit.register(gc.freeze)
 
 SUM_KINDS = ("s", "u", "t_abs", "t_n", "de_moment")
 ALL_KINDS = SUM_KINDS + ("delta_profile", "census", "nonresidue", "sift")

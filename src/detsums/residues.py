@@ -9,7 +9,9 @@ square roots share.  The count up to X takes the symbol only at the
 primes q <= X, by quadratic reciprocity as Euler's criterion mod q (with
 (2/p) read off p mod 8), and extends it to 1..X as a parity bit per n, by
 the one prime-power walk `fp_arith.prime_factor_tally`: one walk and one
-sieve serve a run of eight primes, a bit of the byte each.  No numpy.
+sieve serve a run of eight primes, a bit of the byte each.  A report
+reads z_p off the same window when z_p <= X, and scans only past X.
+No numpy.
 The CLI passes fields, so a `--p-range` prime, which its sieve has
 proven, is never tested.
 """
@@ -47,17 +49,28 @@ def nonresidue_counts(Fs, Xs):
     C plus about X / ln X `pow`s per prime, each mod a prime q <= X.  Each
     (p, X) is checked, in order, as a count of one would check it.
     """
+    return [count for count, _ in _counts_and_least(Fs, Xs)]
+
+
+def _counts_and_least(Fs, Xs):
+    """(count, z) for each p of Fs and X of Xs: the `nonresidue_counts` count, and z_p if z_p <= X, else -1.
+
+    z_p is a prime, so when z_p <= X_j it is the least q whose bit j is set
+    in the run's window, and one `find` reads it there.
+    """
     ps, checked = [], []
     for F, X in zip(Fs, Xs, strict=True):
         p = make_field(F).p
         ps.append(p)
         checked.append(_check_length(X, p, "X"))
-    counts = []
+    found = []
     for i in range(0, len(ps), 8):
         run = checked[i : i + 8]
-        tally = prime_factor_tally(_nonresidue_primes(ps[i : i + 8], run), max(run), step_tables(operator.xor))
-        counts += [tally.translate(bit).count(1, 0, X + 1) for bit, X in zip(BIT_TABLES, run)]
-    return counts
+        window = _nonresidue_primes(ps[i : i + 8], run)
+        tally = prime_factor_tally(window, max(run), step_tables(operator.xor))
+        for bit, X in zip(BIT_TABLES, run):
+            found.append((tally.translate(bit).count(1, 0, X + 1), window.translate(bit).find(1, 0, X + 1)))
+    return found
 
 
 def _nonresidue_primes(ps, Xs):
@@ -95,11 +108,12 @@ def nonresidue_report(F, X):
 
 
 def nonresidue_reports(Fs, Xs):
-    """A `NonResidueReport` for each p of Fs and X of Xs, the counts from `nonresidue_counts`."""
+    """A `NonResidueReport` for each p of Fs and X of Xs: each count, and z_p <= X, off one walk per run of eight."""
     Fs = [make_field(F) for F in Fs]  # an int is tested here, once per report
     reports = []
-    for F, X, count in zip(Fs, Xs, nonresidue_counts(Fs, Xs)):
-        z = least_nonresidue(F)
+    for F, X, (count, z) in zip(Fs, Xs, _counts_and_least(Fs, Xs)):
+        if z < 0:
+            z = least_nonresidue(F)
         reports.append(NonResidueReport(F.p, z, X, count, math.log(z) / math.log(F.p)))
     return reports
 

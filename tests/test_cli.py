@@ -370,11 +370,17 @@ def test_worker_count_independence(tmp_path):
     assert strip_wall(read_rows(one)) == strip_wall(read_rows(two))
 
 
-def fresh_python(code):
-    """The stdout lines of `code` run in a fresh interpreter that imports detsums from this source tree."""
+def fresh_run(*args):
+    """`python ARGS` run to exit in a fresh interpreter that imports detsums from this source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def fresh_python(code):
+    """The stdout lines of `code` run in a fresh interpreter; fails unless it exits 0."""
+    out = fresh_run("-c", code)
+    assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
 
 
@@ -382,6 +388,49 @@ def test_import_leaves_worker_pool_unloaded():
     """Importing the CLI in a fresh interpreter loads neither concurrent.futures nor multiprocessing."""
     code = "import sys, detsums.cli; print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     assert fresh_python(code) == ["[]"]
+
+
+def test_heap_frozen_at_exit_only():
+    """`cli.main` freezes nothing, so an embedding caller's heap stays collectable; the exit hook freezes it."""
+    code = main_exit("scan", "--kind", "census", "--p", "31", "--out", os.devnull)
+    code += "\nimport atexit, gc\nprint(gc.get_freeze_count())"
+    code += "\natexit._run_exitfuncs()\nprint(gc.get_freeze_count() > 0)"
+    assert fresh_python(code)[-3:] == ["0", "0", "True"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--kind", "census", "--p", "31,61,101,127"],
+        ["scan", "--kind", "nonresidue", "--p-range", "3:500"],
+        ["scan", "--kind", "s", "--p", "10009", "--n-grid", "10,50"],
+    ],
+    ids=["census", "nonresidue", "s"],
+)
+def test_module_run_prints_main_csv(argv, capsys):
+    """`python -m detsums.cli` exits 0 with the CSV that an in-process `main` prints (wall_ms aside)."""
+    assert cli.main(argv + ["--out", "-"]) == 0
+    want = strip_wall(csv.DictReader(capsys.readouterr().out.splitlines()))
+    out = fresh_run("-m", "detsums.cli", *argv, "--out", "-")
+    assert out.returncode == 0, out.stderr
+    assert strip_wall(csv.DictReader(out.stdout.splitlines())) == want
+
+
+def test_module_run_validation_error_exits_2():
+    """A validation error in a `python -m detsums.cli` process: exit 2, one `error:` line, no traceback."""
+    out = fresh_run("-m", "detsums.cli", "scan", "--kind", "s", "--p", "15", "--n-grid", "5", "--out", "-")
+    assert out.returncode == 2
+    assert out.stdout == "" and out.stderr.splitlines() == ["error: p must be an odd prime, got 15"]
+
+
+def test_worker_pool_scan_in_fresh_interpreter(tmp_path):
+    """A --workers 2 scan exits 0 with the --workers 1 CSV, no child outlives it, and the interpreter exits 0."""
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    argv = ("scan", "--kind", "nonresidue", "--p-range", "3:500")
+    code = "\n".join(main_exit(*argv, "--workers", str(n), "--out", str(path)) for n, path in ((1, one), (2, two)))
+    code += "\nimport multiprocessing\nprint(multiprocessing.active_children())"
+    assert fresh_python(code)[-3:] == ["0", "0", "[]"]
+    assert one.read_text() == two.read_text()
 
 
 def main_exit(*argv):

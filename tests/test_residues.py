@@ -173,6 +173,43 @@ def test_batched_reports_match_one_by_one():
     assert reports[-1].count == count_nonresidues(2147398009, 46340) == 21174  # the pinned worst prime
 
 
+def test_window_z_p_matches_euler_scan_below_10_4():
+    """At the CLI's default X, the window's least flagged prime of each run of eight is `least_nonresidue` at every
+    odd prime below 10^4 whose z_p <= X, and is missing (-1) at the others; every report's z_p is the scan's."""
+    Fs = [field(p) for p in primes_upto(10_000)[1:].tolist()]
+    Xs = [min(max(2, math.isqrt(F.p)), F.p - 1) for F in Fs]
+    zs = [least_nonresidue(F) for F in Fs]
+    assert [z for _, z in residues._counts_and_least(Fs, Xs)] == [z if z <= X else -1 for z, X in zip(zs, Xs)]
+    assert [rep.z_p for rep in residues.nonresidue_reports(Fs, Xs)] == zs
+
+
+def test_window_z_p_falls_back_to_euler_scan_past_X(monkeypatch):
+    """A run of eight at X = 2 mixes z_p = 2 (p = +-3 mod 8) with z_p >= 3 (p = +-1 mod 8): only the latter scan."""
+    scanned = []
+
+    def spy(F):
+        scanned.append(F.p)
+        return least_nonresidue(F)
+
+    monkeypatch.setattr(residues, "least_nonresidue", spy)
+    Fs = odd_primes(3, 8)  # 3, 5, 7, 11, 13, 17, 19, 23
+    reports = residues.nonresidue_reports(Fs, [2] * 8)
+    assert scanned == [7, 17, 23]
+    assert [rep.z_p for rep in reports] == [2, 2, 3, 2, 2, 3, 2, 5]
+
+
+def test_nonresidue_scan_csv_matches_euler_rows(capsys):
+    """`scan --kind nonresidue --p-range 3:10000` prints, byte for byte, the rows built from the Euler scan and
+    the Euler count at the default X."""
+    assert cli.main(["scan", "--kind", "nonresidue", "--p-range", "3:10000", "--out", "-"]) == 0
+    lines = ["p,z_p,kappa_empirical,X,count,density"]
+    for p in primes_upto(10_000)[1:].tolist():
+        z, X = least_nonresidue(p), min(max(2, math.isqrt(p)), p - 1)
+        count = euler_counts(p, X)[X]
+        lines.append(",".join(map(str, (p, z, math.log(z) / math.log(p), X, count, count / X))))
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_batched_counts_check_each_prime_in_order():
     """A bad entry of a run raises what a count of one raises, the first bad one in order."""
     with pytest.raises(NotPrime):
