@@ -30,7 +30,7 @@ import sys
 import time
 
 from . import __version__, mat2
-from .errors import DetsumsError, InternalInvariantViolation, TooLarge, ValidationError
+from .errors import DetsumsError, InternalInvariantViolation, ValidationError
 from .fp_arith import PrimeField, _check_length, _check_table_size, make_field, prime_flags
 
 # Run before finalization's full collections: every object the process loaded or built (numpy's
@@ -56,14 +56,6 @@ def _parse_int_list(flag, text):
         raise ValidationError("%s wants comma-separated integers, got %r" % (flag, text)) from None
 
 
-def _check_capped(flag, n, name):
-    """ValidationError naming `flag` unless a table of length n, labelled `name`, fits the table cap."""
-    try:
-        _check_table_size(n, name)
-    except TooLarge as exc:
-        raise ValidationError("%s: %s" % (flag, exc)) from None
-
-
 def _collect_primes(args):
     """Fields of the sorted distinct primes from --p and --p-range; NotPrime for one that is not an odd prime.
 
@@ -76,7 +68,7 @@ def _collect_primes(args):
     ps = []
     for p in _parse_int_list("--p", args.p):
         if args.kind in SUM_KINDS:
-            _check_capped("--p", p, "p")
+            _check_table_size(p, "--p: p")
         ps.append(p)
     sieved = set()
     if args.p_range:
@@ -84,7 +76,7 @@ def _collect_primes(args):
             lo, hi = (int(tok) for tok in args.p_range.split(":"))
         except ValueError:
             raise ValidationError("--p-range wants LO:HI, got %r" % args.p_range)
-        _check_capped("--p-range HI", hi, "p")  # before the sieve allocates HI + 1 bytes
+        _check_table_size(hi, "--p-range HI: p")  # before the sieve allocates HI + 1 bytes
         if lo <= hi:
             sieved = {q for q in itertools.compress(range(hi + 1), prime_flags(hi)) if q >= lo}
     return [PrimeField(p) if p in sieved and p != 2 else make_field(p) for p in sorted(sieved.union(ps))]
@@ -156,12 +148,10 @@ def _run_task(task):
         _, Fs, Xs = task
         reports = residues.nonresidue_reports(Fs, Xs)  # one walk per run
         return [[rep.p, rep.z_p, rep.kappa_empirical, rep.X, rep.count, rep.count / rep.X] for rep in reports]
-    if kind == "sift":
-        from . import sifter
-        _, N, x, y, multiplicity = task
-        prof = sifter.sift(N, x, y, multiplicity)
-        return [[prof.N, prof.x, prof.y, r, size] for r, size in enumerate(prof.sizes)]
-    raise ValidationError("unknown kind %r" % (kind,))
+    from . import sifter  # sift, the one kind left: argparse's choices admit no other
+    _, N, x, y, multiplicity = task
+    prof = sifter.sift(N, x, y, multiplicity)
+    return [[prof.N, prof.x, prof.y, r, size] for r, size in enumerate(prof.sizes)]
 
 
 def _build_tasks(args):
@@ -185,7 +175,7 @@ def _build_tasks(args):
         for N in n_grid:
             if N < 1:  # before isqrt(N) picks the default y
                 raise ValidationError("--n-grid: sift needs N >= 1, got %d" % N)
-            _check_capped("--n-grid", N, "N")  # before sift allocates a length-N tally
+            _check_table_size(N, "--n-grid: N")  # before sift allocates a length-N tally
             x = args.sift_x
             y = args.sift_y if args.sift_y > 0 else max(x, math.isqrt(N))
             tasks.append(("sift", N, x, y, not args.distinct))
@@ -204,7 +194,7 @@ def _build_tasks(args):
         return [("census", F) for F in Fs], "census"
     if kind == "nonresidue":
         Xs = [min(args.x_limit or max(2, math.isqrt(F.p)), F.p - 1) for F in Fs]
-        _check_capped("--x-limit", max(args.x_limit, *Xs), "X")  # the count holds X + 1 parity bytes, default X too
+        _check_table_size(max(args.x_limit, *Xs), "--x-limit: X")  # the count holds X + 1 parity bytes, default X too
         starts = range(0, len(Fs), 8)  # eight primes to a walk, a bit of its byte each
         return [("nonresidue", tuple(Fs[i : i + 8]), tuple(Xs[i : i + 8])) for i in starts], "nonresidue"
 
@@ -245,13 +235,13 @@ def default_calibration_path():
 def _check_out(flag, path):
     """ValidationError unless `path` can be written.
 
-    An existing non-regular file (a device such as /dev/null) must be
-    writable itself; any other path needs a writable directory to create
-    the file, and a scan's manifest, in.
+    An existing path (a regular file, or a device such as /dev/null) must
+    be writable itself and not a directory; a new one needs a writable
+    directory to create the file in.
     """
     if path == "-":
         return
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.exists(path):
         ok = not os.path.isdir(path) and os.access(path, os.W_OK)
     else:
         parent = os.path.dirname(os.path.abspath(path))
@@ -271,8 +261,10 @@ def _write(path, text):
 def _cmd_scan(args):
     tasks, schema = _build_tasks(args)
     _check_out("--out", args.out)  # before any task runs, so a long scan cannot fail at the end
+    if args.out != "-" and (os.path.isfile(args.out) or not os.path.exists(args.out)):
+        _check_out("--out manifest", args.out + ".manifest.json")
     t0 = time.perf_counter()
-    workers = min(args.workers, len(tasks))  # a pool starts every worker it is given at once
+    workers = min(args.workers, len(tasks), os.cpu_count() or 1)  # a pool starts every worker it is given at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here: a serial scan needs no pool
 
@@ -315,6 +307,8 @@ def _cmd_calibrate(args):
         old = sifter.read_calibration(path)
     except FileNotFoundError:
         old = {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError("cannot read %r: %s" % (path, exc)) from None
     fresh = sifter.measure_constants()
     worsened = []
     for name in sorted(fresh):

@@ -30,7 +30,7 @@ class WeightOutOfRange(DetsumsError):
 
 
 class Overflow(DetsumsError):
-    """A tally would exceed signed 64-bit capacity."""
+    """A float64 tally would lose exactness: the N^4 < 2^53 guard."""
 
 
 class DomainTooLarge(DetsumsError):

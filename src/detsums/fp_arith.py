@@ -9,7 +9,7 @@ sieve, a bytearray, and `prime_factor_tally` the one walk over prime
 powers into bytes: up to eight completely additive functions on [1, N], a
 bit of a window byte each, applied through the `step_tables` translate
 tables: `sifter.sift` and the tau signature walk (add), the non-residue
-parities of eight primes in `residues.nonresidue_counts` (xor), eight #A_0
+parities of eight primes in `residues.count_nonresidues` (xor), eight #A_0
 windows of the calibration grid (or).  Legendre symbols are Euler's
 criterion by `pow`, the least non-residue z_p one Euler scan, and square
 roots Tonelli-Shanks with z_p as the non-residue.  A table of length n is
@@ -133,8 +133,8 @@ def prime_factor_tally(window, N, steps, distinct=False):
     sequence of `bytes.translate` tables indexed by that byte, each with
     steps[b][0] == b.  With the `step_tables` of xor, or or add, the eight
     bits of a byte are eight independent tallies: `sifter.sift` and the
-    tau signature walk add 1 per window prime, `residues.nonresidue_counts`
-    flips bit j per non-residue prime of its j-th p, and the a0 grid of
+    tau signature walk add 1 per window prime, `residues.count_nonresidues`
+    and its batches flip bit j per non-residue prime of their j-th p, and the a0 grid of
     `sifter.measure_constants` sets bit j per prime of its j-th window.
     Factors count with multiplicity unless `distinct`.  n's one prime
     factor above sqrt(N) starts the tally with its window byte, through
@@ -262,7 +262,8 @@ def _check_length(N, p, name="N"):
 def _check_table_size(n, name="p"):
     """TooLarge unless a dense table of length n fits the cap: DETSUM_MAX_TABLE, else the default.
 
-    `name` labels n in the message (p for a residue table, X for a count, N or M for a sieve range).
+    `name` labels n in the message (p for a residue table, X for a count, N or M for a sieve range);
+    the CLI prefixes its flag, as in "--x-limit: X".
     """
     raw = os.environ.get("DETSUM_MAX_TABLE", str(DEFAULT_MAX_TABLE))
     try:

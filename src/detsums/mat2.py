@@ -1,17 +1,17 @@
 """2x2 matrices over F_p: the square-root decision and exact censuses.
 
 The decision procedure follows the trace identity for B with B*B = A:
-with s = det B and t = Tr B (t nonzero), t*B = A + s*I and t^2 = Tr A + 2s,
-so all candidate roots come from the square roots of det A.  Scalar
-matrices u*I fall outside that derivation (t can be 0); each is the
-square of [[0,1],[u,0]].  Every witness the procedure returns is
-re-verified by an actual matrix product, so an incomplete candidate
-list can only produce a wrong "not found", and the tests pin that down
-on every matrix for small p.  The census counts the conjugacy classes
-of each kind in closed form, from an eigenvalue rule on their
-characteristic polynomials; the tests check those counts against
-`has_square_root` on every class and the census against squaring all
-p^4 matrices.  The pair census is a closed form too, and the decision's
+with s = det B and t = Tr B, t*B = A + s*I and t^2 = Tr A + 2s.  For a
+non-scalar A, t is nonzero, so A has a root iff Tr A + 2s is a nonzero
+square for some root s of det A, and then (A + s*I)/t is one (proof in
+`has_square_root`).  Each scalar u*I is the square of [[0,1],[u,0]].  The
+one witness built is checked by an actual matrix product, and a failed
+check raises InternalInvariantViolation instead of answering "not found";
+the tests pin the decision down on every matrix for small p.  The census
+counts the conjugacy classes of each kind in closed form, from an
+eigenvalue rule on their characteristic polynomials; the tests check
+those counts against `has_square_root` on every class and the census
+against squaring all p^4 matrices.  The pair census is a closed form too, and the decision's
 roots are Tonelli-Shanks: no tables.
 """
 
@@ -57,38 +57,33 @@ class SquareWitness(NamedTuple):
 
 
 def _verified(A, B, F):
-    if mul(B, B, F) == A:
-        return SquareWitness(True, B)
-    return None
+    """SquareWitness(True, B) if the product B*B is A; else InternalInvariantViolation naming p."""
+    if mul(B, B, F) != A:
+        raise InternalInvariantViolation("witness %r does not square to %r (p=%d)" % (B, A, F.p))
+    return SquareWitness(True, B)
 
 
 def has_square_root(A, F):
-    """Decide whether some B satisfies B*B = A; any witness is re-verified.
+    """Decide whether some B satisfies B*B = A; the one witness is checked by a product.
 
     Accepts every matrix in M_2(F_p), scalar and singular ones included.
+    A scalar u*I is the square of [[0,1],[u,0]].  If a non-scalar A has a
+    root B, then t = Tr B is nonzero, since t = 0 would make
+    A = B^2 = -(det B) I scalar by Cayley-Hamilton.  So B = (A + sI)/t,
+    with s = det B, s^2 = det A and t^2 = Tr A + 2s.  Conversely
+    (A + sI)^2 = t^2 A for any such pair (s, t), so the first root s of
+    det A at which Tr A + 2s is a nonzero square gives a root, and if there
+    is none, A has no root.
     """
     p = F.p
-
     if A.b == 0 and A.c == 0 and A.a == A.d:
-        # Scalar A = u*I: [[0,1],[u,0]] squares to u*I for every u, 0 included.
-        u = A.a
-        hit = _verified(A, Mat2(0, 1, u, 0), F)
-        if hit:
-            return hit
-        raise InternalInvariantViolation("scalar root [[0,1],[u,0]] failed for u=%d, p=%d" % (u, p))
-
+        return _verified(A, Mat2(0, 1, A.a, 0), F)
     tA = trace(A, F)
     for s in F.sqrt_roots(det(A, F)):
-        # Both signs of the root are covered because sqrt_roots returns the pair.
-        t2 = (tA + 2 * s) % p
-        for t in F.sqrt_roots(t2):
-            if t == 0:
-                continue
-            ti = F.inv(t)
-            B = Mat2(ti * (A.a + s) % p, ti * A.b % p, ti * A.c % p, ti * (A.d + s) % p)
-            hit = _verified(A, B, F)
-            if hit:
-                return hit
+        roots = F.sqrt_roots((tA + 2 * s) % p)
+        if roots and roots[0]:  # t = roots[0], a nonzero root of Tr A + 2s
+            ti = F.inv(roots[0])
+            return _verified(A, Mat2(ti * (A.a + s) % p, ti * A.b % p, ti * A.c % p, ti * (A.d + s) % p), F)
     return SquareWitness(False, None)
 
 

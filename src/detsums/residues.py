@@ -28,35 +28,25 @@ from .fp_arith import prime_factor_tally, prime_flags, step_tables
 
 
 def count_nonresidues(F, X):
-    """Exact #{1 <= n <= X : (n/p) = -1}; 1 <= X < p, X held to the table cap.
-
-    A batch of one of `nonresidue_counts`.
-    """
-    return nonresidue_counts([F], [X])[0]
-
-
-def nonresidue_counts(Fs, Xs):
-    """[#{1 <= n <= X : (n/p) = -1} for each p of Fs and X of Xs], one walk per run of eight primes.
-
-    The Legendre symbol is completely multiplicative, so n is a
-    non-residue exactly when it has an odd number of prime factors q with
-    (q/p) = -1, counted with multiplicity.  `_nonresidue_primes` sets bit
-    j of the byte of each prime q <= X_j with (q/p_j) = -1; the xor
-    `step_tables` of `fp_arith.prime_factor_tally` then flip bit j once per
-    such prime factor, up to the largest X of the run.  A factor of an
-    n <= X_j is at most X_j, so bit j is read on the prefix [1, X_j] alone,
-    by one translate and one `count`.  Per run, O(X log X) byte copies in
-    C plus about X / ln X `pow`s per prime, each mod a prime q <= X.  Each
-    (p, X) is checked, in order, as a count of one would check it.
-    """
-    return [count for count, _ in _counts_and_least(Fs, Xs)]
+    """Exact #{1 <= n <= X : (n/p) = -1}; 1 <= X < p, X held to the table cap."""
+    return _counts_and_least([F], [X])[0][0]
 
 
 def _counts_and_least(Fs, Xs):
-    """(count, z) for each p of Fs and X of Xs: the `nonresidue_counts` count, and z_p if z_p <= X, else -1.
+    """(count, z) for each p of Fs and X of Xs: #{1 <= n <= X : (n/p) = -1}, and z_p if z_p <= X, else -1.
 
-    z_p is a prime, so when z_p <= X_j it is the least q whose bit j is set
-    in the run's window, and one `find` reads it there.
+    One walk per run of eight primes.  The Legendre symbol is completely
+    multiplicative, so n is a non-residue exactly when it has an odd number
+    of prime factors q with (q/p) = -1, counted with multiplicity.
+    `_nonresidue_primes` sets bit j of the byte of each prime q <= X_j with
+    (q/p_j) = -1; the xor `step_tables` of `fp_arith.prime_factor_tally`
+    then flip bit j once per such prime factor, up to the largest X of the
+    run.  A factor of an n <= X_j is at most X_j, so bit j is read on the
+    prefix [1, X_j] alone, by one translate and one `count`.  z_p is a
+    prime, so when z_p <= X_j it is the least q whose bit j is set in the
+    run's window, and one `find` reads it there.  Per run, O(X log X) byte
+    copies in C plus about X / ln X `pow`s per prime, each mod a prime
+    q <= X.  Each (p, X) is checked, p then X, in order, before any walk.
     """
     ps, checked = [], []
     for F, X in zip(Fs, Xs, strict=True):

@@ -287,7 +287,7 @@ def ratio_bins(F, A, B, C):
     are sorted and equal ones grouped, their class sizes added in int64:
     O(AB + CS log CS) time and a peak near 28 bytes per target (1.8 MiB
     for a 60^3 box), the A*B products and the C*S targets held to the
-    table cap, and no array of length p.  p < 2^31, the hard cap: the keys are int32, products int64.
+    table cap; the residue table holds min(AB + 1, p) entries.  p < 2^31, the hard cap: the keys are int32, products int64.
     """
     p = F.p
     _check_hard_cap(p)

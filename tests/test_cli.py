@@ -324,6 +324,31 @@ def test_bad_out_path_named_before_tasks_run(tmp_path, capsys, monkeypatch):
     assert ran == []
 
 
+def test_manifest_directory_named_before_tasks_run(tmp_path, capsys, monkeypatch):
+    """A directory at <out>.manifest.json exits 2 before any task runs, and no CSV is written."""
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", "census", "--p", "3", "--out", str(out)]) == 2
+    assert "x.csv.manifest.json" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+
+
+def test_read_only_out_file_named_before_tasks_run(tmp_path, capsys, monkeypatch):
+    """An existing --out file that cannot be written exits 2 before any task runs (os.access is patched: root
+    can write any file), and the file is left as it was."""
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(out) and access(path, mode))
+    ran = []
+    monkeypatch.setattr(cli, "_run_task", ran.append)
+    assert run_cli(["scan", "--kind", "census", "--p", "3", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert ran == [] and out.read_text() == "old\n"
+
+
 def test_p_above_cap_named_before_tasks_run(capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_run_task", ran.append)
@@ -572,9 +597,29 @@ def test_pool_never_larger_than_task_count(monkeypatch, tmp_path):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     for ps, workers in (("31", 500), ("3,5,7", 8), ("3,5,7", 2)):
         assert run_cli(["scan", "--kind", "census", "--p", ps, "--workers", str(workers), "--out", str(tmp_path / "c.csv")]) == 0
     assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("cpus, sizes", [(2, [2]), (None, [])])
+def test_pool_never_larger_than_cpu_count(cpus, sizes, monkeypatch, tmp_path):
+    """--workers 8 over three tasks starts one worker per CPU, and none when the CPU count is unknown."""
+    started = []
+
+    class RecordingPool(concurrent.futures.Executor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run_cli(["scan", "--kind", "census", "--p", "3,5,7", "--workers", "8", "--out", str(tmp_path / "c.csv")]) == 0
+    assert started == sizes
+    assert [row["p"] for row in read_rows(tmp_path / "c.csv")] == ["3", "5", "7"]
 
 
 def test_sums_scan_builds_one_index_table_per_prime(monkeypatch, tmp_path):
@@ -707,6 +752,17 @@ def test_calibrate_drops_stale_constant(tmp_path, capsys):
     assert "old_C 2.0 (stale, dropped)" in out
     assert out.count("(unchanged)") == 5
     assert path.read_text() == pinned
+
+
+def test_calibrate_undecodable_file_exits_2(tmp_path, capsys):
+    """A calibration file that is not UTF-8 exits 2 with one error line naming it, before any constant is measured."""
+    path = tmp_path / "cal.txt"
+    path.write_bytes(b"\xff\xfea0_C 1.0\n")
+    assert run_cli(["calibrate", "--calibration-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read %r" % str(path)) and captured.err.count("\n") == 1
+    assert path.read_bytes() == b"\xff\xfea0_C 1.0\n"
 
 
 def test_stdout_output(capsys):

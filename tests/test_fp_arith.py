@@ -324,7 +324,7 @@ def test_every_steps_src_passes_maps_zero_to_its_byte(monkeypatch):
 
     for module in (residues, sifter):
         monkeypatch.setattr(module, "prime_factor_tally", spy)
-    residues.nonresidue_counts([3, 101, 2147398009], [2, 10, 1000])
+    residues._counts_and_least([3, 101, 2147398009], [2, 10, 1000])
     sifter.sift(1000, 2, 30)
     sifter.sift(1000, 2, 30, multiplicity=False)
     sifter.a0_bound_check(1000, 5, 100, 1.0)

@@ -91,6 +91,16 @@ def test_scalar_matrices_always_decided():
             assert mul(w.B, w.B, F) == Mat2(u, 0, 0, u)
 
 
+@pytest.mark.parametrize("A", [Mat2(4, 0, 0, 4), Mat2(0, 1, 1, 0)])
+def test_failed_witness_raises(A, monkeypatch):
+    """A witness whose product check fails is an invariant violation naming p, never a "no square root"."""
+    F = field(13)
+    assert has_square_root(A, F).found
+    monkeypatch.setattr(mat2, "mul", lambda X, Y, F: Mat2(*((x + 1) % F.p for x in mul(X, Y, F))))
+    with pytest.raises(InternalInvariantViolation, match="p=13"):
+        has_square_root(A, F)
+
+
 def test_witness_soundness(rng):
     for p in (5, 13, 31):
         F = field(p)

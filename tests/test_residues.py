@@ -161,7 +161,7 @@ def test_batched_counts_match_euler(size):
         draws = [[rng.randint(1, min(F.p - 1, 3000)) for F in ps] for _ in range(3)]
         limits = [[min(limit, F.p - 1) for F in ps] for limit in (1, 2, 5, 50)]
         for Xs in draws + limits + [[min(max(2, math.isqrt(F.p)), F.p - 1) for F in ps]]:
-            assert residues.nonresidue_counts(ps, Xs) == [want[X] for want, X in zip(wants, Xs)], (ps, Xs)
+            assert [count for count, _ in residues._counts_and_least(ps, Xs)] == [want[X] for want, X in zip(wants, Xs)], (ps, Xs)
 
 
 def test_batched_reports_match_one_by_one():
@@ -213,11 +213,11 @@ def test_nonresidue_scan_csv_matches_euler_rows(capsys):
 def test_batched_counts_check_each_prime_in_order():
     """A bad entry of a run raises what a count of one raises, the first bad one in order."""
     with pytest.raises(NotPrime):
-        residues.nonresidue_counts([7, 9, fp_arith._MR_LIMIT], [3, 2, 10])
+        residues._counts_and_least([7, 9, fp_arith._MR_LIMIT], [3, 2, 10])
     with pytest.raises(TooLarge):
-        residues.nonresidue_counts([7, fp_arith._MR_LIMIT, 9], [3, 10, 2])
+        residues._counts_and_least([7, fp_arith._MR_LIMIT, 9], [3, 10, 2])
     with pytest.raises(ValueError, match="X=7"):
-        residues.nonresidue_counts([11, 7], [3, 7])
+        residues._counts_and_least([11, 7], [3, 7])
 
 
 def euler_nonresidue_primes(p, X):
